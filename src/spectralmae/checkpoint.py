@@ -147,7 +147,8 @@ def _write_config(w: _Writer, cfg: ModelConfig) -> None:
     for name, kind in _CONFIG_FIELDS:
         w.string(name)
         w.string(kind)
-        value = getattr(cfg, name)
+        # the model has no drop path; v1 keeps the slot and always writes 0.0
+        value = 0.0 if name == "drop_path" else getattr(cfg, name)
         if kind == "i":
             w.i64(value)
         elif kind == "f":
@@ -175,6 +176,10 @@ def _read_config(r: _Reader) -> ModelConfig:
             kwargs[name] = r.string()
         else:
             raise FormatError(f"unknown config field kind {kind!r}")
+    drop_path = kwargs.pop("drop_path", 0.0)
+    if drop_path != 0.0:
+        raise FormatError(f"checkpoint drop_path {drop_path} is unsupported: drop path "
+                          "was removed, so only 0.0 loads")
     try:
         return ModelConfig(**kwargs)
     except TypeError as exc:

@@ -23,8 +23,7 @@ def _apply_thread_env() -> None:
 
 
 _MODEL_KEYS = {"preset", "embed_dim", "encoder_depth", "encoder_heads", "decoder_dim",
-               "decoder_depth", "decoder_heads", "mlp_ratio", "p", "k", "max_grid",
-               "drop_path", "dtype"}
+               "decoder_depth", "decoder_heads", "mlp_ratio", "p", "k", "max_grid", "dtype"}
 _OBJECTIVE_KEYS = {"lam", "token_loss_scope", "target_mode"}
 _STAGE_KEYS = {"manifest", "epochs", "base_lr", "batch_size", "mask_ratio",
                "weight_decay", "warmup_frac", "min_lr", "clip_norm"}
@@ -89,7 +88,6 @@ def _load_stage(doc: dict, base_dir: str):
     from .errors import ConfigError
     from .manifest import load_manifest
     from .raster import normalize_bands, read_raster
-    from .tokenizer import SpectralImage
     from .training import PretrainStage
 
     _check_keys(doc, _STAGE_KEYS, "stages[]")
@@ -109,35 +107,18 @@ def _load_stage(doc: dict, base_dir: str):
     return stage, band_stats
 
 
-def _emit_resolved(out_dir: str, resolved: dict) -> None:
+def _emit_resolved(out_dir: str, **sections) -> None:
+    from dataclasses import asdict, is_dataclass
+
+    doc = {name: asdict(v) if is_dataclass(v) else v for name, v in sections.items()}
     with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, sort_keys=True, indent=1, default=str)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=str)
         fh.write("\n")
-
-
-def _resolved_doc(seed, model_cfg=None, objective=None, stage_docs=None,
-                  finetune=None, dataset=None) -> dict:
-    from dataclasses import asdict
-
-    doc = {"seed": seed}
-    if model_cfg is not None:
-        doc["model"] = asdict(model_cfg) if not isinstance(model_cfg, dict) else model_cfg
-    if objective is not None:
-        doc["objective"] = asdict(objective)
-    if stage_docs is not None:
-        doc["stages"] = stage_docs
-    if finetune is not None:
-        doc["finetune"] = asdict(finetune)
-    if dataset is not None:
-        doc["dataset"] = dataset
-    return doc
 
 
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    from dataclasses import asdict
-
     from .errors import SpectralMaeError
     from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -152,7 +133,7 @@ def cmd_synth(args) -> int:
         spec = SyntheticSpec(**doc)
         os.makedirs(args.out, exist_ok=True)
         manifest_path = generate_synthetic(spec, args.task, args.out)
-        _emit_resolved(args.out, {"spec": asdict(spec), "task": args.task})
+        _emit_resolved(args.out, spec=spec, task=args.task)
     except (SpectralMaeError, ValueError) as exc:
         return _fail(str(exc))
     print(manifest_path)
@@ -162,8 +143,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- pretraining
 
 def _run_pretraining(args, progressive: bool) -> int:
-    import numpy as np
-
     from .checkpoint import (load_checkpoint, restore_model, restore_optimizer,
                              save_checkpoint, snapshot_model)
     from .errors import SpectralMaeError
@@ -187,8 +166,8 @@ def _run_pretraining(args, progressive: bool) -> int:
         band_stats = loaded[0][1]
 
         os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, _resolved_doc(seed, model_cfg, objective,
-                                               stage_docs=stage_docs))
+        _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
+                       stages=stage_docs)
         rng = CounterRng(seed)
         start_stage = start_epoch = 0
         optimizer = None
@@ -240,85 +219,71 @@ def cmd_progressive(args) -> int:
 
 # ---------------------------------------------------------------- finetune / eval
 
-def _build_task_pieces(task, model, train_man, cfg):
+def _downstream_setup(args):
+    """Config, manifests and finetune settings shared by `finetune` and `eval`."""
     from .errors import ConfigError
-    from .heads import ChangeHead, ClassifierHead, SegmentationHead
-    from .rng import CounterRng
+    from .finetune import FinetuneConfig, resolve_splits
 
-    d = model.config.embed_dim
-    gs = len(train_man.band_names) // model.config.k
-    head_rng = CounterRng(cfg.seed).child("head")
-    if task in ("classify", "multilabel"):
-        return ClassifierHead(d, cfg.hidden, train_man.n_classes, head_rng,
-                              model.config.np_dtype)
-    if task == "segment":
-        return SegmentationHead(d, gs, train_man.n_classes, head_rng,
-                                model.config.np_dtype)
-    if task == "change":
-        return ChangeHead(d, gs, head_rng, model.config.np_dtype)
-    raise ConfigError(f"unknown task {task!r}")
+    config = _load_config(args.config)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    ft_doc = dict(config.get("finetune", {}))
+    _check_keys(ft_doc, _FINETUNE_KEYS, "finetune")
+    if "split_fractions" in ft_doc:
+        ft_doc["split_fractions"] = tuple(ft_doc["split_fractions"])
+    if getattr(args, "train_fraction", None) is not None:
+        ft_doc["train_fraction"] = args.train_fraction
+    cfg = FinetuneConfig(seed=seed, **ft_doc)
+    dataset = config.get("dataset", {})
+    _check_keys(dataset, _DATASET_KEYS, "dataset")
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+
+    def resolve(p):
+        return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
+
+    manifest_path = resolve(dataset.get("manifest"))
+    if manifest_path is None:
+        raise ConfigError("config dataset.manifest is required")
+    val_path = resolve(dataset.get("val_manifest"))
+    train_man, val_man = resolve_splits(manifest_path, val_path, cfg)
+    return config, cfg, train_man, val_man, {"manifest": manifest_path, "val_manifest": val_path}
+
+
+def _write_report(out_dir: str, report) -> None:
+    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_json() + "\n")
+    print(report.to_json())
 
 
 def cmd_finetune(args) -> int:
-    from .checkpoint import (load_checkpoint, restore_model, save_checkpoint,
-                             snapshot_model, Checkpoint)
+    from . import finetune
+    from .checkpoint import load_checkpoint, restore_model, save_checkpoint, snapshot_model
     from .errors import SpectralMaeError
-    from .finetune import (FinetuneConfig, change_detect, finetune_classify,
-                           finetune_multilabel, segment)
-    from .manifest import load_manifest
     from .model import SpectralCubeAutoencoder
     from .rng import CounterRng
 
     try:
-        config = _load_config(args.config)
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        ft_doc = dict(config.get("finetune", {}))
-        _check_keys(ft_doc, _FINETUNE_KEYS, "finetune")
-        if "split_fractions" in ft_doc:
-            ft_doc["split_fractions"] = tuple(ft_doc["split_fractions"])
-        if args.train_fraction is not None:
-            ft_doc["train_fraction"] = args.train_fraction
-        cfg = FinetuneConfig(seed=seed, **ft_doc)
-        dataset = config.get("dataset", {})
-        _check_keys(dataset, _DATASET_KEYS, "dataset")
-        base_dir = os.path.dirname(os.path.abspath(args.config))
-
-        def resolve(p):
-            return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
-
-        manifest_path = resolve(dataset.get("manifest"))
-        if manifest_path is None:
-            return _fail("config dataset.manifest is required")
-        val_path = resolve(dataset.get("val_manifest"))
-        train_man = load_manifest(manifest_path)
-
+        config, cfg, train_man, val_man, dataset = _downstream_setup(args)
         if args.checkpoint:
             ckpt = load_checkpoint(args.checkpoint)
-            model = SpectralCubeAutoencoder(ckpt.config, CounterRng(seed))
+            model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
             restore_model(ckpt, model)
         else:
             model_cfg = _build_model_config(config.get("model", {}))
-            model = SpectralCubeAutoencoder(model_cfg, CounterRng(seed))
+            model = SpectralCubeAutoencoder(model_cfg, CounterRng(cfg.seed))
 
         os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, _resolved_doc(seed, model.config, finetune=cfg,
-                                               dataset={"manifest": manifest_path,
-                                                        "val_manifest": val_path}))
-        runner = {"classify": finetune_classify, "multilabel": finetune_multilabel,
-                  "segment": segment, "change": change_detect}.get(args.task)
-        if runner is None:
-            return _fail(f"unknown task {args.task!r}")
-        head = _build_task_pieces(args.task, model, train_man, cfg)
-        report = runner(model, manifest_path, cfg, val_path, head=head)
-        with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        combined = {name: p.data.copy() for name, p in model.parameters().items()}
-        combined.update({name: p.data.copy() for name, p in head.params.items()})
-        from .model import ModelConfig
-        tuned = Checkpoint(config=ModelConfig(**vars(model.config)), params=combined,
-                           optimizer=None, rng_state=(seed, 0))
+        _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
+                       dataset=dataset)
+        head = finetune.make_head(args.task, model, train_man, cfg)
+        # looked up at call time, so a wrapper rebound onto the entry name sees the call
+        runner = getattr(finetune, {"classify": "finetune_classify",
+                                    "multilabel": "finetune_multilabel",
+                                    "segment": "segment", "change": "change_detect"}[args.task])
+        report = runner(model, train_man, cfg, val_man, head=head)
+        tuned = snapshot_model(model, None, (cfg.seed, 0))
+        tuned.params.update({name: p.data.copy() for name, p in head.params.items()})
         save_checkpoint(tuned, os.path.join(args.out, "checkpoint_finetuned.spck"))
-        print(report.to_json())
+        _write_report(args.out, report)
     except (SpectralMaeError, ValueError) as exc:
         return _fail(str(exc))
     return 0
@@ -327,60 +292,22 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint, restore_into
     from .errors import SpectralMaeError
-    from .finetune import (FinetuneConfig, eval_change, eval_classify,
-                           eval_multilabel, eval_segment, load_change_samples,
-                           load_classify_samples, load_multilabel_samples,
-                           load_segment_samples, _resolve_splits)
+    from .finetune import TASKS, evaluate, make_head
     from .heads import combine_params
-    from .manifest import load_manifest
     from .model import SpectralCubeAutoencoder
     from .rng import CounterRng
 
     try:
-        config = _load_config(args.config)
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        ft_doc = dict(config.get("finetune", {}))
-        _check_keys(ft_doc, _FINETUNE_KEYS, "finetune")
-        if "split_fractions" in ft_doc:
-            ft_doc["split_fractions"] = tuple(ft_doc["split_fractions"])
-        cfg = FinetuneConfig(seed=seed, **ft_doc)
-        dataset = config.get("dataset", {})
-        _check_keys(dataset, _DATASET_KEYS, "dataset")
-        base_dir = os.path.dirname(os.path.abspath(args.config))
-
-        def resolve(p):
-            return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
-
-        manifest_path = resolve(dataset.get("manifest"))
-        val_path = resolve(dataset.get("val_manifest"))
-        train_man = load_manifest(manifest_path)
-
+        _, cfg, train_man, val_man, dataset = _downstream_setup(args)
         ckpt = load_checkpoint(args.checkpoint)
-        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(seed))
-        head = _build_task_pieces(args.task, model, train_man, cfg)
+        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
+        head = make_head(args.task, model, train_man, cfg)
         restore_into(ckpt.params, combine_params(model.parameters(), head.params))
-
-        _, val_man = _resolve_splits(manifest_path, val_path, cfg)
         os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, _resolved_doc(seed, model.config, finetune=cfg,
-                                               dataset={"manifest": manifest_path,
-                                                        "val_manifest": val_path}))
-        if args.task == "classify":
-            report = eval_classify(model, head, load_classify_samples(val_man, val_man.samples))
-        elif args.task == "multilabel":
-            report = eval_multilabel(model, head, load_multilabel_samples(val_man, val_man.samples))
-        elif args.task == "segment":
-            val = load_segment_samples(val_man, val_man.samples)
-            crop = cfg.crop or min(val[0][0].height, val[0][0].width)
-            report = eval_segment(model, head, val, crop, train_man.n_classes,
-                                  train_man.class_names)
-        elif args.task == "change":
-            report = eval_change(model, head, load_change_samples(val_man, val_man.samples))
-        else:
-            return _fail(f"unknown task {args.task!r}")
-        with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(report.to_json())
+        _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
+                       dataset=dataset)
+        val = TASKS[args.task].load(val_man, val_man.samples)
+        _write_report(args.out, evaluate(args.task, model, head, train_man, val, cfg))
     except (SpectralMaeError, ValueError) as exc:
         return _fail(str(exc))
     return 0
@@ -398,8 +325,8 @@ def cmd_reconstruct(args) -> int:
     from .preview import PRESETS, render_preset, to_display, write_ppm
     from .raster import normalize_bands, read_raster
     from .rng import CounterRng
-    from .tokenizer import (SpectralImage, TokenGrid, build_mask, make_targets,
-                            patchify, unpatchify)
+    from .tokenizer import (TokenGrid, build_mask, invert_targets, make_targets, patchify,
+                            unpatchify)
 
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r]
@@ -419,7 +346,7 @@ def cmd_reconstruct(args) -> int:
         band_max = raw.values.reshape(-1, raw.bands).max(axis=0)
         img = normalize_bands(raw, band_min, band_max)
 
-        band_stats = None
+        band_stats = (None, None)
         if args.target_mode == "standardized":
             if not args.manifest:
                 return _fail("standardized target mode needs --manifest for band stats")
@@ -429,11 +356,12 @@ def cmd_reconstruct(args) -> int:
         cfg = model.config
         grid = patchify(img, cfg.p, cfg.k)
         dims = GridDims(grid.gh, grid.gw, grid.gs)
+        _, stats = make_targets(grid, args.target_mode, band_mean=band_stats[0],
+                                band_std=band_stats[1])
         os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, {"checkpoint": args.checkpoint, "raster": args.raster,
-                                  "ratios": ratios, "presets": presets,
-                                  "seed": args.seed or 0,
-                                  "target_mode": args.target_mode})
+        _emit_resolved(args.out, checkpoint=args.checkpoint, raster=args.raster,
+                       ratios=ratios, presets=presets, seed=args.seed or 0,
+                       target_mode=args.target_mode)
         records_path = os.path.join(args.out, "reconstruction_mse.jsonl")
         rng = CounterRng(args.seed or 0)
         with open(records_path, "w", encoding="utf-8") as records:
@@ -441,18 +369,7 @@ def cmd_reconstruct(args) -> int:
                 plan = build_mask(grid.n_tokens, ratio, rng.child("mask", repr(ratio)),
                                   dims.n_sites)
                 recon = model.reconstruct(grid.tokens, plan, dims).data
-                if args.target_mode == "per_token_normalized":
-                    _, stats = make_targets(grid, "per_token_normalized")
-                    pixels = recon * (stats.std + np.float32(stats.eps))[:, None] \
-                        + stats.mean[:, None]
-                elif args.target_mode == "standardized":
-                    mean, std = band_stats
-                    band_of = (np.arange(grid.n_tokens) % grid.gs)[:, None] * cfg.k \
-                        + (np.arange(grid.token_len) % cfg.k)[None, :]
-                    pixels = recon * (std[band_of] + 1e-6) + mean[band_of]
-                else:
-                    pixels = recon
-                pixels = pixels.astype(np.float32)
+                pixels = invert_targets(recon, grid, args.target_mode, stats, band_stats)
                 composite = pixels.copy()
                 composite[plan.visible] = grid.tokens[plan.visible]
                 full_mse = float(np.mean((pixels - grid.tokens) ** 2))

@@ -1,15 +1,17 @@
 """End-to-end fine-tuning and evaluation for the four downstream tasks.
 
-Each protocol loads a manifest, normalizes bands to [0, 1] with the
-manifest's dataset-level min/max, trains encoder + head jointly under
-AdamW with the warmup/cosine schedule, and reports task metrics on the
-held-out split. Raw prediction scores ride along in `extras` so metric
-values can be re-derived by independent oracles.
+`TASKS` holds one record per task with only what differs between them.
+One `finetune` loop normalizes bands to [0, 1] with the manifest's
+dataset-level min/max, trains encoder + head jointly under AdamW with the
+warmup/cosine schedule, and reports task metrics on the held-out split
+through `evaluate`. Raw prediction scores ride along in `extras` so
+metric values can be re-derived by independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .heads import (ChangeHead, ClassifierHead, SegmentationHead, combine_params
                     cross_entropy, multilabel_soft_margin, nll_from_log_probs)
 from .manifest import DatasetManifest, load_manifest, split
 from .metrics import (MetricsReport, confusion_matrix, iou_per_class, macro_map,
-                      mean_iou, micro_map, overall_accuracy, precision_recall_f1)
+                      mean_iou, micro_map, overall_accuracy, prf_from_counts)
 from .model import GridDims, SpectralCubeAutoencoder
 from .optim import AdamW, Schedule, lr_at
 from .raster import normalize_bands, read_raster
@@ -49,13 +51,16 @@ def _load_mask(path: str) -> np.ndarray:
     return read_raster(path).values[:, :, 0].astype(np.int64)
 
 
-def _resolve_splits(manifest, val_manifest, cfg: FinetuneConfig):
+def resolve_splits(manifest, val_manifest, cfg: FinetuneConfig):
+    """(train, val) manifests: a seeded split of `manifest` unless a val manifest is given."""
     if isinstance(manifest, str):
         manifest = load_manifest(manifest)
     if val_manifest is None:
         return split(manifest, cfg.split_fractions, manifest.split_seed)
     if isinstance(val_manifest, str):
         val_manifest = load_manifest(val_manifest)
+    if not val_manifest.samples:
+        raise DataError("validation manifest has no samples")
     return manifest, val_manifest
 
 
@@ -74,20 +79,6 @@ def _subset(samples: list, fraction: float, seed: int) -> list:
 def _grid_dims(model: SpectralCubeAutoencoder, img: SpectralImage) -> GridDims:
     cfg = model.config
     return GridDims(img.height // cfg.p, img.width // cfg.p, img.bands // cfg.k)
-
-
-def _train_loop(params, batches_per_epoch, cfg: FinetuneConfig, run_batch) -> None:
-    """Shared optimizer loop: run_batch(epoch, step) -> loss Tensor (pre-scaled)."""
-    total = cfg.epochs * batches_per_epoch
-    sched = Schedule(int(cfg.warmup_frac * total), total, cfg.lr)
-    opt = AdamW(params, base_lr=cfg.lr, weight_decay=cfg.weight_decay)
-    step = 0
-    for epoch in range(cfg.epochs):
-        for b in range(batches_per_epoch):
-            params.zero_grads()
-            run_batch(epoch, b)
-            opt.step(lr_at(sched, step))
-            step += 1
 
 
 # ---------------------------------------------------------------- loaders
@@ -127,36 +118,38 @@ def load_change_samples(man: DatasetManifest, samples: list) -> list:
     return out
 
 
-# ---------------------------------------------------------------- classification
+# ---------------------------------------------------------------- minibatch steps
+# Classification takes one loss over the batch's logits; the dense tasks
+# call backward once per sample, with the loss scaled by 1/B.
 
-def finetune_classify(model: SpectralCubeAutoencoder, manifest, cfg: FinetuneConfig,
-                      val_manifest=None, head: ClassifierHead | None = None) -> MetricsReport:
-    train_man, val_man = _resolve_splits(manifest, val_manifest, cfg)
-    n_classes = train_man.n_classes
-    train = load_classify_samples(
-        train_man, _subset(train_man.samples, cfg.train_fraction, cfg.seed))
-    val = load_classify_samples(val_man, val_man.samples)
-    head = head or ClassifierHead(model.config.embed_dim, cfg.hidden, n_classes,
-                                  CounterRng(cfg.seed).child("head"), model.config.np_dtype)
-    params = combine_params(model.parameters(), head.params)
-    order_rng = CounterRng(cfg.seed).child("order")
-    batches = max(1, len(train) // cfg.batch_size)
+def _batch_logits(model, head, batch: list) -> T.Tensor:
+    return T.concat_rows([head.forward(model.forward_full(sample[0])) for sample in batch])
 
-    def run_batch(epoch, b):
-        order = order_rng.child(epoch).permutation(len(train))
-        chosen = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-        if chosen.size == 0:
-            chosen = order[:cfg.batch_size]
-        rows = [head.forward(model.forward_full(train[int(i)][0])) for i in chosen]
-        logits = T.concat_rows(rows)
-        labels = [train[int(i)][1] for i in chosen]
-        T.scale(cross_entropy(logits, labels), 1.0).backward()
 
-    _train_loop(params, batches, cfg, run_batch)
-    report = eval_classify(model, head, val)
-    report.counts["train_used"] = len(train)
-    return report
+def _classify_step(model, head, batch: list) -> None:
+    cross_entropy(_batch_logits(model, head, batch), [label for _, label in batch]).backward()
 
+
+def _multilabel_step(model, head, batch: list) -> None:
+    targets = np.stack([labels for _, labels in batch])
+    multilabel_soft_margin(_batch_logits(model, head, batch), targets).backward()
+
+
+def _segment_step(model, head, batch: list) -> None:
+    for sub, mask in batch:
+        logits = head.forward(model.forward_full(sub), _grid_dims(model, sub),
+                              (sub.height, sub.width))
+        T.scale(cross_entropy(logits, mask.reshape(-1)), 1.0 / len(batch)).backward()
+
+
+def _change_step(model, head, batch: list) -> None:
+    for a, b, mask in batch:
+        logp = head.forward(model.forward_full(a), model.forward_full(b),
+                            _grid_dims(model, a), (a.height, a.width))
+        T.scale(nll_from_log_probs(logp, mask.reshape(-1)), 1.0 / len(batch)).backward()
+
+
+# ---------------------------------------------------------------- evaluation
 
 def eval_classify(model, head, val: list) -> MetricsReport:
     scores = np.asarray([head.forward(model.forward_full(img)).data[0]
@@ -167,35 +160,6 @@ def eval_classify(model, head, val: list) -> MetricsReport:
         task="classify", values={"accuracy": accuracy},
         counts={"val": len(val)},
         extras={"scores": scores, "labels": labels})
-
-
-def finetune_multilabel(model: SpectralCubeAutoencoder, manifest, cfg: FinetuneConfig,
-                        val_manifest=None, head: ClassifierHead | None = None) -> MetricsReport:
-    train_man, val_man = _resolve_splits(manifest, val_manifest, cfg)
-    train = load_multilabel_samples(
-        train_man, _subset(train_man.samples, cfg.train_fraction, cfg.seed))
-    val = load_multilabel_samples(val_man, val_man.samples)
-    n_classes = train_man.n_classes
-    head = head or ClassifierHead(model.config.embed_dim, cfg.hidden, n_classes,
-                                  CounterRng(cfg.seed).child("head"), model.config.np_dtype)
-    params = combine_params(model.parameters(), head.params)
-    order_rng = CounterRng(cfg.seed).child("order")
-    batches = max(1, len(train) // cfg.batch_size)
-
-    def run_batch(epoch, b):
-        order = order_rng.child(epoch).permutation(len(train))
-        chosen = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-        if chosen.size == 0:
-            chosen = order[:cfg.batch_size]
-        rows = [head.forward(model.forward_full(train[int(i)][0])) for i in chosen]
-        logits = T.concat_rows(rows)
-        targets = np.stack([train[int(i)][1] for i in chosen])
-        multilabel_soft_margin(logits, targets).backward()
-
-    _train_loop(params, batches, cfg, run_batch)
-    report = eval_multilabel(model, head, val)
-    report.counts["train_used"] = len(train)
-    return report
 
 
 def eval_multilabel(model, head, val: list) -> MetricsReport:
@@ -210,8 +174,6 @@ def eval_multilabel(model, head, val: list) -> MetricsReport:
         counts={"val": len(val)}, notes=notes,
         extras={"scores": scores, "labels": labels})
 
-
-# ---------------------------------------------------------------- segmentation
 
 def tile_starts(extent: int, crop: int) -> list[int]:
     """Crop origins with 50% overlap; the last tile is flush with the edge."""
@@ -232,6 +194,19 @@ def _crops(img: SpectralImage, mask: np.ndarray, crop: int):
                    mask[y:y + crop, x:x + crop] if mask is not None else None)
 
 
+def _crop_size(model, cfg: FinetuneConfig, samples: list) -> int:
+    """The configured crop, else the shorter side of the first image."""
+    crop = cfg.crop or min(samples[0][0].height, samples[0][0].width)
+    if crop % model.config.p:
+        raise ConfigError(f"crop {crop} not divisible by token size {model.config.p}")
+    return crop
+
+
+def _crop_pool(train: list, crop: int) -> list:
+    return [(sub, sub_mask) for img, mask in train
+            for _, _, sub, sub_mask in _crops(img, mask, crop)]
+
+
 def _stitched_logits(model, head, img: SpectralImage, crop: int, classes: int) -> np.ndarray:
     """Average overlapping crop logits in logit space, then the caller argmaxes."""
     acc = np.zeros((img.height, img.width, classes), np.float64)
@@ -242,48 +217,6 @@ def _stitched_logits(model, head, img: SpectralImage, crop: int, classes: int) -
         acc[y:y + crop, x:x + crop] += logits.reshape(crop, crop, classes)
         hits[y:y + crop, x:x + crop] += 1.0
     return acc / hits
-
-
-def segment(model: SpectralCubeAutoencoder, manifest, cfg: FinetuneConfig,
-            val_manifest=None, head: SegmentationHead | None = None) -> MetricsReport:
-    train_man, val_man = _resolve_splits(manifest, val_manifest, cfg)
-    n_classes = train_man.n_classes
-    p = model.config.p
-    train = load_segment_samples(
-        train_man, _subset(train_man.samples, cfg.train_fraction, cfg.seed))
-    val = load_segment_samples(val_man, val_man.samples)
-    crop = cfg.crop or min(train[0][0].height, train[0][0].width)
-    if crop % p:
-        raise ConfigError(f"crop {crop} not divisible by token size {p}")
-    head = head or SegmentationHead(model.config.embed_dim,
-                                    train[0][0].bands // model.config.k, n_classes,
-                                    CounterRng(cfg.seed).child("head"),
-                                    model.config.np_dtype)
-    params = combine_params(model.parameters(), head.params)
-    pool = [(img_i, y, x) for img_i, (img, mask) in enumerate(train)
-            for y, x, _, _ in _crops(img, mask, crop)]
-    order_rng = CounterRng(cfg.seed).child("order")
-    batches = max(1, len(pool) // cfg.batch_size)
-
-    def run_batch(epoch, b):
-        order = order_rng.child(epoch).permutation(len(pool))
-        chosen = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-        if chosen.size == 0:
-            chosen = order[:cfg.batch_size]
-        for i in chosen:
-            img_i, y, x = pool[int(i)]
-            img, mask = train[img_i]
-            sub = SpectralImage(img.values[y:y + crop, x:x + crop], img.band_names)
-            sub_mask = mask[y:y + crop, x:x + crop]
-            dims = _grid_dims(model, sub)
-            logits = head.forward(model.forward_full(sub), dims, (crop, crop))
-            loss = cross_entropy(logits, sub_mask.reshape(-1))
-            T.scale(loss, 1.0 / len(chosen)).backward()
-
-    _train_loop(params, batches, cfg, run_batch)
-    report = eval_segment(model, head, val, crop, n_classes, train_man.class_names)
-    report.counts["train_used"] = len(train)
-    return report
 
 
 def eval_segment(model, head, val: list, crop: int, n_classes: int,
@@ -304,39 +237,6 @@ def eval_segment(model, head, val: list, crop: int, n_classes: int,
         extras={"confusion": cm})
 
 
-# ---------------------------------------------------------------- change detection
-
-def change_detect(model: SpectralCubeAutoencoder, manifest, cfg: FinetuneConfig,
-                  val_manifest=None, head: ChangeHead | None = None) -> MetricsReport:
-    train_man, val_man = _resolve_splits(manifest, val_manifest, cfg)
-    train = load_change_samples(
-        train_man, _subset(train_man.samples, cfg.train_fraction, cfg.seed))
-    val = load_change_samples(val_man, val_man.samples)
-    head = head or ChangeHead(model.config.embed_dim, train[0][0].bands // model.config.k,
-                              CounterRng(cfg.seed).child("head"), model.config.np_dtype)
-    params = combine_params(model.parameters(), head.params)
-    order_rng = CounterRng(cfg.seed).child("order")
-    batches = max(1, len(train) // cfg.batch_size)
-
-    def run_batch(epoch, b):
-        order = order_rng.child(epoch).permutation(len(train))
-        chosen = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-        if chosen.size == 0:
-            chosen = order[:cfg.batch_size]
-        for i in chosen:
-            a, bimg, mask = train[int(i)]
-            dims = _grid_dims(model, a)
-            logp = head.forward(model.forward_full(a), model.forward_full(bimg),
-                                dims, (a.height, a.width))
-            loss = nll_from_log_probs(logp, mask.reshape(-1))
-            T.scale(loss, 1.0 / len(chosen)).backward()
-
-    _train_loop(params, batches, cfg, run_batch)
-    report = eval_change(model, head, val)
-    report.counts["train_used"] = len(train)
-    return report
-
-
 def eval_change(model, head, val: list) -> MetricsReport:
     tp = fp = fn = tn = 0
     for a, bimg, mask in val:
@@ -348,11 +248,114 @@ def eval_change(model, head, val: list) -> MetricsReport:
         fp += int(np.sum((pred == 1) & (mask == 0)))
         fn += int(np.sum((pred == 0) & (mask == 1)))
         tn += int(np.sum((pred == 0) & (mask == 0)))
-    pred_flat = [1] * tp + [1] * fp + [0] * fn + [0] * tn
-    true_flat = [1] * tp + [0] * fp + [1] * fn + [0] * tn
-    precision, recall, f1, notes = precision_recall_f1(pred_flat, true_flat)
+    precision, recall, f1, notes = prf_from_counts(tp, fp, fn)
     return MetricsReport(
         task="change",
         values={"precision": precision, "recall": recall, "f1": f1},
         counts={"val": len(val), "tp": tp, "fp": fp, "fn": fn, "tn": tn},
         notes=notes)
+
+
+# ---------------------------------------------------------------- the task table
+
+@dataclass(frozen=True)
+class Task:
+    """What one downstream task does differently from the others.
+
+    load(manifest, samples) -> samples; step(model, head, batch) runs one
+    minibatch forward and backward; evaluate(model, head, val, train manifest,
+    cfg) -> report; pool(train, model, cfg) -> what each epoch's batches come from.
+    """
+
+    load: Callable
+    step: Callable
+    evaluate: Callable
+    pool: Callable = lambda train, model, cfg: train
+
+
+# Evaluation goes through the module-level eval_* names at call time, so a
+# wrapper rebound onto one of them sees every call.
+TASKS = {
+    "classify": Task(load_classify_samples, _classify_step,
+                     lambda model, head, val, man, cfg: eval_classify(model, head, val)),
+    "multilabel": Task(load_multilabel_samples, _multilabel_step,
+                       lambda model, head, val, man, cfg: eval_multilabel(model, head, val)),
+    "segment": Task(load_segment_samples, _segment_step,
+                    lambda model, head, val, man, cfg: eval_segment(
+                        model, head, val, _crop_size(model, cfg, val), man.n_classes,
+                        man.class_names),
+                    pool=lambda train, model, cfg: _crop_pool(
+                        train, _crop_size(model, cfg, train))),
+    "change": Task(load_change_samples, _change_step,
+                   lambda model, head, val, man, cfg: eval_change(model, head, val)),
+}
+
+
+def make_head(task: str, model: SpectralCubeAutoencoder, manifest: DatasetManifest,
+              cfg: FinetuneConfig):
+    """A freshly initialised head for `task`, sized from the model and the manifest."""
+    mc = model.config
+    rng = CounterRng(cfg.seed).child("head")
+    if task in ("classify", "multilabel"):
+        return ClassifierHead(mc.embed_dim, cfg.hidden, manifest.n_classes, rng, mc.np_dtype)
+    gs = len(manifest.band_names) // mc.k
+    if task == "segment":
+        return SegmentationHead(mc.embed_dim, gs, manifest.n_classes, rng, mc.np_dtype)
+    return ChangeHead(mc.embed_dim, gs, rng, mc.np_dtype)
+
+
+def evaluate(task: str, model: SpectralCubeAutoencoder, head, manifest: DatasetManifest,
+             val: list, cfg: FinetuneConfig) -> MetricsReport:
+    """Task metrics of encoder + head over loaded validation samples."""
+    return TASKS[task].evaluate(model, head, val, manifest, cfg)
+
+
+def finetune(task: str, model: SpectralCubeAutoencoder, manifest, cfg: FinetuneConfig,
+             val_manifest=None, head=None) -> MetricsReport:
+    """Train encoder + head on `task`, then evaluate on the held-out split.
+
+    Manifests may be paths; without a val manifest, `manifest` is split.
+    """
+    spec = TASKS[task]
+    train_man, val_man = resolve_splits(manifest, val_manifest, cfg)
+    samples = _subset(train_man.samples, cfg.train_fraction, cfg.seed)
+    if not samples:
+        raise DataError(f"{task} training split is empty")
+    train = spec.load(train_man, samples)
+    val = spec.load(val_man, val_man.samples)
+    pool = spec.pool(train, model, cfg)
+    head = head or make_head(task, model, train_man, cfg)
+    params = combine_params(model.parameters(), head.params)
+    order_rng = CounterRng(cfg.seed).child("order")
+    batches = max(1, len(pool) // cfg.batch_size)
+    total = cfg.epochs * batches
+    sched = Schedule(int(cfg.warmup_frac * total), total, cfg.lr)
+    opt = AdamW(params, base_lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for epoch in range(cfg.epochs):
+        order = order_rng.child(epoch).permutation(len(pool))
+        for b in range(batches):
+            params.zero_grads()
+            chosen = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            spec.step(model, head, [pool[int(i)] for i in chosen])
+            opt.step(lr_at(sched, epoch * batches + b))
+    report = evaluate(task, model, head, train_man, val, cfg)
+    report.counts["train_used"] = len(train)
+    return report
+
+
+# The traced benchmark run wraps these entry names; each is one call into `finetune`.
+
+def finetune_classify(model, manifest, cfg, val_manifest=None, head=None) -> MetricsReport:
+    return finetune("classify", model, manifest, cfg, val_manifest, head)
+
+
+def finetune_multilabel(model, manifest, cfg, val_manifest=None, head=None) -> MetricsReport:
+    return finetune("multilabel", model, manifest, cfg, val_manifest, head)
+
+
+def segment(model, manifest, cfg, val_manifest=None, head=None) -> MetricsReport:
+    return finetune("segment", model, manifest, cfg, val_manifest, head)
+
+
+def change_detect(model, manifest, cfg, val_manifest=None, head=None) -> MetricsReport:
+    return finetune("change", model, manifest, cfg, val_manifest, head)

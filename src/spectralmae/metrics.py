@@ -125,6 +125,11 @@ def precision_recall_f1(pred, true, positive=1) -> tuple[float, float, float, li
     tp = int(np.sum((pred == positive) & (true == positive)))
     fp = int(np.sum((pred == positive) & (true != positive)))
     fn = int(np.sum((pred != positive) & (true == positive)))
+    return prf_from_counts(tp, fp, fn)
+
+
+def prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float, list[str]]:
+    """P/R/F1 from true-positive, false-positive and false-negative counts."""
     notes: list[str] = []
     if tp + fp == 0:
         precision = 0.0

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .rng import CounterRng
-from .tokenizer import MaskPlan, SpectralImage, build_mask, patchify
+from .tokenizer import MaskPlan, SpectralImage, patchify
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
@@ -37,7 +37,6 @@ class ModelConfig:
     p: int = 8
     k: int = 3
     max_grid: tuple[int, int, int] = (12, 12, 4)
-    drop_path: float = 0.0
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class ModelConfig:
             raise ConfigError("decoder must be narrower or shallower than the encoder")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"unsupported dtype {self.dtype!r}")
-        if not 0.0 <= self.drop_path < 1.0:
-            raise ConfigError(f"drop_path {self.drop_path} outside [0, 1)")
 
     @property
     def token_len(self) -> int:
@@ -169,23 +166,9 @@ class TransformerBlock:
         hidden = T.gelu(T.add_rowvec(T.matmul(z, self.fc1_w), self.fc1_b))
         return T.add_rowvec(T.matmul(hidden, self.fc2_w), self.fc2_b)
 
-    def forward(self, z: T.Tensor, drop_rate: float = 0.0,
-                rng: CounterRng | None = None) -> T.Tensor:
-        keep_attn = keep_mlp = True
-        if drop_rate > 0.0 and rng is not None:
-            keep_attn = rng.uniform() >= drop_rate
-            keep_mlp = rng.uniform() >= drop_rate
-        if keep_attn:
-            branch = self._attention(T.layer_norm(z, self.ln1_g, self.ln1_b, LN_EPS))
-            if drop_rate > 0.0 and rng is not None:
-                branch = T.scale(branch, 1.0 / (1.0 - drop_rate))
-            z = T.add(z, branch)
-        if keep_mlp:
-            branch = self._mlp(T.layer_norm(z, self.ln2_g, self.ln2_b, LN_EPS))
-            if drop_rate > 0.0 and rng is not None:
-                branch = T.scale(branch, 1.0 / (1.0 - drop_rate))
-            z = T.add(z, branch)
-        return z
+    def forward(self, z: T.Tensor) -> T.Tensor:
+        z = T.add(z, self._attention(T.layer_norm(z, self.ln1_g, self.ln1_b, LN_EPS)))
+        return T.add(z, self._mlp(T.layer_norm(z, self.ln2_g, self.ln2_b, LN_EPS)))
 
 
 @dataclass
@@ -257,15 +240,6 @@ class SpectralCubeAutoencoder:
     def parameters(self) -> T.ParameterSet:
         return self.params
 
-    def astype(self, dtype_name: str) -> "SpectralCubeAutoencoder":
-        """In-place dtype conversion of every parameter (used by grad checks)."""
-        dtype = np.float32 if dtype_name == "float32" else np.float64
-        for p in self.params:
-            p.data = p.data.astype(dtype)
-            p.grad = np.zeros_like(p.data)
-        self.config.dtype = dtype_name
-        return self
-
     def _check_grid(self, dims: GridDims) -> None:
         gh, gw, gs = self.config.max_grid
         if dims.gh > gh or dims.gw > gw or dims.gs > gs:
@@ -278,12 +252,6 @@ class SpectralCubeAutoencoder:
         s = indices % dims.gs
         site = indices // dims.gs  # equals r*gw + c for the active grid
         return site, s
-
-    def _drop_rates(self, depth: int) -> list[float]:
-        top = self.config.drop_path
-        if top == 0.0 or depth == 1:
-            return [0.0 if top == 0.0 else top] * depth
-        return [top * i / (depth - 1) for i in range(depth)]
 
     # ------------------------------------------------------------- forward
 
@@ -301,14 +269,13 @@ class SpectralCubeAutoencoder:
                     T.gather_rows(self.pos_spectral, s))
         return T.add(x, pos)
 
-    def encode(self, visible_tokens, plan: MaskPlan, dims: GridDims,
-               rng: CounterRng | None = None) -> T.Tensor:
+    def encode(self, visible_tokens, plan: MaskPlan, dims: GridDims) -> T.Tensor:
         """Encoder over visible tokens only; cost scales with the visible count."""
         if plan.total != dims.n_tokens:
             raise ShapeError(f"mask plan covers {plan.total} tokens, grid has {dims.n_tokens}")
         z = self.embed(visible_tokens, plan.visible, dims)
-        for block, rate in zip(self.enc_blocks, self._drop_rates(len(self.enc_blocks))):
-            z = block.forward(z, rate, rng)
+        for block in self.enc_blocks:
+            z = block.forward(z)
         return T.layer_norm(z, self.enc_norm_g, self.enc_norm_b, LN_EPS)
 
     def decoder_input(self, latents: T.Tensor, plan: MaskPlan, dims: GridDims) -> T.Tensor:
@@ -340,19 +307,16 @@ class SpectralCubeAutoencoder:
         z = T.layer_norm(z, self.dec_norm_g, self.dec_norm_b, LN_EPS)
         return T.add_rowvec(T.matmul(z, self.head_w), self.head_b)
 
-    def reconstruct(self, grid_tokens: np.ndarray, plan: MaskPlan, dims: GridDims,
-                    rng: CounterRng | None = None) -> T.Tensor:
+    def reconstruct(self, grid_tokens: np.ndarray, plan: MaskPlan, dims: GridDims) -> T.Tensor:
         visible = np.ascontiguousarray(grid_tokens[plan.visible])
-        latents = self.encode(visible, plan, dims, rng)
+        latents = self.encode(visible, plan, dims)
         return self.decode(latents, plan, dims)
 
     def forward_full(self, img: SpectralImage) -> T.Tensor:
         """Latents for every token of an unmasked image, in grid order."""
         grid = patchify(img, self.config.p, self.config.k)
         dims = GridDims(grid.gh, grid.gw, grid.gs)
-        plan = MaskPlan(0.0, np.empty(0, np.int64), np.arange(grid.n_tokens),
-                        grid.n_tokens, dims.n_sites)
-        return self.encode(grid.tokens, plan, dims)
+        return self.encode(grid.tokens, empty_mask_plan(grid.n_tokens, dims.n_sites), dims)
 
     # ------------------------------------------------------------- resizing
 
@@ -381,13 +345,5 @@ class SpectralCubeAutoencoder:
 
 
 def empty_mask_plan(n_tokens: int, n_sites: int | None = None) -> MaskPlan:
+    """A plan with every token visible, as an unmasked forward pass uses."""
     return MaskPlan(0.0, np.empty(0, np.int64), np.arange(n_tokens), n_tokens, n_sites)
-
-
-def plan_for_image(img: SpectralImage, cfg: ModelConfig, ratio: float,
-                   rng: CounterRng) -> tuple[MaskPlan, GridDims, np.ndarray]:
-    """Patchify + mask an image under one config; the pretraining hot path."""
-    grid = patchify(img, cfg.p, cfg.k)
-    dims = GridDims(grid.gh, grid.gw, grid.gs)
-    plan = build_mask(grid.n_tokens, ratio, rng, dims.n_sites)
-    return plan, dims, grid.tokens

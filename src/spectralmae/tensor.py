@@ -60,9 +60,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

@@ -72,13 +72,6 @@ class TokenGrid:
     def token_len(self) -> int:
         return self.p * self.p * self.k
 
-    def positions(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(r, c, s) coordinates for flat token indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        s = indices % self.gs
-        site = indices // self.gs
-        return site // self.gw, site % self.gw, s
-
 
 @dataclass
 class MaskPlan:
@@ -143,12 +136,10 @@ def build_mask(total_tokens: int, ratio: float, rng: CounterRng,
     return MaskPlan(ratio, masked, visible, total_tokens, n_sites)
 
 
-def split_visible(grid: TokenGrid, plan: MaskPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Visible token rows in ascending original order, plus the masked indices."""
-    if plan.total != grid.n_tokens:
-        raise ShapeError(
-            f"mask plan sized for {plan.total} tokens, grid has {grid.n_tokens}")
-    return grid.tokens[plan.visible], plan.masked
+def _band_of(grid: TokenGrid) -> np.ndarray:
+    """Band index of every token element, shape (n_tokens, token_len)."""
+    return (np.arange(grid.n_tokens) % grid.gs)[:, None] * grid.k \
+        + (np.arange(grid.token_len) % grid.k)[None, :]
 
 
 def make_targets(grid: TokenGrid, mode: str, eps: float = 1e-6,
@@ -164,7 +155,7 @@ def make_targets(grid: TokenGrid, mode: str, eps: float = 1e-6,
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
     tokens = grid.tokens
-    n, length = tokens.shape
+    n = tokens.shape[0]
     if mode == "raw":
         stats = NormalizationStats(np.zeros(n, np.float32), np.ones(n, np.float32), eps)
         return tokens.copy(), stats
@@ -182,20 +173,25 @@ def make_targets(grid: TokenGrid, mode: str, eps: float = 1e-6,
     d = grid.gs * grid.k
     if band_mean.shape != (d,) or band_std.shape != (d,):
         raise ShapeError(f"band stats must have shape ({d},)")
-    band_of = (np.arange(n) % grid.gs)[:, None] * grid.k + (np.arange(length) % grid.k)[None, :]
+    band_of = _band_of(grid)
     targets = (tokens - band_mean[band_of]) / (band_std[band_of] + np.float32(eps))
     stats = NormalizationStats(np.zeros(n, np.float32), np.ones(n, np.float32), eps)
     return targets.astype(np.float32), stats
 
 
-def spectral_site_targets(grid: TokenGrid, targets: np.ndarray) -> np.ndarray:
-    """One row per spatial site: its gs tokens concatenated in spectral order.
-
-    With site-major token order this is exactly a row-preserving reshape.
-    """
-    targets = np.asarray(targets)
-    if targets.shape != (grid.n_tokens, grid.token_len):
-        raise ShapeError(
-            f"targets shape {targets.shape} does not match grid "
-            f"({grid.n_tokens}, {grid.token_len})")
-    return targets.reshape(grid.n_sites, grid.gs * grid.token_len).copy()
+def invert_targets(recon: np.ndarray, grid: TokenGrid, mode: str,
+                   stats: NormalizationStats, band_stats=None) -> np.ndarray:
+    """Undo make_targets: `stats` as it returned, `band_stats` its (mean, std) per band."""
+    if mode not in TARGET_MODES:
+        raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
+    if mode == "per_token_normalized":
+        pixels = recon * (stats.std + np.float32(stats.eps))[:, None] + stats.mean[:, None]
+    elif mode == "standardized":
+        if band_stats is None:
+            raise ValueError("standardized mode requires per-band mean and std")
+        mean, std = (np.asarray(a) for a in band_stats)
+        band_of = _band_of(grid)
+        pixels = recon * (std[band_of] + stats.eps) + mean[band_of]
+    else:
+        pixels = recon
+    return pixels.astype(np.float32)

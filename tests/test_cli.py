@@ -209,6 +209,25 @@ def test_finetune_change_task_cli(tmp_path):
     assert {"precision", "recall", "f1"} <= set(metrics["values"])
 
 
+def test_eval_without_manifest_names_the_key(tmp_path, capsys):
+    config = _write_json(tmp_path / "ft.json", {"seed": 11, "finetune": {"epochs": 1}})
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    ckpt = tmp_path / "m.spck"
+    save_checkpoint(snapshot_model(model, None, (0, 0)), ckpt)
+    for command in (["finetune"], ["eval", "--checkpoint", str(ckpt)]):
+        assert main(command + ["--task", "classify", "--config", config,
+                               "--out", str(tmp_path / "o")]) == 2
+        assert "config dataset.manifest is required" in capsys.readouterr().err
+
+
+def test_model_drop_path_key_rejected(tmp_path, capsys):
+    manifest = _synth(tmp_path, task="pretrain")
+    config = _pretrain_config(tmp_path, manifest,
+                              model={"preset": "tiny", "drop_path": 0.1})
+    assert main(["pretrain", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "model.drop_path" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- reconstruct
 
 def _twelve_band_setup(tmp_path):

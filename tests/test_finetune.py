@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from spectralmae.errors import ConfigError
+from spectralmae.cli import main as cli_main
+from spectralmae.errors import ConfigError, DataError
 from spectralmae.finetune import (FinetuneConfig, change_detect, finetune_classify,
                                   finetune_multilabel, segment, tile_starts)
 from spectralmae.metrics import macro_map, micro_map
@@ -101,7 +104,39 @@ def test_report_json_serializable(tmp_path):
     model = _model()
     report = finetune_classify(model, manifest_path,
                                FinetuneConfig(epochs=1, batch_size=2, seed=14))
-    import json
     parsed = json.loads(report.to_json())
     assert parsed["task"] == "classify"
     assert "accuracy" in parsed["values"]
+
+
+ENTRIES = {"classify": finetune_classify, "multilabel": finetune_multilabel,
+           "segment": segment, "change": change_detect}
+
+
+def _empty_manifest(tmp_path, task):
+    """A manifest with no samples beside a populated one."""
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=4, seed=15)
+    full_path = generate_synthetic(spec, task, tmp_path / "ds")
+    doc = json.loads(open(full_path).read())
+    doc["samples"] = []
+    empty_path = tmp_path / "ds" / "empty.json"
+    empty_path.write_text(json.dumps(doc))
+    return str(empty_path), full_path
+
+
+@pytest.mark.parametrize("task", sorted(ENTRIES))
+def test_empty_split_is_data_error(tmp_path, capsys, task):
+    empty_path, full_path = _empty_manifest(tmp_path, task)
+    cfg = FinetuneConfig(epochs=1, batch_size=2, seed=16)
+    with pytest.raises(DataError, match="training split is empty"):
+        ENTRIES[task](_model(max_grid=(2, 2, 2)), empty_path, cfg, full_path)
+    with pytest.raises(DataError, match="validation manifest has no samples"):
+        ENTRIES[task](_model(max_grid=(2, 2, 2)), full_path, cfg, empty_path)
+    config = tmp_path / "ft.json"
+    config.write_text(json.dumps({
+        "seed": 16, "model": {"preset": "tiny", "max_grid": [2, 2, 2]},
+        "finetune": {"epochs": 1, "batch_size": 2},
+        "dataset": {"manifest": empty_path, "val_manifest": full_path}}))
+    assert cli_main(["finetune", "--task", task, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "training split is empty" in capsys.readouterr().err

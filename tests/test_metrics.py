@@ -6,7 +6,7 @@ import pytest
 from spectralmae.errors import DataError
 from spectralmae.metrics import (average_precision, confusion_matrix, iou_per_class,
                                  macro_map, mean_iou, micro_map, overall_accuracy,
-                                 precision_recall_f1)
+                                 precision_recall_f1, prf_from_counts)
 from spectralmae.rng import CounterRng
 
 
@@ -151,6 +151,7 @@ def test_prf_degenerate_all_negative():
     p, r, f1, notes = precision_recall_f1([0, 0], [0, 0])
     assert any("recall undefined" in n for n in notes)
     assert r == 0.0 and f1 == 0.0
+    assert prf_from_counts(0, 0, 0) == (p, r, f1, notes)
 
 
 def test_prf_random_against_count_oracle():
@@ -159,10 +160,11 @@ def test_prf_random_against_count_oracle():
         n = 10 + rng.randbelow(30)
         pred = [rng.randbelow(2) for _ in range(n)]
         true = [rng.randbelow(2) for _ in range(n)]
-        p, r, f1, _ = precision_recall_f1(pred, true)
+        p, r, f1, notes = precision_recall_f1(pred, true)
         tp = sum(1 for a, b in zip(pred, true) if a == 1 and b == 1)
         fp = sum(1 for a, b in zip(pred, true) if a == 1 and b == 0)
         fn = sum(1 for a, b in zip(pred, true) if a == 0 and b == 1)
+        assert prf_from_counts(tp, fp, fn) == (p, r, f1, notes)
         want_p = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
         want_r = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
         assert abs(p - float(want_p)) <= 1e-9

@@ -6,9 +6,9 @@ from spectralmae.errors import ConfigError
 from spectralmae.gradcheck import grad_check
 from spectralmae.model import (GridDims, ModelConfig, SpectralCubeAutoencoder,
                                empty_mask_plan, encoder_parameter_count,
-                               parameter_count, plan_for_image)
+                               parameter_count)
 from spectralmae.rng import CounterRng
-from spectralmae.tokenizer import MaskPlan, SpectralImage, patchify
+from spectralmae.tokenizer import MaskPlan, SpectralImage, build_mask, patchify
 
 
 def _image(h, w, d, seed=0):
@@ -19,6 +19,13 @@ def _image(h, w, d, seed=0):
 def _tiny_model(seed=0, **overrides):
     cfg = ModelConfig.tiny(**overrides)
     return SpectralCubeAutoencoder(cfg, CounterRng(seed))
+
+
+def _masked(img, cfg, ratio, rng):
+    """Patchify and mask an image the way the pretraining step does."""
+    grid = patchify(img, cfg.p, cfg.k)
+    dims = GridDims(grid.gh, grid.gw, grid.gs)
+    return build_mask(grid.n_tokens, ratio, rng, dims.n_sites), dims, grid.tokens
 
 
 # ---------------------------------------------------------------- config
@@ -131,20 +138,12 @@ def test_block_gradcheck():
     assert grad_check(f, block_params, eps=1e-3).max_relative_error <= 1e-3
 
 
-def test_drop_path_zero_is_identity_behavior():
-    model = _tiny_model(seed=1)
-    z = T.Tensor(CounterRng(5).normal_array((4, 16)).astype(np.float32))
-    plain = model.enc_blocks[0].forward(z).data
-    with_rng = model.enc_blocks[0].forward(z, 0.0, CounterRng(1)).data
-    assert np.array_equal(plain, with_rng)
-
-
 # ---------------------------------------------------------------- encode / decode
 
 def test_encode_output_shape_and_determinism():
     model = _tiny_model(seed=10, max_grid=(12, 12, 4))
     img = _image(96, 96, 12, seed=11)
-    plan, dims, tokens = plan_for_image(img, model.config, 0.9, CounterRng(12))
+    plan, dims, tokens = _masked(img, model.config, 0.9, CounterRng(12))
     assert plan.n_visible == 58
     a = model.encode(tokens[plan.visible], plan, dims).data
     b = model.encode(tokens[plan.visible], plan, dims).data
@@ -171,7 +170,7 @@ def test_forward_full_row_arithmetic():
 def test_decode_covers_all_tokens_paper_geometry():
     model = _tiny_model(seed=17, max_grid=(12, 12, 4))
     img = _image(96, 96, 12, seed=18)
-    plan, dims, tokens = plan_for_image(img, model.config, 0.9, CounterRng(19))
+    plan, dims, tokens = _masked(img, model.config, 0.9, CounterRng(19))
     recon = model.decode(model.encode(tokens[plan.visible], plan, dims), plan, dims)
     assert recon.shape == (576, 192)
 
@@ -179,7 +178,7 @@ def test_decode_covers_all_tokens_paper_geometry():
 def test_decoder_input_unshuffle_against_index_oracle():
     model = _tiny_model(seed=20)
     img = _image(16, 16, 6, seed=21)
-    plan, dims, tokens = plan_for_image(img, model.config, 0.5, CounterRng(22))
+    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(22))
     latents = model.encode(tokens[plan.visible], plan, dims)
     dec_in = model.decoder_input(latents, plan, dims).data
     projected = latents.data @ model.dec_embed_w.data + model.dec_embed_b.data
@@ -192,7 +191,7 @@ def test_decoder_input_unshuffle_against_index_oracle():
 def test_mask_token_change_touches_exactly_masked_rows():
     model = _tiny_model(seed=23)
     img = _image(16, 16, 6, seed=24)
-    plan, dims, tokens = plan_for_image(img, model.config, 0.5, CounterRng(25))
+    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(25))
     latents = model.encode(tokens[plan.visible], plan, dims)
     before = model.decoder_input(latents, plan, dims).data.copy()
     model.mask_token.data += 1.0
@@ -205,7 +204,7 @@ def test_decode_misaligned_plan_rejected():
     from spectralmae.errors import ShapeError
     model = _tiny_model(seed=26)
     img = _image(16, 16, 6, seed=27)
-    plan, dims, tokens = plan_for_image(img, model.config, 0.5, CounterRng(28))
+    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(28))
     latents = model.encode(tokens[plan.visible], plan, dims)
     bad = MaskPlan(0.75, np.array([0, 1, 2, 3, 4, 5]), np.array([6, 7]), 8)
     with pytest.raises(ShapeError):
@@ -244,7 +243,7 @@ def test_resize_preserves_linear_ramp():
 def test_end_to_end_smoke_gradients_finite():
     model = _tiny_model(seed=32)
     img = _image(16, 16, 6, seed=33)
-    plan, dims, tokens = plan_for_image(img, model.config, 0.5, CounterRng(34))
+    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(34))
     recon = model.reconstruct(tokens, plan, dims)
     loss = T.mse(recon, T.Tensor(tokens))
     model.parameters().zero_grads()

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralmae.errors import ShapeError, TokenizationError
+from spectralmae.model import GridDims, ModelConfig, SpectralCubeAutoencoder
+from spectralmae.objective import spectral_loss
 from spectralmae.rng import CounterRng
-from spectralmae.tokenizer import (MaskPlan, SpectralImage, build_mask, make_targets,
-                                   patchify, spectral_site_targets, split_visible,
-                                   unpatchify)
+from spectralmae.tensor import Tensor
+from spectralmae.tokenizer import (TARGET_MODES, SpectralImage, build_mask, invert_targets,
+                                   make_targets, patchify, unpatchify)
 
 
 def _random_image(h, w, d, seed=0):
@@ -116,35 +118,37 @@ def test_mask_uniformity_three_sigma():
 # ---------------------------------------------------------------- visible split
 
 def test_split_visible_ordering():
-    img = _random_image(16, 16, 3, seed=9)
-    grid = patchify(img, 8, 3)  # 4 tokens
-    plan = MaskPlan(0.5, np.array([0, 2]), np.array([1, 3]), 4)
-    vis, masked = split_visible(grid, plan)
-    assert np.array_equal(vis, grid.tokens[[1, 3]])
-    assert masked.tolist() == [0, 2]
+    # the encoder takes grid.tokens[plan.visible]: ascending, disjoint from the masked set
+    grid = patchify(_random_image(32, 32, 3, seed=9), 8, 3)  # 16 tokens
+    plan = build_mask(grid.n_tokens, 0.5, CounterRng(3))
+    assert np.all(np.diff(plan.visible) > 0) and np.all(np.diff(plan.masked) > 0)
+    assert np.array_equal(np.sort(np.concatenate([plan.visible, plan.masked])),
+                          np.arange(grid.n_tokens))
 
 
 def test_split_visible_all_tokens_when_ratio_zero():
     grid = patchify(_random_image(16, 16, 3, seed=1), 8, 3)
     plan = build_mask(grid.n_tokens, 0.0, CounterRng(5))
-    vis, _ = split_visible(grid, plan)
-    assert np.array_equal(vis, grid.tokens)
+    assert plan.m == 0
+    assert np.array_equal(grid.tokens[plan.visible], grid.tokens)
 
 
 def test_split_visible_scatter_back_reproduces_grid():
     grid = patchify(_random_image(24, 16, 6, seed=2), 8, 3)
     plan = build_mask(grid.n_tokens, 0.6, CounterRng(7))
-    vis, masked = split_visible(grid, plan)
     rebuilt = np.zeros_like(grid.tokens)
-    rebuilt[plan.visible] = vis
-    rebuilt[masked] = grid.tokens[masked]
+    rebuilt[plan.visible] = grid.tokens[plan.visible]
+    rebuilt[plan.masked] = grid.tokens[plan.masked]
     assert np.array_equal(rebuilt, grid.tokens)
 
 
 def test_split_visible_size_mismatch():
+    # a plan sized for another grid is refused where the visible rows are consumed
     grid = patchify(_random_image(16, 16, 3, seed=1), 8, 3)
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 1)), CounterRng(0))
     with pytest.raises(ShapeError):
-        split_visible(grid, build_mask(99, 0.5, CounterRng(0)))
+        model.encode(grid.tokens, build_mask(99, 0.5, CounterRng(0)),
+                     GridDims(grid.gh, grid.gw, grid.gs))
 
 
 # ---------------------------------------------------------------- targets
@@ -214,25 +218,56 @@ def _spectral_oracle(grid, targets):
     return out
 
 
+def _oracle_spectral_mse(grid, recon, targets):
+    """MSE over per-site rows built by the loop oracle."""
+    return float(np.mean((_spectral_oracle(grid, recon).astype(np.float64)
+                          - _spectral_oracle(grid, targets)) ** 2))
+
+
 def test_spectral_site_targets_paper_arithmetic():
+    # 96x96x12 at p=8, k=3: 144 sites, rows of 4 groups x 192 = 768 values
     grid = patchify(_random_image(96, 96, 12, seed=10), 8, 3)
-    rows = spectral_site_targets(grid, grid.tokens)
-    assert rows.shape == (144, 768)
+    assert _spectral_oracle(grid, grid.tokens).shape == (144, 768)
+    recon = grid.tokens.copy()
+    recon[0:4] += 1.0  # every token of site 0: one whole row off by one
+    loss = float(spectral_loss(Tensor(recon), grid.tokens, grid).data)
+    assert loss == pytest.approx(768 / (144 * 768), rel=1e-5)
 
 
 def test_spectral_site_targets_gs1_degenerate():
     grid = patchify(_random_image(16, 16, 3, seed=11), 8, 3)
-    assert np.array_equal(spectral_site_targets(grid, grid.tokens), grid.tokens)
+    assert np.array_equal(_spectral_oracle(grid, grid.tokens), grid.tokens)
+    recon = CounterRng(1).uniform_array(grid.tokens.shape).astype(np.float32)
+    loss = float(spectral_loss(Tensor(recon), grid.tokens, grid).data)
+    assert loss == pytest.approx(_oracle_spectral_mse(grid, recon, grid.tokens), rel=1e-5)
 
 
 def test_spectral_site_targets_matches_gather_oracle():
     grid = patchify(_random_image(16, 16, 6, seed=12), 8, 3)
     targets, _ = make_targets(grid, "per_token_normalized")
-    assert np.array_equal(spectral_site_targets(grid, targets),
-                          _spectral_oracle(grid, targets))
+    recon = CounterRng(2).normal_array(targets.shape).astype(np.float32)
+    loss = float(spectral_loss(Tensor(recon), targets, grid).data)
+    assert loss == pytest.approx(_oracle_spectral_mse(grid, recon, targets), rel=1e-5)
 
 
 def test_spectral_site_targets_preserves_multiset():
+    # the per-site rows hold every token value exactly once
     grid = patchify(_random_image(24, 24, 6, seed=13), 8, 3)
-    rows = spectral_site_targets(grid, grid.tokens)
+    rows = _spectral_oracle(grid, grid.tokens)
     assert np.array_equal(np.sort(rows.reshape(-1)), np.sort(grid.tokens.reshape(-1)))
+    zeros = np.zeros_like(grid.tokens)
+    loss = float(spectral_loss(Tensor(zeros), grid.tokens, grid).data)
+    assert loss == pytest.approx(float(np.mean(rows.astype(np.float64) ** 2)), rel=1e-5)
+
+
+# ---------------------------------------------------------------- target inversion
+
+@pytest.mark.parametrize("mode", TARGET_MODES)
+def test_invert_targets_round_trip(mode):
+    grid = patchify(_random_image(16, 16, 6, seed=14), 8, 3)
+    band_stats = (np.linspace(0.3, 0.6, 6), np.linspace(0.1, 0.2, 6))
+    targets, stats = make_targets(grid, mode, band_mean=band_stats[0],
+                                  band_std=band_stats[1])
+    pixels = invert_targets(targets, grid, mode, stats, band_stats)
+    assert pixels.dtype == np.float32
+    assert np.allclose(pixels, grid.tokens, atol=1e-5)

@@ -169,6 +169,22 @@ def test_checkpoint_restore_into_model(tmp_path):
         assert np.array_equal(p.data, clone.parameters()[name].data)
 
 
+def test_checkpoint_nonzero_drop_path_rejected(tmp_path):
+    import struct
+
+    model, _ = _model_and_opt()
+    path = tmp_path / "d.spck"
+    save_checkpoint(snapshot_model(model, None, (0, 0)), path)
+    data = path.read_bytes()
+    # the v1 layout keeps a drop_path slot: name, kind "f", then an f64
+    slot = data.index(b"drop_path" + struct.pack("<I", 1) + b"f") + len("drop_path") + 5
+    assert data[slot:slot + 8] == struct.pack("<d", 0.0)
+    bad = tmp_path / "bad.spck"
+    bad.write_bytes(data[:slot] + struct.pack("<d", 0.1) + data[slot + 8:])
+    with pytest.raises(FormatError, match="drop_path"):
+        load_checkpoint(bad)
+
+
 # ---------------------------------------------------------------- pretraining loop
 
 def test_pretrain_smoke_single_step_finite():
