@@ -11,6 +11,7 @@ field has exactly one encoding.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -214,8 +215,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     w.u64(ckpt.stage)
     w.u64(ckpt.epoch)
     w.u64(ckpt.step)
-    with open(path, "wb") as fh:
-        fh.write(w.bytes())
+    # write a sibling and rename it over the target: a crash mid-write
+    # leaves the previous checkpoint whole
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(w.bytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

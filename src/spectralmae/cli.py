@@ -100,11 +100,11 @@ def _load_stage(doc: dict, base_dir: str):
     manifest = load_manifest(manifest_path)
     images = [normalize_bands(read_raster(s["raster"]), manifest.band_min,
                               manifest.band_max) for s in manifest.samples]
-    stage = PretrainStage(images=images, name=os.path.basename(manifest_path), **doc)
     band_stats = None
     if manifest.band_mean and manifest.band_std:
         band_stats = (manifest.band_mean, manifest.band_std)
-    return stage, band_stats
+    return PretrainStage(images=images, name=os.path.basename(manifest_path),
+                         band_stats=band_stats, **doc)
 
 
 def _emit_resolved(out_dir: str, **sections) -> None:
@@ -161,9 +161,7 @@ def _run_pretraining(args, progressive: bool) -> int:
             return _fail("config has no stages")
         if not progressive:
             stage_docs = stage_docs[:1]
-        loaded = [_load_stage(doc, base_dir) for doc in stage_docs]
-        stages = [st for st, _ in loaded]
-        band_stats = loaded[0][1]
+        stages = [_load_stage(doc, base_dir) for doc in stage_docs]
 
         os.makedirs(args.out, exist_ok=True)
         _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
@@ -198,9 +196,9 @@ def _run_pretraining(args, progressive: bool) -> int:
                                       epoch=record.epoch + 1)
                 save_checkpoint(ckpt, os.path.join(args.out, "checkpoint_last.spck"))
 
-            progressive_pretrain(model, objective, stages, rng, band_stats=band_stats,
-                                 on_epoch=on_epoch, start_stage=start_stage,
-                                 start_epoch=start_epoch, optimizer=optimizer)
+            progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch,
+                                 start_stage=start_stage, start_epoch=start_epoch,
+                                 optimizer=optimizer)
         final = snapshot_model(model, None, rng.state(), stage=len(stages), epoch=0)
         save_checkpoint(final, os.path.join(args.out, "checkpoint_final.spck"))
     except (SpectralMaeError, ValueError) as exc:
@@ -342,15 +340,18 @@ def cmd_reconstruct(args) -> int:
         model = SpectralCubeAutoencoder(ckpt.config, CounterRng(args.seed or 0))
         restore_model(ckpt, model)
         raw = read_raster(args.raster)
-        band_min = raw.values.reshape(-1, raw.bands).min(axis=0)
-        band_max = raw.values.reshape(-1, raw.bands).max(axis=0)
+        man = load_manifest(args.manifest) if args.manifest else None
+        if man is not None:  # the dataset-level scaling the model was trained with
+            band_min, band_max = man.band_min, man.band_max
+        else:
+            band_min = raw.values.reshape(-1, raw.bands).min(axis=0)
+            band_max = raw.values.reshape(-1, raw.bands).max(axis=0)
         img = normalize_bands(raw, band_min, band_max)
 
         band_stats = (None, None)
         if args.target_mode == "standardized":
-            if not args.manifest:
+            if man is None:
                 return _fail("standardized target mode needs --manifest for band stats")
-            man = load_manifest(args.manifest)
             band_stats = (np.asarray(man.band_mean), np.asarray(man.band_std))
 
         cfg = model.config
@@ -519,7 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-mode", default="per_token_normalized",
                    choices=["raw", "per_token_normalized", "standardized"])
     p.add_argument("--manifest", default=None,
-                   help="manifest supplying band stats for standardized mode")
+                   help="manifest supplying the dataset band min/max that scale the "
+                        "raster (default: the raster's own per-band range) and the "
+                        "band mean/std standardized mode needs")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_reconstruct)

@@ -157,8 +157,8 @@ class TransformerBlock:
         qh = T.transpose(T.reshape(q, (t, h, dh)), (1, 0, 2))
         kt = T.transpose(T.reshape(k, (t, h, dh)), (1, 2, 0))
         vh = T.transpose(T.reshape(v, (t, h, dh)), (1, 0, 2))
-        scores = T.scale(T.matmul(qh, kt), 1.0 / math.sqrt(dh))
-        ctx = T.matmul(T.softmax_lastaxis(scores), vh)
+        attn = T.softmax_lastaxis(T.matmul(qh, kt), 1.0 / math.sqrt(dh))
+        ctx = T.matmul(attn, vh)
         merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (t, self.d))
         return T.matmul(merged, self.wo)
 

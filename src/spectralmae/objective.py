@@ -64,19 +64,23 @@ def token_loss(recon: T.Tensor, targets, plan: MaskPlan, scope: str = "all_token
     return T.mse(recon, targets)
 
 
+def _check_covers_grid(recon: T.Tensor, grid: TokenGrid) -> None:
+    if recon.shape != (grid.n_tokens, grid.token_len):
+        raise ShapeError(f"recon {recon.shape} does not cover all "
+                         f"{grid.n_tokens} tokens of length {grid.token_len}")
+
+
 def spectral_loss(recon: T.Tensor, targets, grid: TokenGrid) -> T.Tensor:
     """Elementwise MSE over per-site spectral rows (all sites).
 
     Site-major token order makes the row construction a reshape, so the
-    value equals the all-token elementwise MSE; the term is kept separate
-    because it generalizes to per-site weighting and documents intent.
+    value equals the all-token elementwise MSE; `total_loss` relies on
+    that and builds the term only when the token term covers fewer tokens.
     """
     targets = _as_const(targets)
     if recon.shape != targets.shape:
         raise ShapeError(f"recon {recon.shape} vs targets {targets.shape}")
-    if recon.shape != (grid.n_tokens, grid.token_len):
-        raise ShapeError(f"recon {recon.shape} does not cover all "
-                         f"{grid.n_tokens} tokens of length {grid.token_len}")
+    _check_covers_grid(recon, grid)
     row = grid.gs * grid.token_len
     return T.mse(T.reshape(recon, (grid.n_sites, row)),
                  T.reshape(targets, (grid.n_sites, row)))
@@ -86,6 +90,11 @@ def total_loss(recon: T.Tensor, targets, plan: MaskPlan, grid: TokenGrid,
                cfg: ObjectiveConfig) -> tuple[T.Tensor, LossBreakdown]:
     """Combined loss tensor (for backward) plus its scalar breakdown."""
     tok = token_loss(recon, targets, plan, cfg.token_loss_scope)
-    spec = spectral_loss(recon, targets, grid)
-    combined = T.add(tok, T.scale(spec, cfg.lam))
+    if cfg.token_loss_scope == "all_tokens":
+        # the spectral term is the same mean over the same elements
+        _check_covers_grid(recon, grid)
+        spec, combined = tok, T.scale(tok, 1.0 + cfg.lam)
+    else:
+        spec = spectral_loss(recon, targets, grid)
+        combined = T.add(tok, T.scale(spec, cfg.lam))
     return combined, LossBreakdown(float(tok.data), float(spec.data), cfg.lam)

@@ -66,8 +66,18 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def _accumulate(self, delta: np.ndarray) -> None:
+    def _accumulate(self, delta: np.ndarray, owned: bool = False) -> None:
+        """Add `delta` into the adjoint.
+
+        `owned=True` promises `delta` is a fresh array nothing else holds,
+        so a node without an adjoint yet adopts it instead of copying.
+        Pass-through adjoints (the output's own `g` or a view of it) may
+        alias a sibling's buffer and are copied.
+        """
         if self.grad is None:
+            if owned:
+                self.grad = delta
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += delta
 
@@ -90,7 +100,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -219,9 +229,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * b.data)
+            a._accumulate(g * b.data, owned=True)
         if b.requires_grad:
-            b._accumulate(g * a.data)
+            b._accumulate(g * a.data, owned=True)
 
     return _out(a.data * b.data, (a, b), backward)
 
@@ -230,7 +240,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
     def backward(g):
-        a._accumulate(g * np.asarray(s, dtype=g.dtype))
+        a._accumulate(g * np.asarray(s, dtype=g.dtype), owned=True)
 
     return _out(a.data * np.asarray(s, dtype=a.data.dtype), (a,), backward)
 
@@ -261,9 +271,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2), owned=True)
         if b.requires_grad:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
     return _out(a.data @ b.data, (a, b), backward)
 
@@ -301,7 +311,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def backward(g):
         delta = np.zeros_like(a.data)
         np.add.at(delta, idx, g)
-        a._accumulate(delta)
+        a._accumulate(delta, owned=True)
 
     return _out(np.ascontiguousarray(a.data[idx]), (a,), backward)
 
@@ -344,16 +354,26 @@ def mean_rows(a: Tensor) -> Tensor:
     return _out(out, (a,), backward)
 
 
-def softmax_lastaxis(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for overflow safety."""
+def softmax_lastaxis(a: Tensor, s: float = 1.0) -> Tensor:
+    """softmax(s * a) over the last axis, max-subtracted for overflow safety.
+
+    Folding the scale in (attention's 1/sqrt(d_h)) saves a full-size
+    node; every step after the first writes into the one output buffer.
+    """
     _require(a.shape[-1] >= 1, "softmax_lastaxis: empty last axis")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    s = float(s)
+    y = a.data * np.asarray(s, dtype=a.data.dtype) if s != 1.0 else a.data.copy()
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        a._accumulate(y * (g - dot))
+        d = g - dot
+        d *= y
+        if s != 1.0:
+            d *= np.asarray(s, dtype=d.dtype)
+        a._accumulate(d, owned=True)
 
     return _out(y, (a,), backward)
 
@@ -396,7 +416,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             gh = g * gain.data
             mean_gh = gh.mean(axis=-1, keepdims=True)
             mean_gh_x = (gh * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (gh - mean_gh - xhat * mean_gh_x))
+            a._accumulate(inv * (gh - mean_gh - xhat * mean_gh_x), owned=True)
 
     return _out(y, (a, gain, bias), backward)
 
@@ -404,13 +424,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    # x * x * x, not x ** 3: numpy sends a float power to powf, ~100x slower
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(inner)
 
     def backward(g):
         sech2 = 1.0 - t * t
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner))
+        a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner), owned=True)
 
     return _out(0.5 * x * (1.0 + t), (a,), backward)
 

@@ -34,6 +34,7 @@ class PretrainStage:
     min_lr: float = 0.0
     clip_norm: float | None = None
     name: str = "stage"
+    band_stats: tuple | None = None  # (mean, std) per band, for standardized targets
 
 
 @dataclass
@@ -83,7 +84,7 @@ def _image_loss(model: SpectralCubeAutoencoder, img: SpectralImage,
 def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
                    stage: PretrainStage, rng: CounterRng, stage_index: int = 0,
                    optimizer: AdamW | None = None, start_epoch: int = 0,
-                   end_epoch: int | None = None, band_stats=None,
+                   end_epoch: int | None = None,
                    on_epoch=None) -> tuple[list[EpochRecord], AdamW]:
     """Train one stage; per-epoch mean loss records come back in order.
 
@@ -110,7 +111,7 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
             for slot, img_idx in enumerate(batch):
                 mask_rng = rng.child("mask", stage_index, epoch, step, slot)
                 loss, bd = _image_loss(model, stage.images[int(img_idx)], objective,
-                                       stage.mask_ratio, mask_rng, band_stats)
+                                       stage.mask_ratio, mask_rng, stage.band_stats)
                 if not np.isfinite(bd.total):
                     raise EvaluationError(
                         f"non-finite loss at stage {stage_index} epoch {epoch} step {step}")
@@ -138,8 +139,7 @@ def stage_grid(stage: PretrainStage, model: SpectralCubeAutoencoder) -> tuple[in
 
 
 def progressive_pretrain(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
-                         stages: list[PretrainStage], rng: CounterRng,
-                         band_stats=None, on_epoch=None,
+                         stages: list[PretrainStage], rng: CounterRng, on_epoch=None,
                          start_stage: int = 0, start_epoch: int = 0,
                          optimizer: AdamW | None = None) -> list[EpochRecord]:
     """Run stages in order: weights carry over, positional tables resize,
@@ -152,7 +152,6 @@ def progressive_pretrain(model: SpectralCubeAutoencoder, objective: ObjectiveCon
         opt = optimizer if stage_index == start_stage else None
         stage_records, _ = pretrain_stage(
             model, objective, stage, rng, stage_index=stage_index, optimizer=opt,
-            start_epoch=first_epoch, band_stats=band_stats,
-            on_epoch=(lambda rec, o, si=stage_index: on_epoch(rec, o)) if on_epoch else None)
+            start_epoch=first_epoch, on_epoch=on_epoch)
         records.extend(stage_records)
     return records

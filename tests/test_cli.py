@@ -1,6 +1,9 @@
 import json
 import os
 
+import numpy as np
+import pytest
+
 from spectralmae.cli import main
 from spectralmae.checkpoint import save_checkpoint, snapshot_model
 from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
@@ -151,6 +154,32 @@ def test_progressive_two_stages(tmp_path):
     assert [l["stage"] for l in lines] == [0, 1]
 
 
+def test_progressive_standardized_uses_each_stages_band_stats(tmp_path, monkeypatch):
+    import spectralmae.training as training
+    from spectralmae.manifest import load_manifest
+
+    first = _synth(tmp_path, "first", task="pretrain", n_images=4, seed=3)
+    second = _synth(tmp_path, "second", task="pretrain", n_images=4, seed=4,
+                    field_amplitude=0.6)
+    means = [load_manifest(m).band_mean for m in (first, second)]
+    assert means[0] != means[1]
+    seen = []
+    make_targets = training.make_targets
+
+    def recording(grid, mode, band_mean=None, band_std=None):
+        seen.append(list(band_mean))
+        return make_targets(grid, mode, band_mean=band_mean, band_std=band_std)
+
+    monkeypatch.setattr(training, "make_targets", recording)
+    stage = {"epochs": 1, "base_lr": 1e-3, "batch_size": 2, "mask_ratio": 0.5}
+    config = _pretrain_config(tmp_path, first,
+                              objective={"target_mode": "standardized"},
+                              stages=[{"manifest": str(first), **stage},
+                                      {"manifest": str(second), **stage}])
+    assert main(["progressive", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert seen == [means[0]] * 4 + [means[1]] * 4
+
+
 # ---------------------------------------------------------------- finetune / eval
 
 def _finetune_config(tmp_path, manifest):
@@ -267,6 +296,38 @@ def test_reconstruct_ratio_zero_composite_is_input(tmp_path):
     record = json.loads((out / "reconstruction_mse.jsonl").read_text().splitlines()[0])
     assert record["composite_mse"] == 0.0
     assert record["masked_mse"] == 0.0
+
+
+@pytest.mark.parametrize("with_manifest", [True, False])
+def test_reconstruct_input_scaling(tmp_path, monkeypatch, with_manifest):
+    # with --manifest the raster is scaled by the dataset band range the
+    # model was trained with; without it, by the raster's own range
+    import spectralmae.tokenizer as tokenizer
+    from spectralmae.manifest import load_manifest
+    from spectralmae.raster import normalize_bands, read_raster
+
+    ckpt, raster = _twelve_band_setup(tmp_path)
+    manifest = tmp_path / "bands12" / "manifest.json"
+    seen = []
+    patchify = tokenizer.patchify
+
+    def capturing(img, p, k):
+        seen.append(img.values.copy())
+        return patchify(img, p, k)
+
+    monkeypatch.setattr(tokenizer, "patchify", capturing)
+    extra = ["--manifest", str(manifest)] if with_manifest else []
+    assert main(["reconstruct", "--checkpoint", str(ckpt), "--raster", str(raster),
+                 "--ratios", "0.5", "--preset", "ndvi", "--out", str(tmp_path / "rec")]
+                + extra) == 0
+    raw = read_raster(raster)
+    flat = raw.values.reshape(-1, raw.bands)
+    own = normalize_bands(raw, flat.min(axis=0), flat.max(axis=0)).values
+    man = load_manifest(manifest)
+    dataset = normalize_bands(raw, man.band_min, man.band_max).values
+    assert not np.array_equal(own, dataset)  # the two scalings differ on this raster
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], dataset if with_manifest else own)
 
 
 def test_reconstruct_unknown_preset_rejected(tmp_path):

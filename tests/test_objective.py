@@ -169,6 +169,34 @@ def test_total_loss_gradcheck_wrt_recon():
     assert grad_check(f, ps, eps=1e-3).max_relative_error <= 1e-3
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 1.7])
+def test_total_loss_all_tokens_matches_two_term_form(lam):
+    # all_tokens builds the token MSE once and weights it by 1 + lam; the
+    # breakdown and the gradient must match tok + lam * spectral_loss
+    grid = _grid(seed=28)
+    plan = build_mask(grid.n_tokens, 0.75, CounterRng(29))
+    noisy = grid.tokens + CounterRng(30).normal_array(grid.tokens.shape).astype(np.float32)
+    once, twice = T.Parameter(noisy.copy()), T.Parameter(noisy.copy())
+    combined, bd = total_loss(once, grid.tokens, plan, grid, ObjectiveConfig(lam=lam))
+    tok = token_loss(twice, grid.tokens, plan, "all_tokens")
+    spec = spectral_loss(twice, grid.tokens, grid)
+    assert (bd.token, bd.spectral) == (tok.item(), spec.item())
+    assert abs(combined.item() - (tok.item() + lam * spec.item())) <= 1e-6
+    combined.backward()
+    T.add(tok, T.scale(spec, lam)).backward()
+    assert np.allclose(once.grad, twice.grad, rtol=1e-6, atol=0.0)
+    if lam == 1.0:  # doubling is exact, so the default objective's bits do not move
+        assert np.array_equal(once.grad, twice.grad)
+
+
+def test_total_loss_all_tokens_still_checks_grid_coverage():
+    grid = _grid(seed=31)
+    plan = build_mask(grid.n_tokens, 0.5, CounterRng(32))
+    part = grid.tokens[:-1]
+    with pytest.raises(ShapeError):
+        total_loss(T.Tensor(part), part, plan, grid, ObjectiveConfig())
+
+
 def test_objective_config_validation():
     with pytest.raises(ValueError):
         ObjectiveConfig(lam=-1.0)

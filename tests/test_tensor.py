@@ -98,6 +98,28 @@ def test_softmax_gradcheck():
     assert grad_check(f, ps).max_relative_error <= 1e-3
 
 
+def test_softmax_scale_folded_is_bit_identical_to_scale_then_softmax():
+    # attention's shape: (heads, T, T) scores scaled by 1/sqrt(d_h)
+    s = 1.0 / np.sqrt(8.0)
+    x = CounterRng(40).normal_array((3, 6, 6)).astype(np.float32) * 4
+    w = T.constant(CounterRng(41).normal_array((3, 6, 6)).astype(np.float32))
+    folded, split = _param_set(x=x), _param_set(x=x)
+    y_folded = T.softmax_lastaxis(folded["x"], s)
+    y_split = T.softmax_lastaxis(T.scale(split["x"], s))
+    assert y_folded.data.tobytes() == y_split.data.tobytes()
+    for ps, y in ((folded, y_folded), (split, y_split)):
+        ps.zero_grads()
+        T.sum_all(T.mul(w, y)).backward()
+    assert np.array_equal(folded["x"].grad, split["x"].grad)
+
+
+def test_softmax_scaled_gradcheck():
+    ps = _param_set(x=CounterRng(42).normal_array((2, 4, 5)))
+    w = T.constant(CounterRng(43).normal_array((2, 4, 5)))
+    f = lambda: T.sum_all(T.mul(w, T.softmax_lastaxis(ps["x"], -0.37)))
+    assert grad_check(f, ps).max_relative_error <= 1e-3
+
+
 # ---------------------------------------------------------------- layer norm
 
 def test_layer_norm_constant_row_is_zero():
@@ -147,6 +169,18 @@ def test_gelu_zero():
 def test_gelu_asymptote():
     x = np.array([20.0], dtype=np.float32)
     assert np.allclose(T.gelu(T.Tensor(x)).data, x, rtol=1e-6)
+
+
+def test_gelu_float32_matches_float64_reference():
+    # Left of -1.5, 1 + tanh(.) cancels and float32 tanh's own rounding
+    # dominates the relative error; the cube is not the limit there.
+    x = np.linspace(-1.5, 6.0, 4001).astype(np.float32)
+    got = T.gelu(T.Tensor(x)).data
+    assert got.dtype == np.float32
+    x64 = x.astype(np.float64)
+    ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64 ** 3)))
+    rel = np.abs(got - ref) / np.maximum(np.abs(ref), np.finfo(np.float64).tiny)
+    assert rel.max() <= 1e-6
 
 
 @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.5, 2.0])
@@ -242,6 +276,32 @@ def test_reused_node_accumulates_both_paths():
     ps.zero_grads()
     T.sum_all(y).backward()
     assert np.allclose(ps["x"].grad, [6.0])
+
+
+# An interior node adopts the first adjoint an op allocates for it; these
+# shapes reach one node twice, through owned and pass-through adjoints.
+# nested_add fails if a pass-through adjoint is adopted: the outer add
+# hands one buffer to both h and the inner add, and h's next += would
+# then change the adjoint the inner add passes on.
+@pytest.mark.parametrize("combine", [
+    lambda h, w: T.mul(h, h),
+    lambda h, w: T.add(h, h),
+    lambda h, w: T.add(T.gelu(h), T.mul(h, w)),
+    lambda h, w: T.add(h, T.reshape(T.mul(w, h), h.shape)),
+    lambda h, w: T.mul(T.softmax_lastaxis(h, 0.5), T.add(h, w)),
+    lambda h, w: T.add(T.add(h, T.gelu(h)), h),
+], ids=["mul_self", "add_self", "two_ops", "pass_through_then_owned", "softmax_and_add",
+        "nested_add"])
+def test_shared_interior_node_gradcheck(combine):
+    rng = CounterRng(44)
+    ps = _param_set(x=rng.normal_array((3, 4)), m=rng.normal_array((4, 4)))
+    w = T.constant(rng.normal_array((3, 4)))
+
+    def f():
+        h = T.matmul(ps["x"], ps["m"])  # interior: no adjoint until backward
+        return T.sum_all(T.mul(w, combine(h, w)))
+
+    assert grad_check(f, ps).max_relative_error <= 1e-3
 
 
 def test_backward_requires_scalar():

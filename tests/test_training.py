@@ -130,6 +130,42 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert loaded.optimizer.step_count == 1
 
 
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    import builtins
+
+    import spectralmae.checkpoint as checkpoint
+
+    model, opt = _model_and_opt()
+    path = tmp_path / "checkpoint_last.spck"
+    save_checkpoint(snapshot_model(model, opt, (1, 0), epoch=1), path)
+    good = path.read_bytes()
+
+    class DiskFull:
+        """Writes half of what it is given, then fails as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: DiskFull(builtins.open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(snapshot_model(model, opt, (1, 0), epoch=2), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == good
+    assert load_checkpoint(path).epoch == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_last.spck"]
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.spck"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
