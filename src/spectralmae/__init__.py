@@ -6,27 +6,39 @@ lightweight reconstructing decoder, a dual token/spectral MSE objective,
 deterministic AdamW pretraining (single-stage and progressive), four
 downstream task heads with their metrics, and a seeded synthetic data
 generator so everything is testable without satellite archives.
+
+The names below load on first use (PEP 562), so importing the package, as
+the `spectralmae` command does, does not load numpy: the CLI applies
+SPGT_THREADS to the BLAS thread variables first.
 """
 
-from .model import GridDims, ModelConfig, SpectralCubeAutoencoder
-from .objective import LossBreakdown, ObjectiveConfig
-from .tokenizer import MaskPlan, SpectralImage, TokenGrid, build_mask, patchify, unpatchify
-from .rng import CounterRng
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CounterRng",
-    "GridDims",
-    "LossBreakdown",
-    "MaskPlan",
-    "ModelConfig",
-    "ObjectiveConfig",
-    "SpectralCubeAutoencoder",
-    "SpectralImage",
-    "TokenGrid",
-    "build_mask",
-    "patchify",
-    "unpatchify",
-    "__version__",
-]
+_EXPORTS = {
+    "CounterRng": "rng",
+    "GridDims": "model",
+    "LossBreakdown": "objective",
+    "MaskPlan": "tokenizer",
+    "ModelConfig": "model",
+    "ObjectiveConfig": "objective",
+    "SpectralCubeAutoencoder": "model",
+    "SpectralImage": "tokenizer",
+    "TokenGrid": "tokenizer",
+    "build_mask": "tokenizer",
+    "patchify": "tokenizer",
+    "unpatchify": "tokenizer",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

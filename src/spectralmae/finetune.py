@@ -119,11 +119,34 @@ def load_change_samples(man: DatasetManifest, samples: list) -> list:
 
 
 # ---------------------------------------------------------------- minibatch steps
-# Classification takes one loss over the batch's logits; the dense tasks
-# call backward once per sample, with the loss scaled by 1/B.
+# One encoder graph per group of same-size images (`model.group_spans`), the
+# head per sample on that sample's latent rows, and one backward of the
+# minibatch's mean loss.
+
+def _encode_batch(model, images: list) -> list[T.Tensor]:
+    """Each image's latents, in order; a group of images shares one encoder graph."""
+    out = []
+    for span in model.group_spans(images):
+        latents = model.forward_full(*images[span.start:span.stop])
+        if len(span) == 1:
+            out.append(latents)
+            continue
+        n = latents.shape[0] // len(span)
+        out.extend(T.gather_rows(latents, np.arange(i * n, (i + 1) * n))
+                   for i in range(len(span)))
+    return out
+
+
+def _mean(losses: list[T.Tensor]) -> T.Tensor:
+    total = losses[0]
+    for loss in losses[1:]:
+        total = T.add(total, loss)
+    return T.scale(total, 1.0 / len(losses))
+
 
 def _batch_logits(model, head, batch: list) -> T.Tensor:
-    return T.concat_rows([head.forward(model.forward_full(sample[0])) for sample in batch])
+    latents = _encode_batch(model, [sample[0] for sample in batch])
+    return T.concat_rows([head.forward(z) for z in latents])
 
 
 def _classify_step(model, head, batch: list) -> None:
@@ -136,17 +159,18 @@ def _multilabel_step(model, head, batch: list) -> None:
 
 
 def _segment_step(model, head, batch: list) -> None:
-    for sub, mask in batch:
-        logits = head.forward(model.forward_full(sub), _grid_dims(model, sub),
-                              (sub.height, sub.width))
-        T.scale(cross_entropy(logits, mask.reshape(-1)), 1.0 / len(batch)).backward()
+    latents = _encode_batch(model, [sub for sub, _ in batch])
+    _mean([cross_entropy(head.forward(z, _grid_dims(model, sub), (sub.height, sub.width)),
+                         mask.reshape(-1))
+           for z, (sub, mask) in zip(latents, batch)]).backward()
 
 
 def _change_step(model, head, batch: list) -> None:
-    for a, b, mask in batch:
-        logp = head.forward(model.forward_full(a), model.forward_full(b),
-                            _grid_dims(model, a), (a.height, a.width))
-        T.scale(nll_from_log_probs(logp, mask.reshape(-1)), 1.0 / len(batch)).backward()
+    latents = _encode_batch(model, [img for a, b, _ in batch for img in (a, b)])
+    _mean([nll_from_log_probs(head.forward(latents[2 * i], latents[2 * i + 1],
+                                           _grid_dims(model, a), (a.height, a.width)),
+                              mask.reshape(-1))
+           for i, (a, _, mask) in enumerate(batch)]).backward()
 
 
 # ---------------------------------------------------------------- evaluation

@@ -24,6 +24,22 @@ from .tokenizer import MaskPlan, SpectralImage, patchify
 LN_EPS = 1e-6
 INIT_STD = 0.02
 
+# At most this many token rows share one autodiff graph. One graph per group
+# of images removes per-op dispatch, which dominates small images, but stops
+# paying once an image's own kernels dominate, and it holds every image's
+# activations at once. One pretraining step with AdamW, one BLAS thread,
+# per-image graphs against one graph for the batch (p75 ms, two runs each):
+#
+#   image, model, B          rows/graph  per-image p75  one graph p75  peak RSS MB
+#   16x16x6 tiny, 16                128    49.5 / 51.7      7.0 / 7.0    37 -> 38
+#   32x32x12 d96, 4                 256     112 / 93         65 / 62     69 -> 78
+#   48x48x12 d96, 4                 576     136 / 134       108 / 120    83 -> 109
+#   64x64x12 d96, 4                1024     190 / 200       219 / 188   111 -> 173
+#   96x96x12 d96, 4                2304     597 / 660       740 / 784   246 -> 490
+#
+# Under the cap the 96x96x12 (576-token) image keeps one graph per image.
+MAX_GROUP_ROWS = 512
+
 
 @dataclass
 class ModelConfig:
@@ -148,26 +164,28 @@ class TransformerBlock:
         self.fc1_w, self.fc1_b = w("mlp.fc1.weight", (d, md)), zeros("mlp.fc1.bias", md)
         self.fc2_w, self.fc2_b = w("mlp.fc2.weight", (md, d)), zeros("mlp.fc2.bias", d)
 
-    def _attention(self, z: T.Tensor) -> T.Tensor:
-        t = z.shape[0]
+    def _attention(self, z: T.Tensor, images: int = 1) -> T.Tensor:
+        """Self-attention within each image; z holds `images` equal runs of rows."""
+        t = z.shape[0] // images
         h, dh = self.heads, self.head_dim
         q = T.matmul(z, self.wq)
         k = T.matmul(z, self.wk)
         v = T.matmul(z, self.wv)
-        qh = T.transpose(T.reshape(q, (t, h, dh)), (1, 0, 2))
-        kt = T.transpose(T.reshape(k, (t, h, dh)), (1, 2, 0))
-        vh = T.transpose(T.reshape(v, (t, h, dh)), (1, 0, 2))
+        qh = T.transpose(T.reshape(q, (images, t, h, dh)), (0, 2, 1, 3))
+        kt = T.transpose(T.reshape(k, (images, t, h, dh)), (0, 2, 3, 1))
+        vh = T.transpose(T.reshape(v, (images, t, h, dh)), (0, 2, 1, 3))
         attn = T.softmax_lastaxis(T.matmul(qh, kt), 1.0 / math.sqrt(dh))
         ctx = T.matmul(attn, vh)
-        merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (t, self.d))
+        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (images * t, self.d))
         return T.matmul(merged, self.wo)
 
     def _mlp(self, z: T.Tensor) -> T.Tensor:
         hidden = T.gelu(T.add_rowvec(T.matmul(z, self.fc1_w), self.fc1_b))
         return T.add_rowvec(T.matmul(hidden, self.fc2_w), self.fc2_b)
 
-    def forward(self, z: T.Tensor) -> T.Tensor:
-        z = T.add(z, self._attention(T.layer_norm(z, self.ln1_g, self.ln1_b, LN_EPS)))
+    def forward(self, z: T.Tensor, images: int = 1) -> T.Tensor:
+        """One block over the rows of `images` images; only attention splits them."""
+        z = T.add(z, self._attention(T.layer_norm(z, self.ln1_g, self.ln1_b, LN_EPS), images))
         return T.add(z, self._mlp(T.layer_norm(z, self.ln2_g, self.ln2_b, LN_EPS)))
 
 
@@ -248,10 +266,39 @@ class SpectralCubeAutoencoder:
                 f"{(gh, gw, gs)}; resize the tables at a stage boundary first")
 
     def _positions(self, indices: np.ndarray, dims: GridDims):
-        indices = np.asarray(indices, dtype=np.int64)
+        """(site, spectral group) of token rows; a group's rows repeat per image."""
+        indices = np.asarray(indices, dtype=np.int64) % dims.n_tokens
         s = indices % dims.gs
         site = indices // dims.gs  # equals r*gw + c for the active grid
         return site, s
+
+    @staticmethod
+    def _image_count(plan: MaskPlan, dims: GridDims) -> int:
+        """Images a plan covers; a group's images must have equal visible counts."""
+        n = dims.n_tokens
+        if plan.total == 0 or plan.total % n:
+            raise ShapeError(f"mask plan covers {plan.total} tokens, grid has {n} per image")
+        images = plan.total // n
+        per_image = np.bincount(plan.visible // n, minlength=images)
+        if np.any(per_image != plan.n_visible // images):
+            raise ShapeError(f"visible counts {per_image.tolist()} differ between images")
+        return images
+
+    def group_spans(self, images: list[SpectralImage]) -> list[range]:
+        """Runs of consecutive same-size images, each within MAX_GROUP_ROWS tokens.
+
+        A run holds at least one image, so larger images get a graph each.
+        """
+        p, k = self.config.p, self.config.k
+        spans: list[range] = []
+        start = 0
+        for i in range(1, len(images) + 1):
+            h, w, d = images[start].values.shape
+            cap = max(1, MAX_GROUP_ROWS // max(1, (h // p) * (w // p) * (d // k)))
+            if i == len(images) or images[i].values.shape != (h, w, d) or i - start == cap:
+                spans.append(range(start, i))
+                start = i
+        return spans
 
     # ------------------------------------------------------------- forward
 
@@ -270,17 +317,24 @@ class SpectralCubeAutoencoder:
         return T.add(x, pos)
 
     def encode(self, visible_tokens, plan: MaskPlan, dims: GridDims) -> T.Tensor:
-        """Encoder over visible tokens only; cost scales with the visible count."""
-        if plan.total != dims.n_tokens:
-            raise ShapeError(f"mask plan covers {plan.total} tokens, grid has {dims.n_tokens}")
+        """Encoder over visible tokens only; cost scales with the visible count.
+
+        The plan may cover a group of images of one grid (`stack_plans`); the
+        rows are then each image's visible tokens in turn.
+        """
+        images = self._image_count(plan, dims)
         z = self.embed(visible_tokens, plan.visible, dims)
         for block in self.enc_blocks:
-            z = block.forward(z)
+            z = block.forward(z, images)
         return T.layer_norm(z, self.enc_norm_g, self.enc_norm_b, LN_EPS)
 
     def decoder_input(self, latents: T.Tensor, plan: MaskPlan, dims: GridDims) -> T.Tensor:
-        """Projected latents unshuffled to grid order, mask token in masked slots."""
-        n = dims.n_tokens
+        """Projected latents unshuffled to grid order, mask token in masked slots.
+
+        A group plan's indices already run through its images in turn, so one
+        gather unshuffles every image.
+        """
+        n = plan.total
         v = plan.n_visible
         if latents.shape[0] != v:
             raise ShapeError(f"{latents.shape[0]} latent rows for {v} visible tokens")
@@ -298,12 +352,13 @@ class SpectralCubeAutoencoder:
     def decode(self, latents: T.Tensor, plan: MaskPlan, dims: GridDims) -> T.Tensor:
         """Reassemble the full token sequence and reconstruct every token."""
         full = self.decoder_input(latents, plan, dims)
-        site, s = self._positions(np.arange(dims.n_tokens), dims)
+        images = self._image_count(plan, dims)
+        site, s = self._positions(np.arange(plan.total), dims)
         pos = T.add(T.gather_rows(self.dec_pos_spatial, site),
                     T.gather_rows(self.dec_pos_spectral, s))
         z = T.add(full, pos)
         for block in self.dec_blocks:
-            z = block.forward(z)
+            z = block.forward(z, images)
         z = T.layer_norm(z, self.dec_norm_g, self.dec_norm_b, LN_EPS)
         return T.add_rowvec(T.matmul(z, self.head_w), self.head_b)
 
@@ -312,11 +367,17 @@ class SpectralCubeAutoencoder:
         latents = self.encode(visible, plan, dims)
         return self.decode(latents, plan, dims)
 
-    def forward_full(self, img: SpectralImage) -> T.Tensor:
-        """Latents for every token of an unmasked image, in grid order."""
-        grid = patchify(img, self.config.p, self.config.k)
-        dims = GridDims(grid.gh, grid.gw, grid.gs)
-        return self.encode(grid.tokens, empty_mask_plan(grid.n_tokens, dims.n_sites), dims)
+    def forward_full(self, *images: SpectralImage) -> T.Tensor:
+        """Latents for every token of unmasked same-size images, in grid order.
+
+        Several images share one graph; image i owns rows [i*n, (i+1)*n).
+        """
+        grids = [patchify(img, self.config.p, self.config.k) for img in images]
+        dims = GridDims(grids[0].gh, grids[0].gw, grids[0].gs)
+        if any(GridDims(g.gh, g.gw, g.gs) != dims for g in grids):
+            raise ShapeError("forward_full: images of one graph must share a size")
+        plan = empty_mask_plan(dims.n_tokens * len(grids), dims.n_sites * len(grids))
+        return self.encode(np.concatenate([g.tokens for g in grids]), plan, dims)
 
     # ------------------------------------------------------------- resizing
 

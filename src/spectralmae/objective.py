@@ -65,30 +65,37 @@ def token_loss(recon: T.Tensor, targets, plan: MaskPlan, scope: str = "all_token
 
 
 def _check_covers_grid(recon: T.Tensor, grid: TokenGrid) -> None:
-    if recon.shape != (grid.n_tokens, grid.token_len):
+    """recon must hold every token of one or more images of `grid`'s geometry."""
+    rows, length = recon.shape
+    if length != grid.token_len or rows == 0 or rows % grid.n_tokens:
         raise ShapeError(f"recon {recon.shape} does not cover all "
-                         f"{grid.n_tokens} tokens of length {grid.token_len}")
+                         f"{grid.n_tokens} tokens of length {grid.token_len} per image")
 
 
 def spectral_loss(recon: T.Tensor, targets, grid: TokenGrid) -> T.Tensor:
-    """Elementwise MSE over per-site spectral rows (all sites).
+    """Elementwise MSE over per-site spectral rows (all sites of every image).
 
-    Site-major token order makes the row construction a reshape, so the
-    value equals the all-token elementwise MSE; `total_loss` relies on
-    that and builds the term only when the token term covers fewer tokens.
+    Site-major token order makes the row construction a reshape, also over
+    a group's stacked images, so the value equals the all-token elementwise
+    MSE; `total_loss` relies on that and builds the term only when the
+    token term covers fewer tokens.
     """
     targets = _as_const(targets)
     if recon.shape != targets.shape:
         raise ShapeError(f"recon {recon.shape} vs targets {targets.shape}")
     _check_covers_grid(recon, grid)
-    row = grid.gs * grid.token_len
-    return T.mse(T.reshape(recon, (grid.n_sites, row)),
-                 T.reshape(targets, (grid.n_sites, row)))
+    sites, row = recon.shape[0] // grid.gs, grid.gs * grid.token_len
+    return T.mse(T.reshape(recon, (sites, row)), T.reshape(targets, (sites, row)))
 
 
 def total_loss(recon: T.Tensor, targets, plan: MaskPlan, grid: TokenGrid,
                cfg: ObjectiveConfig) -> tuple[T.Tensor, LossBreakdown]:
-    """Combined loss tensor (for backward) plus its scalar breakdown."""
+    """Combined loss tensor (for backward) plus its scalar breakdown.
+
+    recon and targets may stack a group's images (rows of `plan`, which
+    `stack_plans` builds); every image has the same masked count, so each
+    term is the mean of the per-image terms.
+    """
     tok = token_loss(recon, targets, plan, cfg.token_loss_scope)
     if cfg.token_loss_scope == "all_tokens":
         # the spectral term is the same mean over the same elements

@@ -260,10 +260,10 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or stacked 3-D with identical leading extents."""
+    """Matrix product; 2-D, or stacked (any rank) with identical leading extents."""
     ok = (
         a.data.ndim == b.data.ndim
-        and a.data.ndim in (2, 3)
+        and a.data.ndim >= 2
         and a.shape[-1] == b.shape[-2]
         and a.shape[:-2] == b.shape[:-2]
     )
@@ -302,15 +302,25 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows (axis 0) by index; duplicates allowed, adjoints scatter-add."""
+    """Select rows (axis 0) by index; duplicates allowed, adjoints scatter-add.
+
+    Unique indices (a permutation or a slice) scatter by plain assignment;
+    only duplicates need the slow unbuffered `np.add.at`.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     _require(idx.ndim == 1, "gather_rows: indices must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    hit = np.zeros(a.shape[0], dtype=bool)
+    hit[idx] = True
+    unique = int(np.count_nonzero(hit)) == idx.size
 
     def backward(g):
         delta = np.zeros_like(a.data)
-        np.add.at(delta, idx, g)
+        if unique:
+            delta[idx] = g
+        else:
+            np.add.at(delta, idx, g)
         a._accumulate(delta, owned=True)
 
     return _out(np.ascontiguousarray(a.data[idx]), (a,), backward)

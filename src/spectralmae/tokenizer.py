@@ -136,6 +136,25 @@ def build_mask(total_tokens: int, ratio: float, rng: CounterRng,
     return MaskPlan(ratio, masked, visible, total_tokens, n_sites)
 
 
+def stack_plans(plans: list[MaskPlan]) -> MaskPlan:
+    """One plan over a group of images' stacked token rows.
+
+    Image i's tokens occupy rows [i*n, (i+1)*n), so its indices shift by
+    i*n and both index lists stay sorted. A single plan comes back as is.
+    """
+    if len(plans) == 1:
+        return plans[0]
+    n = plans[0].total
+    if any(p.total != n for p in plans):
+        raise ShapeError("stacked plans need one token count per image")
+    offsets = [i * n for i in range(len(plans))]
+    sites = None if plans[0].n_sites is None else plans[0].n_sites * len(plans)
+    return MaskPlan(plans[0].ratio,
+                    np.concatenate([p.masked + o for p, o in zip(plans, offsets)]),
+                    np.concatenate([p.visible + o for p, o in zip(plans, offsets)]),
+                    n * len(plans), sites)
+
+
 def _band_of(grid: TokenGrid) -> np.ndarray:
     """Band index of every token element, shape (n_tokens, token_len)."""
     return (np.arange(grid.n_tokens) % grid.gs)[:, None] * grid.k \

@@ -19,7 +19,7 @@ from .model import GridDims, SpectralCubeAutoencoder
 from .objective import LossBreakdown, ObjectiveConfig, total_loss
 from .optim import AdamW, Schedule, lr_at
 from .rng import CounterRng
-from .tokenizer import SpectralImage, build_mask, make_targets, patchify
+from .tokenizer import SpectralImage, build_mask, make_targets, patchify, stack_plans
 
 
 @dataclass
@@ -63,21 +63,26 @@ def make_optimizer(model: SpectralCubeAutoencoder, stage: PretrainStage) -> Adam
                  weight_decay=stage.weight_decay, clip_norm=stage.clip_norm)
 
 
-def _image_loss(model: SpectralCubeAutoencoder, img: SpectralImage,
-                objective: ObjectiveConfig, ratio: float, mask_rng: CounterRng,
-                band_stats=None) -> tuple[T.Tensor, LossBreakdown]:
-    cfg = model.config
-    grid = patchify(img, cfg.p, cfg.k)
-    dims = GridDims(grid.gh, grid.gw, grid.gs)
-    plan = build_mask(grid.n_tokens, ratio, mask_rng, dims.n_sites)
+def _targets(grid, objective: ObjectiveConfig, band_stats) -> np.ndarray:
     if objective.target_mode == "standardized":
         if band_stats is None:
             raise ConfigError("standardized target mode needs per-band mean/std stats")
-        targets, _ = make_targets(grid, "standardized", band_mean=band_stats[0],
-                                  band_std=band_stats[1])
-    else:
-        targets, _ = make_targets(grid, objective.target_mode)
-    recon = model.reconstruct(grid.tokens, plan, dims)
+        return make_targets(grid, "standardized", band_mean=band_stats[0],
+                            band_std=band_stats[1])[0]
+    return make_targets(grid, objective.target_mode)[0]
+
+
+def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
+               objective: ObjectiveConfig, ratio: float, mask_rngs: list[CounterRng],
+               band_stats=None) -> tuple[T.Tensor, LossBreakdown]:
+    """Mean loss over same-size images through one graph; image i masks with mask_rngs[i]."""
+    cfg = model.config
+    grids = [patchify(img, cfg.p, cfg.k) for img in images]
+    grid = grids[0]
+    dims = GridDims(grid.gh, grid.gw, grid.gs)
+    plan = stack_plans([build_mask(grid.n_tokens, ratio, r, dims.n_sites) for r in mask_rngs])
+    targets = np.concatenate([_targets(g, objective, band_stats) for g in grids])
+    recon = model.reconstruct(np.concatenate([g.tokens for g in grids]), plan, dims)
     return total_loss(recon, targets, plan, grid, objective)
 
 
@@ -106,18 +111,19 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
         lr = 0.0
         for step in range(steps_per_epoch):
             lr = lr_at(sched, epoch * steps_per_epoch + step)
-            batch = order[step * stage.batch_size:(step + 1) * stage.batch_size]
+            batch = [stage.images[int(i)] for i in
+                     order[step * stage.batch_size:(step + 1) * stage.batch_size]]
             params.zero_grads()
-            for slot, img_idx in enumerate(batch):
-                mask_rng = rng.child("mask", stage_index, epoch, step, slot)
-                loss, bd = _image_loss(model, stage.images[int(img_idx)], objective,
-                                       stage.mask_ratio, mask_rng, stage.band_stats)
+            for span in model.group_spans(batch):
+                mask_rngs = [rng.child("mask", stage_index, epoch, step, slot) for slot in span]
+                loss, bd = group_loss(model, batch[span.start:span.stop], objective,
+                                      stage.mask_ratio, mask_rngs, stage.band_stats)
                 if not np.isfinite(bd.total):
                     raise EvaluationError(
                         f"non-finite loss at stage {stage_index} epoch {epoch} step {step}")
-                T.scale(loss, 1.0 / stage.batch_size).backward()
-                sums += (bd.token, bd.spectral, bd.total)
-                seen += 1
+                T.scale(loss, len(span) / stage.batch_size).backward()
+                sums += len(span) * np.array((bd.token, bd.spectral, bd.total))
+                seen += len(span)
             optimizer.step(lr)
         record = EpochRecord(stage_index, epoch, sums[0] / seen, sums[1] / seen,
                              sums[2] / seen, lr)

@@ -373,3 +373,29 @@ def test_gradcheck_detects_broken_backward(monkeypatch, capsys):
 
 def test_gradcheck_eps_out_of_range():
     assert main(["gradcheck", "--eps", "0.5"]) != 0
+
+
+def test_spgt_threads_bounds_blas_threads():
+    # the entry import must leave numpy unloaded so SPGT_THREADS reaches BLAS
+    import subprocess
+    import sys
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the thread count from /proc")
+    script = "\n".join([
+        "import json, sys",
+        "from spectralmae.cli import main",
+        "early = 'numpy' in sys.modules",
+        "code = main(['gradcheck', '--eps', '1'])  # loads numpy, then rejects --eps",
+        "threads = [l for l in open('/proc/self/status') if l.startswith('Threads:')]",
+        "print(json.dumps({'early': early, 'code': code, 'numpy': 'numpy' in sys.modules,",
+        "                  'threads': int(threads[0].split()[1])}))",
+    ])
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env.update(SPGT_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"early": False, "code": 2, "numpy": True, "threads": 1}

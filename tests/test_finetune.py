@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spectralmae.cli import main as cli_main
@@ -140,3 +141,58 @@ def test_empty_split_is_data_error(tmp_path, capsys, task):
     assert cli_main(["finetune", "--task", task, "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 2
     assert "training split is empty" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- one encoder graph per batch
+
+def _per_sample_step(task, model, head, batch):
+    """Reference: an encoder graph per image, as the batched steps must match."""
+    from spectralmae import tensor as T
+    from spectralmae.heads import (cross_entropy, multilabel_soft_margin,
+                                   nll_from_log_probs)
+    from spectralmae.model import GridDims
+
+    def dims(img):
+        return GridDims(img.height // 8, img.width // 8, img.bands // 3)
+
+    if task in ("classify", "multilabel"):
+        logits = T.concat_rows([head.forward(model.forward_full(s[0])) for s in batch])
+        if task == "classify":
+            cross_entropy(logits, [label for _, label in batch]).backward()
+        else:
+            multilabel_soft_margin(logits, np.stack([lab for _, lab in batch])).backward()
+    elif task == "segment":
+        for sub, mask in batch:
+            logits = head.forward(model.forward_full(sub), dims(sub), (sub.height, sub.width))
+            T.scale(cross_entropy(logits, mask.reshape(-1)), 1.0 / len(batch)).backward()
+    else:
+        for a, b, mask in batch:
+            logp = head.forward(model.forward_full(a), model.forward_full(b), dims(a),
+                                (a.height, a.width))
+            T.scale(nll_from_log_probs(logp, mask.reshape(-1)), 1.0 / len(batch)).backward()
+
+
+@pytest.mark.parametrize("task", sorted(ENTRIES))
+def test_batched_step_matches_per_sample_backward(tmp_path, task):
+    from spectralmae.finetune import TASKS, make_head
+    from spectralmae.heads import combine_params
+    from spectralmae.manifest import load_manifest
+
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=3, n_images=4, seed=17)
+    manifest = load_manifest(generate_synthetic(spec, task, tmp_path / "ds"))
+    batch = TASKS[task].load(manifest, manifest.samples[:3])
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2), dtype="float64"),
+                                    CounterRng(18))
+    head = make_head(task, model, manifest, FinetuneConfig(seed=19))
+    params = combine_params(model.parameters(), head.params)
+
+    params.zero_grads()
+    _per_sample_step(task, model, head, batch)
+    expected = {name: p.grad.copy() for name, p in params.items()}
+    params.zero_grads()
+    TASKS[task].step(model, head, batch)
+    for name, p in params.items():
+        # change's encoder norm bias cancels between a and b: exactly 0 per sample,
+        # rounding-size in the batch, hence the absolute floor
+        want = expected[name]
+        assert np.linalg.norm(p.grad - want) <= 1e-6 * max(np.linalg.norm(want), 1e-12), name

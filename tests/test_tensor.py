@@ -68,6 +68,37 @@ def test_matmul_batched_matches_loop():
         assert np.allclose(out[i], a[i] @ b[i])
 
 
+def test_matmul_4d_gradcheck():
+    rng = CounterRng(5)
+    ps = _param_set(a=rng.normal_array((2, 3, 4, 2)), b=rng.normal_array((2, 3, 2, 5)))
+    w = T.constant(rng.normal_array((2, 3, 4, 5)))
+    f = lambda: T.sum_all(T.mul(w, T.matmul(ps["a"], ps["b"])))
+    assert grad_check(f, ps).max_relative_error <= 1e-3
+
+
+def test_matmul_unit_leading_axis_is_bit_identical_to_3d():
+    # one image's attention runs as (1, h, T, d_h); it must keep the 3-D bits
+    rng = CounterRng(6)
+    a = rng.normal_array((3, 7, 4)).astype(np.float32)
+    b = rng.normal_array((3, 4, 7)).astype(np.float32)
+    g = rng.normal_array((3, 7, 7)).astype(np.float32)
+    outs = []
+    for shape_a, shape_b in (((3, 7, 4), (3, 4, 7)), ((1, 3, 7, 4), (1, 3, 4, 7))):
+        ps = _param_set(a=a.reshape(shape_a), b=b.reshape(shape_b))
+        out = T.matmul(ps["a"], ps["b"])
+        T.sum_all(T.mul(T.constant(g.reshape(out.shape)), out)).backward()
+        outs.append([out.data.reshape(-1), ps["a"].grad.reshape(-1), ps["b"].grad.reshape(-1)])
+    for x, y in zip(*outs):
+        assert np.array_equal(x, y)
+
+
+def test_matmul_rank_mismatch_rejected():
+    with pytest.raises(ShapeError):
+        T.matmul(T.constant(np.zeros((1, 2, 3))), T.constant(np.zeros((2, 3, 2))))
+    with pytest.raises(ShapeError):
+        T.matmul(T.constant(np.zeros((2, 2, 3))), T.constant(np.zeros((3, 2))))
+
+
 # ---------------------------------------------------------------- softmax
 
 def test_softmax_single_element_row():
@@ -210,6 +241,17 @@ def test_gather_scatter_adjoint():
     w = T.constant(CounterRng(9).normal_array((4, 3)))
     f = lambda: T.sum_all(T.mul(w, T.gather_rows(ps["x"], idx)))
     assert grad_check(f, ps).max_relative_error <= 1e-3
+
+
+@pytest.mark.parametrize("idx", [[4, 0, 5, 2, 1, 3], [5, 1, 2], [0, 2, 2, 5, 2], []])
+def test_gather_rows_backward_matches_scatter_add_oracle(idx):
+    # unique indices take the assignment path, duplicates np.add.at
+    x = T.Parameter(CounterRng(11).normal_array((6, 3)))
+    g = CounterRng(12).normal_array((len(idx), 3))
+    T.sum_all(T.mul(T.Tensor(g), T.gather_rows(x, idx))).backward()
+    oracle = np.zeros((6, 3))
+    np.add.at(oracle, np.asarray(idx, np.int64), g)
+    assert np.array_equal(x.grad, oracle)
 
 
 def test_gather_rows_out_of_range():

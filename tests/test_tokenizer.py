@@ -9,7 +9,7 @@ from spectralmae.objective import spectral_loss
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Tensor
 from spectralmae.tokenizer import (TARGET_MODES, SpectralImage, build_mask, invert_targets,
-                                   make_targets, patchify, unpatchify)
+                                   make_targets, patchify, stack_plans, unpatchify)
 
 
 def _random_image(h, w, d, seed=0):
@@ -140,6 +140,16 @@ def test_split_visible_scatter_back_reproduces_grid():
     rebuilt[plan.visible] = grid.tokens[plan.visible]
     rebuilt[plan.masked] = grid.tokens[plan.masked]
     assert np.array_equal(rebuilt, grid.tokens)
+
+
+def test_group_plan_rejects_mixed_grids_and_unequal_visible_counts():
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    with pytest.raises(ShapeError):
+        stack_plans([build_mask(8, 0.5, CounterRng(1)), build_mask(16, 0.5, CounterRng(2))])
+    uneven = stack_plans([build_mask(8, 0.5, CounterRng(1)), build_mask(8, 0.25, CounterRng(2))])
+    tokens = np.zeros((uneven.n_visible, 192), np.float32)
+    with pytest.raises(ShapeError, match="visible counts"):
+        model.encode(tokens, uneven, GridDims(2, 2, 2))
 
 
 def test_split_visible_size_mismatch():

@@ -3,14 +3,15 @@ import pytest
 
 from spectralmae.checkpoint import (load_checkpoint, restore_model,
                                     restore_optimizer, save_checkpoint, snapshot_model)
+from spectralmae import tensor as T
 from spectralmae.errors import ConfigError, EvaluationError, FormatError, ShapeError
-from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
+from spectralmae.model import MAX_GROUP_ROWS, ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import ObjectiveConfig
 from spectralmae.optim import AdamW, Schedule, lr_at
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Parameter, ParameterSet
-from spectralmae.tokenizer import SpectralImage
-from spectralmae.training import (EpochRecord, PretrainStage, pretrain_stage,
+from spectralmae.tokenizer import SpectralImage, build_mask, stack_plans
+from spectralmae.training import (EpochRecord, PretrainStage, group_loss, pretrain_stage,
                                   progressive_pretrain)
 
 
@@ -337,3 +338,85 @@ def test_epoch_record_json_line():
     parsed = json.loads(line)
     assert parsed["epoch"] == 3 and parsed["total"] == 0.75
     assert "\n" not in line
+
+
+# ---------------------------------------------------------------- one graph per group
+
+def _grads(model):
+    return {name: p.grad.copy() for name, p in model.parameters().items()}
+
+
+def _relative(a, b):
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30))
+
+
+@pytest.mark.parametrize("scope", ["all_tokens", "masked_only"])
+@pytest.mark.parametrize("mode", ["raw", "per_token_normalized", "standardized"])
+def test_group_loss_matches_per_image_loop(scope, mode):
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2), dtype="float64"),
+                                    CounterRng(3))
+    images = _smooth_images(5, 32, 32, 6, seed=71)
+    objective = ObjectiveConfig(lam=0.5, token_loss_scope=scope, target_mode=mode)
+    band_stats = (np.linspace(0.2, 0.6, 6), np.linspace(0.5, 1.5, 6))
+    rngs = lambda: [CounterRng(9).child("mask", 0, 0, 0, slot) for slot in range(5)]
+
+    params = model.parameters()
+    params.zero_grads()
+    looped = []
+    for img, r in zip(images, rngs()):
+        loss, bd = group_loss(model, [img], objective, 0.75, [r], band_stats)
+        T.scale(loss, 1.0 / 5).backward()
+        looped.append((bd.token, bd.spectral, bd.total))
+    expected = _grads(model)
+
+    params.zero_grads()
+    loss, bd = group_loss(model, images, objective, 0.75, rngs(), band_stats)
+    loss.backward()
+    for got, want in zip((bd.token, bd.spectral, bd.total), np.mean(looped, axis=0)):
+        assert abs(got - want) <= 1e-6 * abs(want)
+    for name, p in params.items():
+        assert _relative(p.grad, expected[name]) <= 1e-6, name
+
+
+def test_group_mask_plans_follow_each_slots_key():
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    stage = _stage(_smooth_images(8, 16, 16, 6, seed=81), epochs=1, batch_size=4)
+    plans = []
+    reconstruct = model.reconstruct
+    model.reconstruct = lambda tokens, plan, dims: plans.append(plan) or \
+        reconstruct(tokens, plan, dims)
+    pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(5))
+    assert len(plans) == 2  # two steps, each one group of four images
+    for step, plan in enumerate(plans):
+        slots = [build_mask(8, 0.5, CounterRng(5).child("mask", 0, 0, step, slot), 4)
+                 for slot in range(4)]
+        want = stack_plans(slots)
+        assert plan.total == 32
+        assert np.array_equal(plan.visible, want.visible)
+        assert np.array_equal(plan.masked, want.masked)
+        for slot, one in enumerate(slots):
+            assert np.array_equal(plan.visible[slot * 4:(slot + 1) * 4] - slot * 8, one.visible)
+
+
+@pytest.mark.parametrize("side,bands,graphs_per_step", [(16, 6, 1), (96, 12, 2)])
+def test_graphs_per_step_respect_the_row_cap(monkeypatch, side, bands, graphs_per_step):
+    # 8 tokens per image share one graph; 576 tokens exceed the cap alone
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(side // 8, side // 8,
+                                                                bands // 3)), CounterRng(0))
+    stage = _stage(_smooth_images(2, side, side, bands, seed=91), epochs=1, batch_size=2,
+                   mask_ratio=0.9)
+    calls = []
+    backward = T.Tensor.backward
+    monkeypatch.setattr(T.Tensor, "backward", lambda self: calls.append(1) or backward(self))
+    pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(1))
+    assert len(calls) == graphs_per_step
+
+
+def test_group_spans_split_on_size_and_cap():
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(0))
+    small = _smooth_images(3, 16, 16, 6)  # 8 tokens: 64 per group
+    large = _smooth_images(3, 96, 96, 12)  # 576 tokens: one per group
+    spans = model.group_spans(small + large + small)
+    assert [(s.start, s.stop) for s in spans] == [(0, 3), (3, 4), (4, 5), (5, 6), (6, 9)]
+    many = _smooth_images(1, 16, 16, 6) * (MAX_GROUP_ROWS // 8 + 1)
+    assert [len(s) for s in model.group_spans(many)] == [MAX_GROUP_ROWS // 8, 1]
