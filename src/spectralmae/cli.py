@@ -447,7 +447,8 @@ def cmd_gradcheck(args) -> int:
 
         def f_ops():
             z = T.layer_norm(T.gelu(T.matmul(a, w)), g, b, 1e-5)
-            return T.sum_all(T.mul(w, T.softmax_lastaxis(z)))
+            ctx = T.attention(z, a, T.matmul(a, w), 2, 2)  # 2 images of 2 rows, 2 heads
+            return T.sum_all(T.mul(w, T.add(T.softmax_lastaxis(z), ctx)))
 
         worst["numerics"] = grad_check(f_ops, ps, eps=args.eps)
 

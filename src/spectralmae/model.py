@@ -11,7 +11,6 @@ back to pixel space covering all tokens.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,15 @@ INIT_STD = 0.02
 # of images removes per-op dispatch, which dominates small images, but stops
 # paying once an image's own kernels dominate, and it holds every image's
 # activations at once. One pretraining step with AdamW, one BLAS thread,
-# per-image graphs against one graph for the batch (p75 ms, two runs each):
+# per-image graphs against one graph for the batch (p75 ms of two runs; peak
+# RSS of a process that synthesizes 4 batches and runs `pretrain` on them):
 #
 #   image, model, B          rows/graph  per-image p75  one graph p75  peak RSS MB
-#   16x16x6 tiny, 16                128    49.5 / 51.7      7.0 / 7.0    37 -> 38
-#   32x32x12 d96, 4                 256     112 / 93         65 / 62     69 -> 78
-#   48x48x12 d96, 4                 576     136 / 134       108 / 120    83 -> 109
-#   64x64x12 d96, 4                1024     190 / 200       219 / 188   111 -> 173
-#   96x96x12 d96, 4                2304     597 / 660       740 / 784   246 -> 490
+#   16x16x6 tiny, 16                128      28 / 41         6.3 / 7.2   36 -> 37
+#   32x32x12 d96, 4                 256      93 / 102         53 / 61   115 -> 125
+#   48x48x12 d96, 4                 576     133 / 139         88 / 87   123 -> 146
+#   64x64x12 d96, 4                1024     220 / 163        154 / 136  133 -> 221
+#   96x96x12 d96, 4                2304     449 / 461        428 / 463  199 -> 527
 #
 # Under the cap the 96x96x12 (576-token) image keeps one graph per image.
 MAX_GROUP_ROWS = 512
@@ -142,9 +142,7 @@ class TransformerBlock:
 
     def __init__(self, params: T.ParameterSet, prefix: str, d: int, heads: int,
                  mlp_ratio: float, rng: CounterRng, dtype):
-        self.d = d
         self.heads = heads
-        self.head_dim = d // heads
         md = int(mlp_ratio * d)
 
         def w(name, shape, std=INIT_STD):
@@ -166,18 +164,9 @@ class TransformerBlock:
 
     def _attention(self, z: T.Tensor, images: int = 1) -> T.Tensor:
         """Self-attention within each image; z holds `images` equal runs of rows."""
-        t = z.shape[0] // images
-        h, dh = self.heads, self.head_dim
-        q = T.matmul(z, self.wq)
-        k = T.matmul(z, self.wk)
-        v = T.matmul(z, self.wv)
-        qh = T.transpose(T.reshape(q, (images, t, h, dh)), (0, 2, 1, 3))
-        kt = T.transpose(T.reshape(k, (images, t, h, dh)), (0, 2, 3, 1))
-        vh = T.transpose(T.reshape(v, (images, t, h, dh)), (0, 2, 1, 3))
-        attn = T.softmax_lastaxis(T.matmul(qh, kt), 1.0 / math.sqrt(dh))
-        ctx = T.matmul(attn, vh)
-        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (images * t, self.d))
-        return T.matmul(merged, self.wo)
+        ctx = T.attention(T.matmul(z, self.wq), T.matmul(z, self.wk), T.matmul(z, self.wv),
+                          images, self.heads)
+        return T.matmul(ctx, self.wo)
 
     def _mlp(self, z: T.Tensor) -> T.Tensor:
         hidden = T.gelu(T.add_rowvec(T.matmul(z, self.fc1_w), self.fc1_b))

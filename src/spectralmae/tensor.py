@@ -304,8 +304,9 @@ def transpose(a: Tensor, axes) -> Tensor:
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows (axis 0) by index; duplicates allowed, adjoints scatter-add.
 
-    Unique indices (a permutation or a slice) scatter by plain assignment;
-    only duplicates need the slow unbuffered `np.add.at`.
+    Unique indices (a permutation or a slice) scatter by plain assignment.
+    Duplicates scatter-add with one `np.bincount` over flat element
+    positions, which sums in float64 and rounds once.
     """
     idx = np.asarray(indices, dtype=np.int64)
     _require(idx.ndim == 1, "gather_rows: indices must be 1-D")
@@ -316,11 +317,14 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     unique = int(np.count_nonzero(hit)) == idx.size
 
     def backward(g):
-        delta = np.zeros_like(a.data)
         if unique:
+            delta = np.zeros_like(a.data)
             delta[idx] = g
         else:
-            np.add.at(delta, idx, g)
+            width = g[0].size
+            flat = (idx[:, None] * width + np.arange(width)).reshape(-1)
+            sums = np.bincount(flat, weights=g.reshape(-1), minlength=a.data.size)
+            delta = sums.astype(g.dtype).reshape(a.shape)
         a._accumulate(delta, owned=True)
 
     return _out(np.ascontiguousarray(a.data[idx]), (a,), backward)
@@ -386,6 +390,87 @@ def softmax_lastaxis(a: Tensor, s: float = 1.0) -> Tensor:
         a._accumulate(d, owned=True)
 
     return _out(y, (a,), backward)
+
+
+# Score elements one pass of `attention` works on: an (image, head) slice of
+# 576 tokens fills 1.3 MB, so each pass stays in a 2 MB L2 cache and the
+# backward needs no full-size dS buffer.
+_ATTENTION_CHUNK = 1 << 18
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tensor:
+    """Multi-head softmax(Q Kᵀ / sqrt(d_h)) V within each image.
+
+    q, k and v are (images * t, d) rows, image by image; the width splits
+    into `heads` heads of d_h = d / heads, and so does the (images * t, d)
+    output. The forward keeps one (images * heads, t, t) buffer E: the
+    scores of the pre-scaled Q, max-subtracted and exponentiated in place.
+    O = E V / l takes the row sums l from a ones column on V, so P = E / l
+    is never formed. The backward is closed form, with D = rowsum(dO ∘ O)
+    costing t·d_h where rowsum(dP ∘ P) costs t·t, and −D riding the same
+    ones column into the dP product:
+        dV = Pᵀ dO,  dS = P ∘ (dO Vᵀ − D),  dQ = s dS K,  dK = s dSᵀ Q.
+    Both passes walk E in chunks of whole (image, head) slices.
+    """
+    _require(q.shape == k.shape == v.shape and q.data.ndim == 2,
+             f"attention: q, k, v shapes {q.shape}, {k.shape}, {v.shape} must be equal (rows, d)")
+    n, d = q.shape
+    _require(images >= 1 and n >= images and n % images == 0,
+             f"attention: {n} rows do not split into {images} images")
+    _require(heads >= 1 and d >= heads and d % heads == 0,
+             f"attention: width {d} does not split into {heads} heads")
+    t, dh, b = n // images, d // heads, images * heads
+    s = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+    step = max(1, _ATTENTION_CHUNK // (t * t))
+    chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
+
+    def split(x):  # (images * t, d) -> (images * heads, t, d_h)
+        x = x.reshape(images, t, heads, dh).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(x).reshape(b, t, dh)
+
+    def merge(x):  # (images * heads, t, d_h) -> (images * t, d)
+        x = x.reshape(images, heads, t, dh).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(x).reshape(n, d)
+
+    qh, kh = split(q.data * s), split(k.data)
+    v1 = np.empty((b, t, dh + 1), dtype=v.data.dtype)
+    v1[..., :dh] = split(v.data)
+    v1[..., dh] = 1.0
+    e = np.empty((b, t, t), dtype=q.data.dtype)
+    ol = np.empty_like(v1)
+    for c in chunks:
+        ec = e[c]
+        np.matmul(qh[c], np.swapaxes(kh[c], -1, -2), out=ec)
+        ec -= ec.max(axis=-1, keepdims=True)
+        np.exp(ec, out=ec)
+        np.matmul(ec, v1[c], out=ol[c])
+    l = ol[..., dh:].copy()
+    out = merge(ol[..., :dh] / l)
+
+    def backward(g):
+        gd = np.empty_like(v1)  # [dO / l, -D / l]
+        go = gd[..., :dh]
+        np.divide(split(g), l, out=go)
+        if v.requires_grad:
+            v._accumulate(merge(np.swapaxes(e, -1, -2) @ go), owned=True)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gd[..., dh] = -(go * split(out)).sum(axis=-1)
+        qh, kh = split(q.data), split(k.data)  # the forward's copies are not kept
+        dq, dk = np.empty_like(qh), np.empty_like(kh)
+        slab = np.empty((min(step, b), t, t), dtype=e.dtype)
+        for c in chunks:
+            ds = slab[:e[c].shape[0]]
+            np.matmul(gd[c], np.swapaxes(v1[c], -1, -2), out=ds)
+            ds *= e[c]
+            np.matmul(ds, kh[c], out=dq[c])
+            np.matmul(np.swapaxes(ds, -1, -2), qh[c], out=dk[c])
+        for x, dx in ((q, dq), (k, dk)):
+            if x.requires_grad:
+                dx *= s
+                x._accumulate(merge(dx), owned=True)
+
+    return _out(out, (q, k, v), backward)
 
 
 def log_softmax_lastaxis(a: Tensor) -> Tensor:

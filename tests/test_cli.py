@@ -355,20 +355,31 @@ def test_gradcheck_default_passes(capsys):
     assert "model+objective" in out and "ok" in out
 
 
-def test_gradcheck_detects_broken_backward(monkeypatch, capsys):
+def _scale_backward(monkeypatch, op):
     import spectralmae.tensor as tensor_mod
 
-    original = tensor_mod.gelu
+    original = getattr(tensor_mod, op)
 
-    def broken(a):
-        out = original(a)
+    def broken(*args):
+        out = original(*args)
         if out._backward is not None:
             orig_backward = out._backward
             out._backward = lambda g: orig_backward(g * 1.5)
         return out
 
-    monkeypatch.setattr(tensor_mod, "gelu", broken)
+    monkeypatch.setattr(tensor_mod, op, broken)
+
+
+def test_gradcheck_detects_broken_backward(monkeypatch, capsys):
+    _scale_backward(monkeypatch, "gelu")
     assert main(["gradcheck"]) == 1
+
+
+def test_gradcheck_detects_broken_attention_backward(monkeypatch, capsys):
+    _scale_backward(monkeypatch, "attention")
+    assert main(["gradcheck"]) == 1
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert "FAIL" in lines["numerics"]
 
 
 def test_gradcheck_eps_out_of_range():

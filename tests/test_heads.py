@@ -4,8 +4,8 @@ import pytest
 from spectralmae import tensor as T
 from spectralmae.errors import DataError, ShapeError
 from spectralmae.gradcheck import grad_check
-from spectralmae.heads import (ChangeHead, ClassifierHead, SegmentationHead,
-                               combine_params, conv3x3, cross_entropy,
+from spectralmae.heads import (ChangeHead, ClassifierHead, SegmentationHead, _neighbor_indices,
+                               _upsample2_indices, combine_params, conv3x3, cross_entropy,
                                multilabel_soft_margin, nll_from_log_probs)
 from spectralmae.model import GridDims
 from spectralmae.rng import CounterRng
@@ -102,6 +102,20 @@ def test_conv3x3_matches_loop_oracle():
     bias = rng.normal_array(cout)
     got = conv3x3(T.Tensor(x), h, w, T.Tensor(weight), T.Tensor(bias)).data
     assert np.allclose(got, _conv_oracle(x, h, w, weight, bias), atol=1e-10)
+
+
+@pytest.mark.parametrize("h,w", [(8, 8), (16, 16), (3, 5)])
+def test_head_gather_backward_float32_matches_float64_scatter_add(h, w):
+    # conv3x3 neighbours (9-fold duplicates, row h*w is the zero pad) and the x2 upsample
+    c = 6
+    for rows, idx in ((h * w + 1, _neighbor_indices(h, w)), (h * w, _upsample2_indices(h, w))):
+        x = T.Parameter(np.zeros((rows, c), np.float32))
+        g = (CounterRng(7).child(h, w).normal_array((idx.size, c)) * 3).astype(np.float32)
+        T.sum_all(T.mul(T.Tensor(g), T.gather_rows(x, idx))).backward()
+        oracle = np.zeros((rows, c))
+        np.add.at(oracle, idx, g.astype(np.float64))
+        assert x.grad.dtype == np.float32
+        assert np.all(np.abs(x.grad - oracle) <= 1e-6 * np.abs(oracle))
 
 
 # ---------------------------------------------------------------- segmentation head

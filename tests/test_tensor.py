@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,103 @@ def test_softmax_scaled_gradcheck():
     w = T.constant(CounterRng(43).normal_array((2, 4, 5)))
     f = lambda: T.sum_all(T.mul(w, T.softmax_lastaxis(ps["x"], -0.37)))
     assert grad_check(f, ps).max_relative_error <= 1e-3
+
+
+# ---------------------------------------------------------------- attention
+
+def _attention_chain(q, k, v, images, heads):
+    """The reshape/transpose/matmul/softmax graph `attention` replaces."""
+    n, d = q.shape
+    t, dh = n // images, d // heads
+    qh = T.transpose(T.reshape(q, (images, t, heads, dh)), (0, 2, 1, 3))
+    kt = T.transpose(T.reshape(k, (images, t, heads, dh)), (0, 2, 3, 1))
+    vh = T.transpose(T.reshape(v, (images, t, heads, dh)), (0, 2, 1, 3))
+    p = T.softmax_lastaxis(T.matmul(qh, kt), 1.0 / math.sqrt(dh))
+    return T.reshape(T.transpose(T.matmul(p, vh), (0, 2, 1, 3)), (n, d))
+
+
+def _qkv(seed, rows, width, spread=1.0, dtype=np.float64):
+    rng = CounterRng(seed)
+    return _param_set(**{name: (spread * rng.child(name).normal_array((rows, width))).astype(dtype)
+                         for name in "qkv"})
+
+
+@pytest.mark.parametrize("images", [1, 3])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_gradcheck(images, heads):
+    ps = _qkv(50 + heads, 4 * images, 2 * heads)
+    w = T.constant(CounterRng(49).normal_array((4 * images, 2 * heads)))
+    f = lambda: T.sum_all(T.mul(w, T.attention(ps["q"], ps["k"], ps["v"], images, heads)))
+    assert grad_check(f, ps).max_relative_error <= 1e-3
+
+
+@pytest.mark.parametrize("images,heads,t,dh,spread", [
+    (1, 1, 1, 4, 1.0),  # t = 1: softmax of one score, no Q/K gradient
+    (2, 3, 7, 2, 1.0),
+    (3, 2, 5, 4, 3.0),
+    (2, 2, 6, 2, 30.0),  # scores near +-1000
+    (1, 3, 300, 2, 1.0),  # chunks of two (image, head) slices, the last one short
+    (2, 1, 520, 2, 1.0),  # one slice per chunk
+])
+def test_attention_matches_chain_oracle(images, heads, t, dh, spread):
+    fused, chain = (_qkv(60, images * t, heads * dh, spread) for _ in range(2))
+    w = T.constant(CounterRng(61).normal_array((images * t, heads * dh)))
+    y_fused = T.attention(fused["q"], fused["k"], fused["v"], images, heads)
+    y_chain = _attention_chain(chain["q"], chain["k"], chain["v"], images, heads)
+    if spread == 30.0:
+        qh, kh = (chain[n].data.reshape(images, t, heads, dh) for n in "qk")
+        scores = np.einsum("ithd,ishd->ihts", qh, kh) / math.sqrt(dh)
+        assert scores.max() > 900.0 and scores.min() < -900.0
+    pairs = [(y_fused.data, y_chain.data)]
+    for ps, y in ((fused, y_fused), (chain, y_chain)):
+        ps.zero_grads()
+        T.sum_all(T.mul(w, y)).backward()
+    pairs += [(fused[n].grad, chain[n].grad) for n in "qkv"]
+    for got, want in pairs:
+        # exact zeros (t = 1 leaves Q and K without gradient) compare to round-off
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max() + 1e-12
+
+
+def test_attention_float32_close_to_float64_chain():
+    fused, chain = _qkv(62, 2 * 24, 12, dtype=np.float32), _qkv(62, 2 * 24, 12)
+    w = CounterRng(63).normal_array((48, 12))
+    y_fused = T.attention(fused["q"], fused["k"], fused["v"], 2, 3)
+    y_chain = _attention_chain(chain["q"], chain["k"], chain["v"], 2, 3)
+    T.sum_all(T.mul(T.constant(w, np.float32), y_fused)).backward()
+    T.sum_all(T.mul(T.constant(w, np.float64), y_chain)).backward()
+    assert y_fused.dtype == np.float32
+    for got, want in [(y_fused.data, y_chain.data)] + [(fused[n].grad, chain[n].grad) for n in "qkv"]:
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shapes,images,heads", [
+    (((6, 4), (6, 4), (6, 2)), 1, 2),  # q, k, v shapes differ
+    (((6, 4), (5, 4), (6, 4)), 1, 2),
+    (((5, 4), (5, 4), (5, 4)), 2, 2),  # rows do not split into images
+    (((2, 4), (2, 4), (2, 4)), 3, 1),
+    (((6, 4), (6, 4), (6, 4)), 0, 2),
+    (((6, 6), (6, 6), (6, 6)), 2, 4),  # width does not split into heads
+    (((6, 2), (6, 2), (6, 2)), 1, 0),
+])
+def test_attention_shape_errors(shapes, images, heads):
+    q, k, v = (T.constant(np.zeros(s)) for s in shapes)
+    with pytest.raises(ShapeError):
+        T.attention(q, k, v, images, heads)
+
+
+def test_attention_graph_holds_one_score_buffer():
+    # the pretrain-mid decoder block: 576 tokens of width 48, 6 heads
+    q, k, v = (_qkv(64, 576, 48, dtype=np.float32)[n] for n in "qkv")
+    scores_bytes = 6 * 576 * 576 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.attention(q, k, v, 1, 6)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert scores_bytes <= held < 1.25 * scores_bytes
 
 
 # ---------------------------------------------------------------- layer norm
