@@ -11,6 +11,7 @@ field has exactly one encoding.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -128,7 +129,11 @@ class _Reader:
 
     def string(self, what="string"):
         n = struct.unpack("<I", self.take(4, what + " length"))[0]
-        return self.take(n, what).decode("utf-8")
+        raw = self.take(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint {what} is not UTF-8: {exc}") from exc
 
     def tensor(self) -> tuple[str, np.ndarray]:
         name = self.string("tensor name")
@@ -137,9 +142,12 @@ class _Reader:
             raise FormatError(f"unknown tensor dtype tag {itemsize}")
         ndim = self.u8("rank")
         shape = tuple(self.u64("extent") for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: numpy's int64 product wraps on huge extents
         payload = self.take(count * itemsize, f"tensor {name!r} payload")
-        arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[itemsize]).reshape(shape)
+        try:  # an empty payload can still declare extents numpy cannot hold
+            arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[itemsize]).reshape(shape)
+        except ValueError as exc:
+            raise FormatError(f"tensor {name!r} shape {shape} is unrepresentable: {exc}") from exc
         return name, arr.astype(arr.dtype.newbyteorder("="))
 
 
@@ -275,7 +283,11 @@ def snapshot_model(model: SpectralCubeAutoencoder, optimizer: AdamW | None,
 
 
 def restore_into(tensors: dict[str, np.ndarray], params: ParameterSet) -> None:
-    """Copy named tensors into a parameter set, name and shape checked."""
+    """Copy named tensors into a parameter set, name and shape checked.
+
+    Values are written into the existing arrays and gradients zeroed in
+    place, so parameters stay views into an optimizer's arena.
+    """
     names = set(params.names())
     missing = names - set(tensors)
     unexpected = set(tensors) - names
@@ -283,12 +295,11 @@ def restore_into(tensors: dict[str, np.ndarray], params: ParameterSet) -> None:
         raise ShapeError(f"parameter name mismatch: missing {sorted(missing)}, "
                          f"unexpected {sorted(unexpected)}")
     for name, arr in tensors.items():
+        _check_shape(f"parameter {name!r}", arr, params[name].data)
+    for name, arr in tensors.items():
         p = params[name]
-        if p.data.shape != arr.shape:
-            raise ShapeError(f"parameter {name!r}: checkpoint shape {arr.shape} "
-                             f"vs model shape {p.data.shape}")
-        p.data = arr.astype(p.data.dtype).copy()
-        p.grad = np.zeros_like(p.data)
+        p.data[...] = arr
+        p.grad.fill(0.0)
 
 
 def restore_model(ckpt: Checkpoint, model: SpectralCubeAutoencoder) -> None:
@@ -296,6 +307,12 @@ def restore_model(ckpt: Checkpoint, model: SpectralCubeAutoencoder) -> None:
 
 
 def restore_optimizer(snapshot: OptimizerSnapshot, optimizer: AdamW) -> None:
+    """Load moments and hyper-parameters into `optimizer`, writing its arrays in place."""
+    for name in optimizer.m:
+        for kind, saved, own in (("m", snapshot.m, optimizer.m), ("v", snapshot.v, optimizer.v)):
+            if name not in saved:
+                raise ShapeError(f"optimizer moment {kind} missing for parameter {name!r}")
+            _check_shape(f"optimizer moment {kind} of {name!r}", saved[name], own[name])
     optimizer.step_count = snapshot.step_count
     optimizer.base_lr = snapshot.base_lr
     optimizer.beta1 = snapshot.beta1
@@ -303,7 +320,10 @@ def restore_optimizer(snapshot: OptimizerSnapshot, optimizer: AdamW) -> None:
     optimizer.eps = snapshot.eps
     optimizer.weight_decay = snapshot.weight_decay
     for name in optimizer.m:
-        if name not in snapshot.m:
-            raise ShapeError(f"optimizer moment missing for parameter {name!r}")
-        optimizer.m[name] = snapshot.m[name].astype(optimizer.m[name].dtype).copy()
-        optimizer.v[name] = snapshot.v[name].astype(optimizer.v[name].dtype).copy()
+        optimizer.m[name][...] = snapshot.m[name]
+        optimizer.v[name][...] = snapshot.v[name]
+
+
+def _check_shape(what: str, saved: np.ndarray, own: np.ndarray) -> None:
+    if saved.shape != own.shape:
+        raise ShapeError(f"{what}: checkpoint shape {saved.shape} vs model shape {own.shape}")

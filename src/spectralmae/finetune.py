@@ -349,7 +349,9 @@ def finetune(task: str, model: SpectralCubeAutoencoder, manifest, cfg: FinetuneC
     val = spec.load(val_man, val_man.samples)
     pool = spec.pool(train, model, cfg)
     head = head or make_head(task, model, train_man, cfg)
-    params = combine_params(model.parameters(), head.params)
+    # the decoder gets no gradient here, and decay must not shrink it
+    params = combine_params(model.encoder_parameters(), head.params)
+    params.zero_grads()  # from here on each step zeroes what it consumed
     order_rng = CounterRng(cfg.seed).child("order")
     batches = max(1, len(pool) // cfg.batch_size)
     total = cfg.epochs * batches
@@ -358,7 +360,6 @@ def finetune(task: str, model: SpectralCubeAutoencoder, manifest, cfg: FinetuneC
     for epoch in range(cfg.epochs):
         order = order_rng.child(epoch).permutation(len(pool))
         for b in range(batches):
-            params.zero_grads()
             chosen = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             spec.step(model, head, [pool[int(i)] for i in chosen])
             opt.step(lr_at(sched, epoch * batches + b))

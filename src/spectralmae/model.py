@@ -226,6 +226,7 @@ class SpectralCubeAutoencoder:
         ]
         self.enc_norm_g = ones("enc.norm.gain", d)
         self.enc_norm_b = zeros("enc.norm.bias", d)
+        self._n_encoder_params = len(ps)
 
         self.dec_embed_w = w("dec.embed.weight", (d, dd))
         self.dec_embed_b = zeros("dec.embed.bias", dd)
@@ -246,6 +247,13 @@ class SpectralCubeAutoencoder:
 
     def parameters(self) -> T.ParameterSet:
         return self.params
+
+    def encoder_parameters(self) -> T.ParameterSet:
+        """The parameters `forward_full` reads: embedding, positions and encoder."""
+        encoder = T.ParameterSet()
+        for name, p in list(self.params.items())[:self._n_encoder_params]:
+            encoder.add(name, p)
+        return encoder
 
     def _check_grid(self, dims: GridDims) -> None:
         gh, gw, gs = self.config.max_grid

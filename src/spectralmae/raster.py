@@ -60,7 +60,10 @@ def read_raster(path) -> SpectralImage:
         raw, off = _take(buf, off, 2, f"band name {i} length")
         (ln,) = struct.unpack("<H", raw)
         raw, off = _take(buf, off, ln, f"band name {i}")
-        names.append(raw.decode("utf-8"))
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"raster band name {i} is not UTF-8: {exc}") from exc
     payload, off = _take(buf, off, h * w * d * 4, "payload")
     if off != len(buf):
         raise FormatError(f"{len(buf) - off} trailing bytes after declared payload")

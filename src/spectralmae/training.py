@@ -102,7 +102,7 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
         raise ConfigError(f"batch size {stage.batch_size} exceeds dataset size {n}")
     sched = stage_schedule(stage)
     optimizer = optimizer or make_optimizer(model, stage)
-    params = model.parameters()
+    model.parameters().zero_grads()  # from here on each step zeroes what it consumed
     records: list[EpochRecord] = []
     for epoch in range(start_epoch, stage.epochs if end_epoch is None else end_epoch):
         order = rng.child("order", stage_index, epoch).permutation(n)
@@ -113,7 +113,6 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
             lr = lr_at(sched, epoch * steps_per_epoch + step)
             batch = [stage.images[int(i)] for i in
                      order[step * stage.batch_size:(step + 1) * stage.batch_size]]
-            params.zero_grads()
             for span in model.group_spans(batch):
                 mask_rngs = [rng.child("mask", stage_index, epoch, step, slot) for slot in span]
                 loss, bd = group_loss(model, batch[span.start:span.stop], objective,

@@ -410,3 +410,36 @@ def test_spgt_threads_bounds_blas_threads():
                          text=True, timeout=60, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result == {"early": False, "code": 2, "numpy": True, "threads": 1}
+
+
+def test_main_keeps_freed_memory_in_the_heap(tmp_path):
+    # glibc would otherwise hand these arrays back on free and fault them in again
+    import ctypes
+    import subprocess
+    import sys
+
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("libc has no mallopt")
+    spec = _write_json(tmp_path / "spec.json", dict(height=16, width=16, bands=6, classes=2,
+                                                    n_images=4, seed=3))
+    script = "\n".join([
+        "import resource, sys",
+        "import numpy as np",
+        "from spectralmae.cli import main",
+        f"assert main(['synth', '--spec', {spec!r}, '--task', 'classify',",
+        f"             '--out', {str(tmp_path / 'ds')!r}]) == 0",
+        "def churn(rounds):",
+        "    for _ in range(rounds):",
+        "        for size in (2 << 20, 3 << 20):  # four live arrays, then all freed",
+        "            held = [np.ones(size, np.uint8) for _ in range(4)]",
+        "            del held",
+        "churn(3)",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "churn(20)",
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    faults_per_round = float(out.stdout.strip().splitlines()[-1])
+    assert faults_per_round < 50  # about 4500 (20 MB re-faulted) without the pin

@@ -57,6 +57,16 @@ def test_raster_bad_magic(tmp_path):
         read_raster(tmp_path / "bad.spgr")
 
 
+def test_raster_non_utf8_band_name_is_format_error(tmp_path):
+    path = tmp_path / "x.spgr"
+    write_raster(_image(4, 4, 2), path)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"B2")] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="band name 1"):
+        read_raster(path)
+
+
 def test_raster_trailing_bytes_is_format_error(tmp_path):
     img = _image(4, 4, 2)
     path = tmp_path / "x.spgr"

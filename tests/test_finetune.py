@@ -41,6 +41,20 @@ def test_finetune_classify_learns_separable_task(tmp_path):
         float((scores.argmax(axis=1) == labels).mean()))
 
 
+def test_finetune_leaves_the_decoder_alone_under_weight_decay(tmp_path):
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=12, seed=3)
+    manifest_path = generate_synthetic(spec, "classify", tmp_path / "ds")
+    model = _model()
+    before = {name: p.data.copy() for name, p in model.parameters().items()}
+    encoder = set(model.encoder_parameters().names())
+    assert encoder and not any(name.startswith(("dec.", "pos.decoder")) for name in encoder)
+    finetune_classify(model, manifest_path,
+                      FinetuneConfig(epochs=2, batch_size=4, weight_decay=0.1, seed=4))
+    for name, p in model.parameters().items():
+        unchanged = np.array_equal(p.data, before[name])
+        assert unchanged == (name not in encoder), name
+
+
 def test_finetune_classify_train_fraction_honored(tmp_path):
     spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=30, seed=3)
     manifest_path = generate_synthetic(spec, "classify", tmp_path / "ds")

@@ -4,7 +4,8 @@ import pytest
 from spectralmae.checkpoint import (load_checkpoint, restore_model,
                                     restore_optimizer, save_checkpoint, snapshot_model)
 from spectralmae import tensor as T
-from spectralmae.errors import ConfigError, EvaluationError, FormatError, ShapeError
+from spectralmae.errors import (ConfigError, EvaluationError, FormatError, ShapeError,
+                                TruncatedFileError)
 from spectralmae.model import MAX_GROUP_ROWS, ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import ObjectiveConfig
 from spectralmae.optim import AdamW, Schedule, lr_at
@@ -78,6 +79,104 @@ def test_adamw_clip_norm():
     opt.step()
     # after clip the direction is preserved; first-step AdamW moves ~lr per coord
     assert np.all(np.isfinite(w.data))
+
+
+def _oracle_adamw_step(params, m, v, step_count, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                       weight_decay=0.0, clip_norm=None):
+    """The per-parameter AdamW loop the arena replaced, kept as the reference."""
+    if clip_norm is not None:
+        norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                                 for _, g in params.values())))
+    bc1 = 1.0 - beta1 ** step_count
+    bc2 = 1.0 - beta2 ** step_count
+    for name, (data, g) in params.items():
+        if clip_norm is not None and norm > clip_norm:
+            g = g * (clip_norm / norm)
+        if weight_decay:
+            data *= (1.0 - lr * weight_decay)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        data -= lr * ((m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps))
+
+
+# (5,) then (300, 250): the first chunk ends inside the second parameter
+_ARENA_SHAPES = {"a": (5,), "b": (300, 250), "c": (3, 4), "s": ()}
+
+
+def _step_arena_and_oracle(dtype, steps=3, **opt_kwargs):
+    """Step an AdamW and the oracle side by side on the same gradients.
+
+    Yields (optimizer, parameters, oracle values, oracle m, oracle v) after each step.
+    """
+    rng = CounterRng(7)
+    ps = ParameterSet()
+    for name, shape in _ARENA_SHAPES.items():
+        ps.add(name, Parameter(rng.child("w", name).normal_array(shape).astype(dtype)))
+    oracle = {name: p.data.copy() for name, p in ps.items()}
+    m = {name: np.zeros_like(a) for name, a in oracle.items()}
+    v = {name: np.zeros_like(a) for name, a in oracle.items()}
+    opt = AdamW(ps, base_lr=1e-3, **opt_kwargs)
+    for step in range(1, steps + 1):
+        grads = {name: rng.child("g", step, name).normal_array(shape).astype(dtype)
+                 for name, shape in _ARENA_SHAPES.items()}
+        for name, p in ps.items():
+            p.grad[...] = grads[name]
+        lr = 1e-3 * step
+        opt.step(lr)
+        _oracle_adamw_step({n: (oracle[n], grads[n]) for n in oracle}, m, v, step, lr,
+                           **opt_kwargs)
+        yield opt, ps, oracle, m, v
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_adamw_arena_matches_per_parameter_oracle(dtype, weight_decay):
+    from spectralmae.optim import CHUNK
+
+    assert _ARENA_SHAPES["a"][0] < CHUNK < 5 + 300 * 250
+    for step, (opt, ps, oracle, m, v) in enumerate(
+            _step_arena_and_oracle(dtype, weight_decay=weight_decay), 1):
+        for name, p in ps.items():
+            assert p.data.dtype == np.dtype(dtype)
+            assert np.array_equal(p.data, oracle[name]), (step, name)
+            assert np.array_equal(opt.m[name], m[name]), (step, name)
+            assert np.array_equal(opt.v[name], v[name]), (step, name)
+            assert not p.grad.any()
+
+
+def test_adamw_clip_matches_oracle_up_to_norm_summation_order():
+    for _, ps, oracle, _, _ in _step_arena_and_oracle("float32", clip_norm=1.0):
+        for name, p in ps.items():
+            # the float64 norm may round differently; float32 steps then differ by ulps
+            assert np.allclose(p.data, oracle[name], rtol=1e-5, atol=1e-9), name
+
+
+def test_adamw_rejects_mixed_dtypes():
+    ps = ParameterSet()
+    ps.add("a", Parameter(np.zeros(2, np.float32)))
+    ps.add("b", Parameter(np.zeros(2, np.float64)))
+    with pytest.raises(ShapeError, match="float32.*float64"):
+        AdamW(ps)
+
+
+def test_adamw_step_raises_when_a_parameter_left_the_arena():
+    ps = ParameterSet()
+    w = ps.add("w", Parameter(np.ones(3, np.float32)))
+    opt = AdamW(ps)
+    w.data = w.data.copy()
+    with pytest.raises(ShapeError, match="'w'"):
+        opt.step()
+
+
+def test_adamw_step_raises_after_positional_tables_resize():
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    opt = AdamW(model.parameters())
+    model.resize_pos_tables((4, 4, 2))
+    with pytest.raises(ShapeError, match="pos.spatial"):
+        opt.step()
+    AdamW(model.parameters()).step()  # a fresh optimizer adopts the new tables
 
 
 # ---------------------------------------------------------------- schedule
@@ -204,6 +303,90 @@ def test_checkpoint_restore_into_model(tmp_path):
     restore_model(load_checkpoint(path), clone)
     for name, p in model.parameters().items():
         assert np.array_equal(p.data, clone.parameters()[name].data)
+
+
+def test_restores_write_in_place_and_the_next_step_uses_them(tmp_path):
+    model_a, opt_a = _model_and_opt(seed=3)
+    grads = {name: np.full(p.data.shape, 1e-3 * (i + 1), np.float32)
+             for i, (name, p) in enumerate(model_a.parameters().items())}
+    for _ in range(3):
+        for name, p in model_a.parameters().items():
+            p.grad[...] = grads[name]
+        opt_a.step()
+    path = tmp_path / "a.spck"
+    save_checkpoint(snapshot_model(model_a, opt_a, (0, 0)), path)
+
+    model_b, opt_b = _model_and_opt(seed=4)
+    views = {name: (p.data, p.grad, opt_b.m[name], opt_b.v[name])
+             for name, p in model_b.parameters().items()}
+    ckpt = load_checkpoint(path)
+    restore_model(ckpt, model_b)
+    restore_optimizer(ckpt.optimizer, opt_b)
+    for name, p in model_b.parameters().items():
+        data, grad, m, v = views[name]
+        assert p.data is data and p.grad is grad, name
+        assert opt_b.m[name] is m and opt_b.v[name] is v, name
+    for opt, model in ((opt_a, model_a), (opt_b, model_b)):
+        for name, p in model.parameters().items():
+            p.grad[...] = grads[name]
+        opt.step()
+    assert opt_b.step_count == 4
+    for name, p in model_a.parameters().items():
+        assert np.array_equal(p.data, model_b.parameters()[name].data), name
+        assert np.array_equal(opt_a.m[name], opt_b.m[name]), name
+        assert np.array_equal(opt_a.v[name], opt_b.v[name]), name
+
+
+def test_restore_optimizer_shape_mismatch_named(tmp_path):
+    model, opt = _model_and_opt()
+    snap = snapshot_model(model, opt, (0, 0)).optimizer
+    snap.v["pos.spectral"] = np.zeros((1, 1), np.float32)
+    with pytest.raises(ShapeError, match="pos.spectral"):
+        restore_optimizer(snap, opt)
+    assert opt.step_count == 0
+
+
+def _tensor_extent_offset(data: bytes, name: bytes) -> int:
+    """Offset of the first extent of the first tensor called `name`."""
+    return data.index(name) + len(name) + 2  # skip the dtype tag and rank bytes
+
+
+def test_checkpoint_huge_extent_is_package_error(tmp_path):
+    model, opt = _model_and_opt()
+    path = tmp_path / "m.spck"
+    save_checkpoint(snapshot_model(model, opt, (0, 0)), path)
+    data = bytearray(path.read_bytes())
+    off = _tensor_extent_offset(bytes(data), b"patch_embed.weight")
+    # 2**62 times the other extent wraps to 0 in numpy's int64 product
+    data[off:off + 8] = (1 << 62).to_bytes(8, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(TruncatedFileError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_zero_size_tensor_with_huge_extent_is_format_error(tmp_path):
+    model, _ = _model_and_opt()
+    ckpt = snapshot_model(model, None, (0, 0))
+    ckpt.params = {"empty": np.zeros((3, 0), np.float32)}
+    path = tmp_path / "m.spck"
+    save_checkpoint(ckpt, path)
+    data = bytearray(path.read_bytes())
+    off = _tensor_extent_offset(bytes(data), b"empty")
+    data[off:off + 8] = (1 << 63).to_bytes(8, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_name_is_format_error(tmp_path):
+    model, _ = _model_and_opt()
+    path = tmp_path / "m.spck"
+    save_checkpoint(snapshot_model(model, None, (0, 0)), path)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"patch_embed.weight")] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_nonzero_drop_path_rejected(tmp_path):
