@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .rng import CounterRng
-from .tokenizer import MaskPlan, SpectralImage, patchify
+from .tokenizer import MaskPlan, SpectralImage, patchify_group
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
@@ -316,8 +316,8 @@ class SpectralCubeAutoencoder:
     def encode(self, visible_tokens, plan: MaskPlan, dims: GridDims) -> T.Tensor:
         """Encoder over visible tokens only; cost scales with the visible count.
 
-        The plan may cover a group of images of one grid (`stack_plans`); the
-        rows are then each image's visible tokens in turn.
+        The plan may cover a group of images of one grid (`build_group_mask`);
+        the rows are then each image's visible tokens in turn.
         """
         images = self._image_count(plan, dims)
         z = self.embed(visible_tokens, plan.visible, dims)
@@ -369,12 +369,10 @@ class SpectralCubeAutoencoder:
 
         Several images share one graph; image i owns rows [i*n, (i+1)*n).
         """
-        grids = [patchify(img, self.config.p, self.config.k) for img in images]
-        dims = GridDims(grids[0].gh, grids[0].gw, grids[0].gs)
-        if any(GridDims(g.gh, g.gw, g.gs) != dims for g in grids):
-            raise ShapeError("forward_full: images of one graph must share a size")
-        plan = empty_mask_plan(dims.n_tokens * len(grids), dims.n_sites * len(grids))
-        return self.encode(np.concatenate([g.tokens for g in grids]), plan, dims)
+        grid = patchify_group(images, self.config.p, self.config.k)
+        dims = GridDims(grid.gh // len(images), grid.gw, grid.gs)
+        plan = empty_mask_plan(grid.n_tokens, dims.n_sites * len(images))
+        return self.encode(grid.tokens, plan, dims)
 
     # ------------------------------------------------------------- resizing
 

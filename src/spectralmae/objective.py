@@ -93,8 +93,8 @@ def total_loss(recon: T.Tensor, targets, plan: MaskPlan, grid: TokenGrid,
     """Combined loss tensor (for backward) plus its scalar breakdown.
 
     recon and targets may stack a group's images (rows of `plan`, which
-    `stack_plans` builds); every image has the same masked count, so each
-    term is the mean of the per-image terms.
+    `build_group_mask` builds); every image has the same masked count, so
+    each term is the mean of the per-image terms.
     """
     tok = token_loss(recon, targets, plan, cfg.token_loss_scope)
     if cfg.token_loss_scope == "all_tokens":

@@ -97,12 +97,8 @@ class CounterRng:
         return self.next_u64() % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of arange(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """Fisher-Yates shuffle of arange(n); see `permutations`."""
+        return permutations([self], n)[0]
 
     def child(self, *tags) -> "CounterRng":
         """Fork an independent stream keyed by (seed, *tags).
@@ -122,3 +118,29 @@ class CounterRng:
             else:
                 raise TypeError(f"child tag must be int or str, got {type(t).__name__}")
         return CounterRng(struct.unpack("<Q", h.digest())[0])
+
+
+def permutations(rngs: list[CounterRng], n: int) -> np.ndarray:
+    """Row i is a Fisher-Yates shuffle of arange(n) drawn from rngs[i].
+
+    Swap t (t = 0 .. n-2) exchanges slot n-1-t with slot draw_t % (n-t),
+    where draw_t is the rng's next u64 in turn, so each row and each final
+    counter equal n-1 successive `randbelow(n)`, ..., `randbelow(2)` calls.
+    All draws come from one vectorized mix; only the swaps run in Python.
+    """
+    swaps = max(n - 1, 0)
+    seeds = np.array([r.seed for r in rngs], dtype=np.uint64)[:, None]
+    counters = np.array([r.counter for r in rngs], dtype=np.uint64)[:, None]
+    idx = counters + np.arange(1, swaps + 1, dtype=np.uint64)
+    idx *= np.uint64(_GOLDEN)  # array arithmetic wraps mod 2^64 without a warning
+    draws = _mix64_array(seeds + idx)
+    draws %= np.arange(n, 1, -1, dtype=np.uint64)
+    for r in rngs:
+        r.counter += swaps
+    rows = []
+    for row in draws.tolist():
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), row):
+            perm[i], perm[j] = perm[j], perm[i]
+        rows.append(perm)
+    return np.array(rows, dtype=np.int64).reshape(len(rngs), n)

@@ -12,12 +12,13 @@ files rely on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError, TokenizationError
-from .rng import CounterRng
+from .rng import CounterRng, permutations
 
 TARGET_MODES = ("raw", "per_token_normalized", "standardized")
 
@@ -99,16 +100,36 @@ class NormalizationStats:
     eps: float
 
 
-def patchify(img: SpectralImage, p: int, k: int) -> TokenGrid:
-    h, w, d = img.values.shape
+def _grid_shape(h: int, w: int, d: int, p: int, k: int) -> tuple[int, int, int]:
     if p <= 0 or k <= 0 or h % p or w % p or d % k:
         raise TokenizationError(
             f"image {h}x{w}x{d} not divisible by token size p={p}, k={k}")
-    gh, gw, gs = h // p, w // p, d // k
+    return h // p, w // p, d // k
+
+
+def patchify(img: SpectralImage, p: int, k: int) -> TokenGrid:
+    gh, gw, gs = _grid_shape(*img.values.shape, p, k)
     blocks = img.values.reshape(gh, p, gw, p, gs, k)
     tokens = np.ascontiguousarray(blocks.transpose(0, 2, 4, 1, 3, 5)).reshape(
         gh * gw * gs, p * p * k)
     return TokenGrid(p, k, gh, gw, gs, tokens, list(img.band_names))
+
+
+def patchify_group(images: Sequence[SpectralImage], p: int, k: int) -> TokenGrid:
+    """One patchify over same-size images stacked along rows, (B*H, W, D).
+
+    Token order is site-major, so image i's tokens are rows [i*n, (i+1)*n)
+    of the result, each row as `patchify(images[i])` gives it; the grid's
+    gh is B times one image's. A single image is patchified as it is.
+    """
+    if len(images) == 1:
+        return patchify(images[0], p, k)
+    shape = images[0].values.shape
+    _grid_shape(*shape, p, k)  # each image must split alone, not only the stack
+    if any(img.values.shape != shape for img in images):
+        raise ShapeError(f"images of one group must share the size {shape}")
+    stacked = np.concatenate([img.values for img in images])
+    return patchify(SpectralImage(stacked, images[0].band_names), p, k)
 
 
 def unpatchify(grid: TokenGrid) -> SpectralImage:
@@ -127,32 +148,28 @@ def build_mask(total_tokens: int, ratio: float, rng: CounterRng,
     floor keeps at least the stated visible fraction; both index lists
     come back sorted so downstream gather/scatter order is canonical.
     """
+    return build_group_mask(total_tokens, ratio, [rng], n_sites)
+
+
+def build_group_mask(total_tokens: int, ratio: float, rngs: list[CounterRng],
+                     n_sites: int | None = None) -> MaskPlan:
+    """One plan over a group of images' stacked token rows, image i masked by rngs[i].
+
+    Image i's tokens occupy rows [i*n, (i+1)*n) with n = total_tokens, so
+    its plan is `build_mask(n, ratio, rngs[i])` shifted by i*n, and each
+    rng advances as that call would; both index lists stay sorted.
+    `n_sites` is per image.
+    """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"masking ratio {ratio} outside [0, 1)")
-    m = int(ratio * total_tokens)
-    perm = rng.permutation(total_tokens)
-    masked = np.sort(perm[:m])
-    visible = np.sort(perm[m:])
-    return MaskPlan(ratio, masked, visible, total_tokens, n_sites)
-
-
-def stack_plans(plans: list[MaskPlan]) -> MaskPlan:
-    """One plan over a group of images' stacked token rows.
-
-    Image i's tokens occupy rows [i*n, (i+1)*n), so its indices shift by
-    i*n and both index lists stay sorted. A single plan comes back as is.
-    """
-    if len(plans) == 1:
-        return plans[0]
-    n = plans[0].total
-    if any(p.total != n for p in plans):
-        raise ShapeError("stacked plans need one token count per image")
-    offsets = [i * n for i in range(len(plans))]
-    sites = None if plans[0].n_sites is None else plans[0].n_sites * len(plans)
-    return MaskPlan(plans[0].ratio,
-                    np.concatenate([p.masked + o for p, o in zip(plans, offsets)]),
-                    np.concatenate([p.visible + o for p, o in zip(plans, offsets)]),
-                    n * len(plans), sites)
+    n, b = total_tokens, len(rngs)
+    m = int(ratio * n)
+    perms = permutations(rngs, n)
+    offsets = np.arange(0, b * n, n, dtype=np.int64)[:, None]
+    masked = np.sort(perms[:, :m], axis=1) + offsets
+    visible = np.sort(perms[:, m:], axis=1) + offsets
+    return MaskPlan(ratio, masked.ravel(), visible.ravel(), n * b,
+                    None if n_sites is None else n_sites * b)
 
 
 def _band_of(grid: TokenGrid) -> np.ndarray:

@@ -19,7 +19,7 @@ from .model import GridDims, SpectralCubeAutoencoder
 from .objective import LossBreakdown, ObjectiveConfig, total_loss
 from .optim import AdamW, Schedule, lr_at
 from .rng import CounterRng
-from .tokenizer import SpectralImage, build_mask, make_targets, patchify, stack_plans
+from .tokenizer import SpectralImage, build_group_mask, make_targets, patchify_group
 
 
 @dataclass
@@ -75,14 +75,19 @@ def _targets(grid, objective: ObjectiveConfig, band_stats) -> np.ndarray:
 def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
                objective: ObjectiveConfig, ratio: float, mask_rngs: list[CounterRng],
                band_stats=None) -> tuple[T.Tensor, LossBreakdown]:
-    """Mean loss over same-size images through one graph; image i masks with mask_rngs[i]."""
+    """Mean loss over same-size images through one graph; image i masks with mask_rngs[i].
+
+    The group is prepared in one pass: one patchify of the stacked images,
+    one target pass over all their token rows (every target mode works row
+    by row or by band, so it equals the per-image targets stacked) and one
+    mask draw for every image.
+    """
     cfg = model.config
-    grids = [patchify(img, cfg.p, cfg.k) for img in images]
-    grid = grids[0]
-    dims = GridDims(grid.gh, grid.gw, grid.gs)
-    plan = stack_plans([build_mask(grid.n_tokens, ratio, r, dims.n_sites) for r in mask_rngs])
-    targets = np.concatenate([_targets(g, objective, band_stats) for g in grids])
-    recon = model.reconstruct(np.concatenate([g.tokens for g in grids]), plan, dims)
+    grid = patchify_group(images, cfg.p, cfg.k)
+    dims = GridDims(grid.gh // len(images), grid.gw, grid.gs)
+    plan = build_group_mask(dims.n_tokens, ratio, mask_rngs, dims.n_sites)
+    targets = _targets(grid, objective, band_stats)
+    recon = model.reconstruct(grid.tokens, plan, dims)
     return total_loss(recon, targets, plan, grid, objective)
 
 

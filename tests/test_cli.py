@@ -177,7 +177,7 @@ def test_progressive_standardized_uses_each_stages_band_stats(tmp_path, monkeypa
                               stages=[{"manifest": str(first), **stage},
                                       {"manifest": str(second), **stage}])
     assert main(["progressive", "--config", config, "--out", str(tmp_path / "o")]) == 0
-    assert seen == [means[0]] * 4 + [means[1]] * 4
+    assert seen == [means[0]] * 2 + [means[1]] * 2  # one call per group of two images
 
 
 # ---------------------------------------------------------------- finetune / eval

@@ -161,6 +161,15 @@ def test_encode_ratio_zero_equals_forward_full():
     assert np.array_equal(via_encode, via_full)
 
 
+def test_forward_full_group_equals_encoding_the_stacked_per_image_tokens():
+    model = _tiny_model(seed=13)
+    images = [_image(16, 16, 6, seed=30 + i) for i in range(3)]
+    tokens = np.concatenate([patchify(img, 8, 3).tokens for img in images])
+    plan = empty_mask_plan(tokens.shape[0], 4 * len(images))
+    via_encode = model.encode(tokens, plan, GridDims(2, 2, 2)).data
+    assert model.forward_full(*images).data.tobytes() == via_encode.tobytes()
+
+
 def test_forward_full_row_arithmetic():
     model = _tiny_model(seed=15, max_grid=(16, 16, 4))
     latents = model.forward_full(_image(128, 128, 12, seed=16))

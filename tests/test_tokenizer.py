@@ -8,8 +8,9 @@ from spectralmae.model import GridDims, ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import spectral_loss
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Tensor
-from spectralmae.tokenizer import (TARGET_MODES, SpectralImage, build_mask, invert_targets,
-                                   make_targets, patchify, stack_plans, unpatchify)
+from spectralmae.tokenizer import (TARGET_MODES, MaskPlan, SpectralImage, build_group_mask,
+                                   build_mask, invert_targets, make_targets, patchify,
+                                   patchify_group, unpatchify)
 
 
 def _random_image(h, w, d, seed=0):
@@ -115,6 +116,60 @@ def test_mask_uniformity_three_sigma():
     assert np.abs(counts - draws * ratio).max() <= 3 * sigma
 
 
+# ---------------------------------------------------------------- group data path
+
+@pytest.mark.parametrize("mode", TARGET_MODES)
+def test_group_tokens_and_targets_equal_per_image_bytes(mode):
+    images = [_random_image(16, 24, 6, seed=40 + i) for i in range(3)]
+    band_stats = (np.linspace(0.2, 0.7, 6), np.linspace(0.1, 0.3, 6))
+    kwargs = {"band_mean": band_stats[0], "band_std": band_stats[1]} \
+        if mode == "standardized" else {}
+    grid = patchify_group(images, 8, 3)
+    assert (grid.gh, grid.gw, grid.gs) == (3 * 2, 3, 2)
+    singles = [patchify(img, 8, 3) for img in images]
+    tokens = np.concatenate([g.tokens for g in singles])
+    assert grid.tokens.dtype == tokens.dtype and grid.tokens.tobytes() == tokens.tobytes()
+    targets, stats = make_targets(grid, mode, **kwargs)
+    per_image = [make_targets(g, mode, **kwargs) for g in singles]
+    want = np.concatenate([t for t, _ in per_image])
+    assert targets.dtype == want.dtype and targets.tobytes() == want.tobytes()
+    for got, parts in ((stats.mean, [st.mean for _, st in per_image]),
+                       (stats.std, [st.std for _, st in per_image])):
+        assert got.tobytes() == np.concatenate(parts).tobytes()
+
+
+def test_group_of_one_image_is_its_own_patchify():
+    img = _random_image(16, 16, 6, seed=44)
+    assert patchify_group([img], 8, 3).tokens.tobytes() == patchify(img, 8, 3).tokens.tobytes()
+
+
+def test_group_patchify_checks_each_image_not_the_stack():
+    # two 4-row images stack to 8 rows, which p=8 divides; one image does not
+    with pytest.raises(TokenizationError, match="4x16x6"):
+        patchify_group([_random_image(4, 16, 6), _random_image(4, 16, 6, seed=1)], 8, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 576])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 0.9])
+def test_group_mask_equals_per_slot_masks_offset(n, ratio):
+    root = CounterRng(77).child(n, repr(ratio))
+    for slots in range(1, 17):
+        # slots start at different counters, as a reused stream would
+        rngs = [root.child(slots, i) for i in range(slots)]
+        twins = [root.child(slots, i) for i in range(slots)]
+        for i, (r, t) in enumerate(zip(rngs, twins)):
+            r.next_u64_array(i)
+            t.next_u64_array(i)
+        plan = build_group_mask(n, ratio, rngs, n_sites=3)
+        singles = [build_mask(n, ratio, t, n_sites=3) for t in twins]
+        masked = np.concatenate([p.masked + i * n for i, p in enumerate(singles)])
+        visible = np.concatenate([p.visible + i * n for i, p in enumerate(singles)])
+        assert plan.masked.dtype == masked.dtype and plan.masked.tobytes() == masked.tobytes()
+        assert plan.visible.dtype == visible.dtype and plan.visible.tobytes() == visible.tobytes()
+        assert (plan.ratio, plan.total, plan.n_sites) == (ratio, n * slots, 3 * slots)
+        assert [r.state() for r in rngs] == [t.state() for t in twins]
+
+
 # ---------------------------------------------------------------- visible split
 
 def test_split_visible_ordering():
@@ -144,9 +199,12 @@ def test_split_visible_scatter_back_reproduces_grid():
 
 def test_group_plan_rejects_mixed_grids_and_unequal_visible_counts():
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    # a group's images (8 and 16 tokens here) are refused where they are stacked
     with pytest.raises(ShapeError):
-        stack_plans([build_mask(8, 0.5, CounterRng(1)), build_mask(16, 0.5, CounterRng(2))])
-    uneven = stack_plans([build_mask(8, 0.5, CounterRng(1)), build_mask(8, 0.25, CounterRng(2))])
+        patchify_group([_random_image(16, 16, 6), _random_image(32, 16, 6)], 8, 3)
+    # two 8-token images, one with 4 visible tokens and one with 6
+    uneven = MaskPlan(0.5, np.array([0, 1, 2, 3, 8, 9]),
+                      np.array([4, 5, 6, 7, 10, 11, 12, 13, 14, 15]), 16)
     tokens = np.zeros((uneven.n_visible, 192), np.float32)
     with pytest.raises(ShapeError, match="visible counts"):
         model.encode(tokens, uneven, GridDims(2, 2, 2))
