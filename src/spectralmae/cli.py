@@ -391,8 +391,7 @@ def cmd_reconstruct(args) -> int:
         rng = CounterRng(args.seed or 0)
         with open(records_path, "w", encoding="utf-8") as records:
             for ratio in ratios:
-                plan = build_mask(grid.n_tokens, ratio, rng.child("mask", repr(ratio)),
-                                  dims.n_sites)
+                plan = build_mask(grid.n_tokens, ratio, rng.child("mask", repr(ratio)))
                 recon = model.reconstruct(grid.tokens, plan, dims).data
                 pixels = invert_targets(recon, grid, args.target_mode, stats, band_stats)
                 composite = pixels.copy()
@@ -449,7 +448,7 @@ def cmd_gradcheck(args) -> int:
         grid = patchify(img, model_cfg.p, model_cfg.k)
         grid.tokens = grid.tokens.astype(np.float64)
         dims = GridDims(grid.gh, grid.gw, grid.gs)
-        plan = build_mask(grid.n_tokens, 0.5, CounterRng(2), dims.n_sites)
+        plan = build_mask(grid.n_tokens, 0.5, CounterRng(2))
         targets, _ = make_targets(grid, "per_token_normalized")
         objective = ObjectiveConfig(lam=1.0)
 
@@ -468,10 +467,11 @@ def cmd_gradcheck(args) -> int:
         g = ps.add("g", T.Parameter(1.0 + 0.1 * rng.normal_array(4)))
         b = ps.add("b", T.Parameter(0.1 * rng.normal_array(4)))
         w = T.Tensor(rng.normal_array((4, 4)))
+        c = ps.add("c", T.Parameter(0.1 * rng.normal_array(4)))
 
         def f_ops():
             z = T.layer_norm(T.gelu(T.matmul(a, w)), g, b, 1e-5)
-            ctx = T.attention(z, a, T.matmul(a, w), 2, 2)  # 2 images of 2 rows, 2 heads
+            ctx = T.attention(z, a, T.matmul(a, w, c), 2, 2)  # 2 images of 2 rows, 2 heads
             return T.sum_all(T.mul(w, T.add(T.softmax_lastaxis(z), ctx)))
 
         worst["numerics"] = grad_check(f_ops, ps, eps=args.eps)

@@ -34,16 +34,7 @@ def combine_params(*sets: ParameterSet) -> ParameterSet:
 
 def cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
     """Mean negative log-likelihood of integer labels under softmax logits."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    b, c = logits.shape
-    if labels.shape[0] != b:
-        raise ShapeError(f"{labels.shape[0]} labels for {b} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise DataError(f"label outside [0, {c})")
-    onehot = np.zeros((b, c), dtype=logits.data.dtype)
-    onehot[np.arange(b), labels] = 1.0
-    picked = T.sum_all(T.mul(T.log_softmax_lastaxis(logits), T.Tensor(onehot)))
-    return T.scale(picked, -1.0 / b)
+    return nll_from_log_probs(T.log_softmax_lastaxis(logits), labels)
 
 
 def nll_from_log_probs(log_probs: T.Tensor, labels) -> T.Tensor:
@@ -91,8 +82,8 @@ class ClassifierHead:
 
     def forward(self, latents: T.Tensor) -> T.Tensor:
         pooled = T.mean_rows(latents)
-        hidden = T.gelu(T.add_rowvec(T.matmul(pooled, self.fc1_w), self.fc1_b))
-        return T.add_rowvec(T.matmul(hidden, self.fc2_w), self.fc2_b)
+        hidden = T.gelu(T.matmul(pooled, self.fc1_w, self.fc1_b))
+        return T.matmul(hidden, self.fc2_w, self.fc2_b)
 
 
 _NEIGHBOR_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -135,7 +126,7 @@ def conv3x3(x: T.Tensor, h: int, w: int, weight: T.Tensor, bias: T.Tensor) -> T.
     c = x.shape[1]
     padded = T.concat_rows([x, T.Tensor(np.zeros((1, c), x.data.dtype))])
     patches = T.reshape(T.gather_rows(padded, _neighbor_indices(h, w)), (h * w, 9 * c))
-    return T.add_rowvec(T.matmul(patches, weight), bias)
+    return T.matmul(patches, weight, bias)
 
 
 class _FuseDecode:
@@ -168,7 +159,7 @@ class _FuseDecode:
         if dims.gs != self.gs:
             raise ShapeError(f"head fuses {self.gs} spectral groups, grid has {dims.gs}")
         sites = T.reshape(latents, (dims.n_sites, self.gs * self.d))
-        return T.add_rowvec(T.matmul(sites, self.fuse_w), self.fuse_b)
+        return T.matmul(sites, self.fuse_w, self.fuse_b)
 
     def decode(self, fused: T.Tensor, dims: GridDims, out_hw: tuple[int, int]) -> T.Tensor:
         h, w = dims.gh, dims.gw
@@ -177,7 +168,7 @@ class _FuseDecode:
             z = T.gather_rows(z, _upsample2_indices(h, w))
             h, w = 2 * h, 2 * w
             z = T.gelu(conv3x3(z, h, w, cw, cb))
-        logits = T.add_rowvec(T.matmul(z, self.out_w), self.out_b)
+        logits = T.matmul(z, self.out_w, self.out_b)
         if (h, w) != out_hw:
             logits = _resize_nearest_rows(logits, h, w, out_hw[0], out_hw[1])
         return logits  # (H*W, classes)

@@ -169,8 +169,8 @@ class TransformerBlock:
         return T.matmul(ctx, self.wo)
 
     def _mlp(self, z: T.Tensor) -> T.Tensor:
-        hidden = T.gelu(T.add_rowvec(T.matmul(z, self.fc1_w), self.fc1_b))
-        return T.add_rowvec(T.matmul(hidden, self.fc2_w), self.fc2_b)
+        hidden = T.gelu(T.matmul(z, self.fc1_w, self.fc1_b))
+        return T.matmul(hidden, self.fc2_w, self.fc2_b)
 
     def forward(self, z: T.Tensor, images: int = 1) -> T.Tensor:
         """One block over the rows of `images` images; only attention splits them."""
@@ -308,7 +308,7 @@ class SpectralCubeAutoencoder:
             raise ShapeError(
                 f"token length {tokens.shape[1]} does not match p*p*k = {self.config.token_len}")
         site, s = self._positions(indices, dims)
-        x = T.add_rowvec(T.matmul(tokens, self.embed_w), self.embed_b)
+        x = T.matmul(tokens, self.embed_w, self.embed_b)
         pos = T.add(T.gather_rows(self.pos_spatial, site),
                     T.gather_rows(self.pos_spectral, s))
         return T.add(x, pos)
@@ -336,7 +336,7 @@ class SpectralCubeAutoencoder:
         if latents.shape[0] != v:
             raise ShapeError(f"{latents.shape[0]} latent rows for {v} visible tokens")
         self._check_grid(dims)
-        z = T.add_rowvec(T.matmul(latents, self.dec_embed_w), self.dec_embed_b)
+        z = T.matmul(latents, self.dec_embed_w, self.dec_embed_b)
         if plan.m:
             stacked = T.concat_rows([z, T.tile_rows(self.mask_token, plan.m)])
         else:
@@ -357,7 +357,7 @@ class SpectralCubeAutoencoder:
         for block in self.dec_blocks:
             z = block.forward(z, images)
         z = T.layer_norm(z, self.dec_norm_g, self.dec_norm_b, LN_EPS)
-        return T.add_rowvec(T.matmul(z, self.head_w), self.head_b)
+        return T.matmul(z, self.head_w, self.head_b)
 
     def reconstruct(self, grid_tokens: np.ndarray, plan: MaskPlan, dims: GridDims) -> T.Tensor:
         visible = np.ascontiguousarray(grid_tokens[plan.visible])
@@ -371,7 +371,7 @@ class SpectralCubeAutoencoder:
         """
         grid = patchify_group(images, self.config.p, self.config.k)
         dims = GridDims(grid.gh // len(images), grid.gw, grid.gs)
-        plan = empty_mask_plan(grid.n_tokens, dims.n_sites * len(images))
+        plan = empty_mask_plan(grid.n_tokens)
         return self.encode(grid.tokens, plan, dims)
 
     # ------------------------------------------------------------- resizing
@@ -400,6 +400,6 @@ class SpectralCubeAutoencoder:
         self.config.max_grid = (nh, nw, ns)
 
 
-def empty_mask_plan(n_tokens: int, n_sites: int | None = None) -> MaskPlan:
+def empty_mask_plan(n_tokens: int) -> MaskPlan:
     """A plan with every token visible, as an unmasked forward pass uses."""
-    return MaskPlan(0.0, np.empty(0, np.int64), np.arange(n_tokens), n_tokens, n_sites)
+    return MaskPlan(0.0, np.empty(0, np.int64), np.arange(n_tokens), n_tokens)

@@ -111,11 +111,3 @@ def resample_bilinear(values: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     top = v00 * (1 - wx) + v01 * wx
     bot = v10 * (1 - wx) + v11 * wx
     return (top * (1 - wy) + bot * wy).astype(values.dtype)
-
-
-def resample_nearest(values: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Nearest-neighbor resize; the right choice for label masks."""
-    h, w = values.shape[:2]
-    ys = np.clip(np.round(np.linspace(0, h - 1, new_h)).astype(np.int64), 0, h - 1)
-    xs = np.clip(np.round(np.linspace(0, w - 1, new_w)).astype(np.int64), 0, w - 1)
-    return values[np.ix_(ys, xs)]

@@ -7,9 +7,10 @@ routes the output adjoint to the parents. `Parameter` is a leaf tensor
 with a persistent, zero-initialized gradient buffer.
 
 Shape discipline is strict: no implicit broadcasting anywhere. The only
-shape-mixing ops are the explicit ones (`add_rowvec`, `tile_rows`,
-`mean_rows`), and every mismatch raises `ShapeError` naming both shapes.
-Reductions accumulate in float64 and round once to the tensor dtype.
+shape-mixing ops are the explicit ones (`matmul`'s optional row bias,
+`tile_rows`, `mean_rows`), and every mismatch raises `ShapeError` naming
+both shapes. Reductions accumulate in float64 and round once to the
+tensor dtype.
 """
 
 from __future__ import annotations
@@ -245,22 +246,12 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _out(a.data * np.asarray(s, dtype=a.data.dtype), (a,), backward)
 
 
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """a[m, n] + v[n] broadcast over rows (the one sanctioned broadcast)."""
-    _require(a.data.ndim == 2 and v.data.ndim == 1 and a.shape[1] == v.shape[0],
-             f"add_rowvec: shapes {a.shape} and {v.shape} incompatible")
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product; 2-D, or stacked (any rank) with identical leading extents.
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if v.requires_grad:
-            v._accumulate(g.sum(axis=0, dtype=np.float64).astype(g.dtype))
-
-    return _out(a.data + v.data[None, :], (a, v), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or stacked (any rank) with identical leading extents."""
+    A linear layer passes `bias` (2-D operands only, shape (b.shape[1],)),
+    which is added to every output row; its adjoint is the column sum.
+    """
     ok = (
         a.data.ndim == b.data.ndim
         and a.data.ndim >= 2
@@ -268,14 +259,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         and a.shape[:-2] == b.shape[:-2]
     )
     _require(ok, f"matmul: shapes {a.shape} and {b.shape} incompatible")
+    if bias is not None:
+        _require(a.data.ndim == 2 and bias.shape == (b.shape[1],),
+                 f"matmul: bias {bias.shape} does not fit shapes {a.shape} and {b.shape}")
 
     def backward(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0, dtype=np.float64).astype(g.dtype))
         if a.requires_grad:
             a._accumulate(g @ np.swapaxes(b.data, -1, -2), owned=True)
         if b.requires_grad:
             b._accumulate(np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
-    return _out(a.data @ b.data, (a, b), backward)
+    y = a.data @ b.data
+    if bias is None:
+        return _out(y, (a, b), backward)
+    y += bias.data
+    return _out(y, (a, b, bias), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

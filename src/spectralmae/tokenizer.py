@@ -80,7 +80,6 @@ class MaskPlan:
     masked: np.ndarray  # sorted ascending
     visible: np.ndarray  # sorted ascending
     total: int
-    n_sites: int | None = None
 
     @property
     def m(self) -> int:
@@ -141,24 +140,21 @@ def unpatchify(grid: TokenGrid) -> SpectralImage:
     return SpectralImage(values, names)
 
 
-def build_mask(total_tokens: int, ratio: float, rng: CounterRng,
-               n_sites: int | None = None) -> MaskPlan:
+def build_mask(total_tokens: int, ratio: float, rng: CounterRng) -> MaskPlan:
     """Uniform random token subset of size floor(ratio * total) is masked.
 
     floor keeps at least the stated visible fraction; both index lists
     come back sorted so downstream gather/scatter order is canonical.
     """
-    return build_group_mask(total_tokens, ratio, [rng], n_sites)
+    return build_group_mask(total_tokens, ratio, [rng])
 
 
-def build_group_mask(total_tokens: int, ratio: float, rngs: list[CounterRng],
-                     n_sites: int | None = None) -> MaskPlan:
+def build_group_mask(total_tokens: int, ratio: float, rngs: list[CounterRng]) -> MaskPlan:
     """One plan over a group of images' stacked token rows, image i masked by rngs[i].
 
     Image i's tokens occupy rows [i*n, (i+1)*n) with n = total_tokens, so
     its plan is `build_mask(n, ratio, rngs[i])` shifted by i*n, and each
     rng advances as that call would; both index lists stay sorted.
-    `n_sites` is per image.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"masking ratio {ratio} outside [0, 1)")
@@ -168,8 +164,7 @@ def build_group_mask(total_tokens: int, ratio: float, rngs: list[CounterRng],
     offsets = np.arange(0, b * n, n, dtype=np.int64)[:, None]
     masked = np.sort(perms[:, :m], axis=1) + offsets
     visible = np.sort(perms[:, m:], axis=1) + offsets
-    return MaskPlan(ratio, masked.ravel(), visible.ravel(), n * b,
-                    None if n_sites is None else n_sites * b)
+    return MaskPlan(ratio, masked.ravel(), visible.ravel(), n * b)
 
 
 def _band_of(grid: TokenGrid) -> np.ndarray:
@@ -198,10 +193,15 @@ def make_targets(grid: TokenGrid, mode: str, eps: float = 1e-6,
     if eps <= 0:
         raise ValueError("eps must be positive for normalizing target modes")
     if mode == "per_token_normalized":
-        u = tokens.mean(axis=1, dtype=np.float64).astype(np.float32)
-        sigma = tokens.std(axis=1, dtype=np.float64).astype(np.float32)
+        # np.mean and np.std's float64 arithmetic, with the mean taken once
+        length = tokens.shape[1]
+        mean = tokens.sum(axis=1, dtype=np.float64) / length
+        centred = tokens - mean[:, None]
+        centred *= centred
+        u = mean.astype(np.float32)
+        sigma = np.sqrt(centred.sum(axis=1) / length).astype(np.float32)
         targets = (tokens - u[:, None]) / (sigma + np.float32(eps))[:, None]
-        return targets.astype(np.float32), NormalizationStats(u, sigma, eps)
+        return targets.astype(np.float32, copy=False), NormalizationStats(u, sigma, eps)
     if band_mean is None or band_std is None:
         raise ValueError("standardized mode requires per-band mean and std")
     band_mean = np.asarray(band_mean, dtype=np.float32)
@@ -212,7 +212,7 @@ def make_targets(grid: TokenGrid, mode: str, eps: float = 1e-6,
     band_of = _band_of(grid)
     targets = (tokens - band_mean[band_of]) / (band_std[band_of] + np.float32(eps))
     stats = NormalizationStats(np.zeros(n, np.float32), np.ones(n, np.float32), eps)
-    return targets.astype(np.float32), stats
+    return targets.astype(np.float32, copy=False), stats
 
 
 def invert_targets(recon: np.ndarray, grid: TokenGrid, mode: str,

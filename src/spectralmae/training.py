@@ -85,7 +85,7 @@ def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
     cfg = model.config
     grid = patchify_group(images, cfg.p, cfg.k)
     dims = GridDims(grid.gh // len(images), grid.gw, grid.gs)
-    plan = build_group_mask(dims.n_tokens, ratio, mask_rngs, dims.n_sites)
+    plan = build_group_mask(dims.n_tokens, ratio, mask_rngs)
     targets = _targets(grid, objective, band_stats)
     recon = model.reconstruct(grid.tokens, plan, dims)
     return total_loss(recon, targets, plan, grid, objective)

@@ -61,7 +61,7 @@ def test_criterion_1_gradient_suite():
     grid = patchify(img, 8, 3)
     grid.tokens = grid.tokens.astype(np.float64)
     dims = GridDims(2, 2, 2)
-    plan = build_mask(grid.n_tokens, 0.5, CounterRng(2), dims.n_sites)
+    plan = build_mask(grid.n_tokens, 0.5, CounterRng(2))
     targets, _ = make_targets(grid, "per_token_normalized")
     objective = ObjectiveConfig(lam=1.0)
 
@@ -422,8 +422,7 @@ def test_criterion_9_reconstruction_sweep(sweep_model, tmp_path):
             dims = GridDims(grid.gh, grid.gw, grid.gs)
             for rep in range(16):
                 plan = build_mask(grid.n_tokens, ratio,
-                                  CounterRng(6000).child(i, rep, repr(ratio)),
-                                  dims.n_sites)
+                                  CounterRng(6000).child(i, rep, repr(ratio)))
                 recon = model.reconstruct(grid.tokens, plan, dims).data
                 _, st = make_targets(grid, "per_token_normalized")
                 pixels = invert_targets(recon, grid, "per_token_normalized", st)
@@ -508,7 +507,7 @@ def test_criterion_11_encoder_efficiency():
     def best_time(ratio):
         times = []
         for rep in range(3):
-            plan = build_mask(grid.n_tokens, ratio, CounterRng(10 + rep), dims.n_sites)
+            plan = build_mask(grid.n_tokens, ratio, CounterRng(10 + rep))
             start = time.time()
             model.encode(grid.tokens[plan.visible], plan, dims)
             times.append(time.time() - start)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from spectralmae.errors import DataError, FormatError, TruncatedFileError
 from spectralmae.manifest import load_manifest, split
-from spectralmae.raster import (normalize_bands, read_raster, resample_bilinear,
-                                resample_nearest, write_raster)
+from spectralmae.raster import normalize_bands, read_raster, resample_bilinear, write_raster
 from spectralmae.rng import CounterRng
 from spectralmae.synthetic import SyntheticSpec, generate_synthetic
 from spectralmae.tokenizer import SpectralImage
@@ -111,13 +110,6 @@ def test_resample_bilinear_constant_and_ramp():
     ramp = np.arange(4, dtype=np.float64)[:, None, None] * np.ones((1, 4, 1))
     up = resample_bilinear(ramp, 7, 4)
     assert np.allclose(up[:, 0, 0], np.linspace(0, 3, 7))
-
-
-def test_resample_nearest_labels_preserved():
-    labels = np.array([[0, 1], [2, 3]], dtype=np.int64)[:, :, None]
-    up = resample_nearest(labels, 4, 4)
-    assert set(np.unique(up)) == {0, 1, 2, 3}
-    assert up[0, 0, 0] == 0 and up[3, 3, 0] == 3
 
 
 # ---------------------------------------------------------------- manifest

@@ -25,7 +25,7 @@ def _masked(img, cfg, ratio, rng):
     """Patchify and mask an image the way the pretraining step does."""
     grid = patchify(img, cfg.p, cfg.k)
     dims = GridDims(grid.gh, grid.gw, grid.gs)
-    return build_mask(grid.n_tokens, ratio, rng, dims.n_sites), dims, grid.tokens
+    return build_mask(grid.n_tokens, ratio, rng), dims, grid.tokens
 
 
 # ---------------------------------------------------------------- config
@@ -155,7 +155,7 @@ def test_encode_ratio_zero_equals_forward_full():
     model = _tiny_model(seed=13)
     img = _image(16, 16, 6, seed=14)
     grid = patchify(img, 8, 3)
-    plan = empty_mask_plan(grid.n_tokens, grid.n_sites)
+    plan = empty_mask_plan(grid.n_tokens)
     via_encode = model.encode(grid.tokens, plan, GridDims(2, 2, 2)).data
     via_full = model.forward_full(img).data
     assert np.array_equal(via_encode, via_full)
@@ -165,7 +165,7 @@ def test_forward_full_group_equals_encoding_the_stacked_per_image_tokens():
     model = _tiny_model(seed=13)
     images = [_image(16, 16, 6, seed=30 + i) for i in range(3)]
     tokens = np.concatenate([patchify(img, 8, 3).tokens for img in images])
-    plan = empty_mask_plan(tokens.shape[0], 4 * len(images))
+    plan = empty_mask_plan(tokens.shape[0])
     via_encode = model.encode(tokens, plan, GridDims(2, 2, 2)).data
     assert model.forward_full(*images).data.tobytes() == via_encode.tobytes()
 

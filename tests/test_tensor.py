@@ -95,6 +95,30 @@ def test_matmul_unit_leading_axis_is_bit_identical_to_3d():
         assert np.array_equal(x, y)
 
 
+def test_matmul_bias_gradcheck_shapes_and_oracle():
+    rng = CounterRng(11)
+    ps = _param_set(x=rng.normal_array((3, 4)), w=rng.normal_array((4, 5)),
+                    b=rng.normal_array(5))
+    g = T.constant(rng.normal_array((3, 5)))
+    f = lambda: T.sum_all(T.mul(g, T.matmul(ps["x"], ps["w"], ps["b"])))
+    assert grad_check(f, ps).max_relative_error <= 1e-3
+    with pytest.raises(ShapeError):
+        T.matmul(ps["x"], ps["w"], T.constant(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        T.matmul(T.constant(np.zeros((2, 3, 4))), T.constant(np.zeros((2, 4, 5))),
+                 T.constant(np.zeros(5)))
+    # the bits of the matmul-then-row-bias pair it replaced, adjoints included
+    x, w, b, gy = (rng.normal_array(s).astype(np.float32)
+                   for s in ((6, 4), (4, 5), (5,), (6, 5)))
+    ps = _param_set(x=x, w=w, b=b)
+    out = T.matmul(ps["x"], ps["w"], ps["b"])
+    T.sum_all(T.mul(T.constant(gy), out)).backward()
+    assert out.data.tobytes() == (x @ w + b).tobytes()
+    assert ps["x"].grad.tobytes() == (gy @ w.T).tobytes()
+    assert ps["w"].grad.tobytes() == (x.T @ gy).tobytes()
+    assert ps["b"].grad.tobytes() == gy.sum(axis=0, dtype=np.float64).astype(np.float32).tobytes()
+
+
 def test_matmul_rank_mismatch_rejected():
     with pytest.raises(ShapeError):
         T.matmul(T.constant(np.zeros((1, 2, 3))), T.constant(np.zeros((2, 3, 2))))
@@ -369,16 +393,6 @@ def test_concat_tile_mean_rows_gradcheck():
         return T.sum_all(T.mul(w, stacked)) + T.sum_all(T.mean_rows(stacked))
 
     assert grad_check(f, ps).max_relative_error <= 1e-3
-
-
-def test_add_rowvec_shapes_and_grad():
-    rng = CounterRng(11)
-    ps = _param_set(a=rng.normal_array((3, 4)), v=rng.normal_array(4))
-    w = T.constant(rng.normal_array((3, 4)))
-    f = lambda: T.sum_all(T.mul(w, T.add_rowvec(ps["a"], ps["v"])))
-    assert grad_check(f, ps).max_relative_error <= 1e-3
-    with pytest.raises(ShapeError):
-        T.add_rowvec(ps["a"], T.constant(np.zeros(3)))
 
 
 def test_elementwise_ops_no_silent_broadcast():

@@ -8,9 +8,9 @@ from spectralmae.model import GridDims, ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import spectral_loss
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Tensor
-from spectralmae.tokenizer import (TARGET_MODES, MaskPlan, SpectralImage, build_group_mask,
-                                   build_mask, invert_targets, make_targets, patchify,
-                                   patchify_group, unpatchify)
+from spectralmae.tokenizer import (TARGET_MODES, MaskPlan, SpectralImage, TokenGrid,
+                                   build_group_mask, build_mask, invert_targets, make_targets,
+                                   patchify, patchify_group, unpatchify)
 
 
 def _random_image(h, w, d, seed=0):
@@ -160,13 +160,13 @@ def test_group_mask_equals_per_slot_masks_offset(n, ratio):
         for i, (r, t) in enumerate(zip(rngs, twins)):
             r.next_u64_array(i)
             t.next_u64_array(i)
-        plan = build_group_mask(n, ratio, rngs, n_sites=3)
-        singles = [build_mask(n, ratio, t, n_sites=3) for t in twins]
+        plan = build_group_mask(n, ratio, rngs)
+        singles = [build_mask(n, ratio, t) for t in twins]
         masked = np.concatenate([p.masked + i * n for i, p in enumerate(singles)])
         visible = np.concatenate([p.visible + i * n for i, p in enumerate(singles)])
         assert plan.masked.dtype == masked.dtype and plan.masked.tobytes() == masked.tobytes()
         assert plan.visible.dtype == visible.dtype and plan.visible.tobytes() == visible.tobytes()
-        assert (plan.ratio, plan.total, plan.n_sites) == (ratio, n * slots, 3 * slots)
+        assert (plan.ratio, plan.total) == (ratio, n * slots)
         assert [r.state() for r in rngs] == [t.state() for t in twins]
 
 
@@ -241,6 +241,22 @@ def test_targets_hand_computed_two_element_token():
     targets, stats = make_targets(grid, "per_token_normalized", eps=1e-12)
     assert np.allclose(targets, [[-1.0, 1.0]], atol=1e-5)
     assert stats.mean[0] == 2.0 and stats.std[0] == 1.0
+
+
+@pytest.mark.parametrize("geometry", [(2, 2, 2, 8, 3), (24, 24, 1, 8, 3), (33, 1, 1, 1, 7)])
+def test_targets_normalized_bytes_match_numpy_mean_std(geometry):
+    gh, gw, gs, p, k = geometry
+    n, length = gh * gw * gs, p * p * k
+    tokens = (3.0 * CounterRng(n).normal_array((n, length)) + 1.5).astype(np.float32)
+    tokens[n // 2] = 0.7  # a constant token: sigma 0
+    grid = TokenGrid(p, k, gh, gw, gs, tokens)
+    targets, stats = make_targets(grid, "per_token_normalized")
+    u = tokens.mean(axis=1, dtype=np.float64).astype(np.float32)
+    sigma = tokens.std(axis=1, dtype=np.float64).astype(np.float32)
+    expected = ((tokens - u[:, None]) / (sigma + np.float32(1e-6))[:, None]).astype(np.float32)
+    assert stats.std[n // 2] == 0.0
+    assert targets.dtype == np.float32 and targets.tobytes() == expected.tobytes()
+    assert stats.mean.tobytes() == u.tobytes() and stats.std.tobytes() == sigma.tobytes()
 
 
 def test_targets_normalized_moments_property():

@@ -571,7 +571,7 @@ def test_group_mask_plans_follow_each_slots_key():
     pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(5))
     assert len(plans) == 2  # two steps, each one group of four images
     for step, plan in enumerate(plans):
-        slots = [build_mask(8, 0.5, CounterRng(5).child("mask", 0, 0, step, slot), 4)
+        slots = [build_mask(8, 0.5, CounterRng(5).child("mask", 0, 0, step, slot))
                  for slot in range(4)]
         assert plan.total == 32
         assert np.array_equal(plan.visible,
