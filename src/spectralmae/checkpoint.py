@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, TruncatedFileError
+from .errors import ConfigError, FormatError, ShapeError, TruncatedFileError
 from .model import ModelConfig, SpectralCubeAutoencoder
 from .optim import AdamW
 from .tensor import ParameterSet
@@ -191,7 +191,7 @@ def _read_config(r: _Reader) -> ModelConfig:
                           "was removed, so only 0.0 loads")
     try:
         return ModelConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise FormatError(f"checkpoint config does not match ModelConfig: {exc}") from exc
 
 

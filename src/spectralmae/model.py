@@ -57,6 +57,9 @@ class ModelConfig:
 
     def __post_init__(self):
         self.max_grid = tuple(int(g) for g in self.max_grid)
+        if self.encoder_heads < 1 or self.decoder_heads < 1:
+            raise ConfigError(f"head counts {self.encoder_heads} and {self.decoder_heads} "
+                              "must be positive")
         if self.embed_dim % self.encoder_heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by {self.encoder_heads} heads")

@@ -392,10 +392,25 @@ def softmax_lastaxis(a: Tensor, s: float = 1.0) -> Tensor:
     return _out(y, (a,), backward)
 
 
-# Score elements one pass of `attention` works on: an (image, head) slice of
-# 576 tokens fills 1.3 MB, so each pass stays in a 2 MB L2 cache and the
-# backward needs no full-size dS buffer.
-_ATTENTION_CHUNK = 1 << 18
+# Score elements one pass of `attention` works on. Short slices are
+# batched whole (image, head) slices up to this budget. The backward walks
+# a longer slice in tiles of whole query rows, so its dS slab is one tile
+# and stays in cache beside the E tile it multiplies. Backward of one
+# 6 x 576 x 576 stack at d_h = 8 (2-core EPYC, 1 MB L2 per core, one BLAS
+# thread; median of 30 calls, best of two sweeps), in ms:
+#   rows per tile  576   64    96    128   144   170   192   208   224   256
+#   backward       1.97  1.60  1.40  1.36  1.27  1.33  1.33  1.26  1.87  1.89
+# From 224 rows a dS tile and its E tile no longer share L2. 3 * 2**15
+# scores is 170 rows of 576, inside the fast band. The forward keeps
+# whole-slice chunks: in row tiles it ran within noise of them (7.8 against
+# 8.0 ms for 24 slices of 576).
+_ATTENTION_TILE = 3 << 15
+
+# Score bound under which a long slice skips the row max before `exp`:
+# e**±20 (4.9e8 and 2.1e-9) sit far inside float32's normal range (exp
+# overflows past 88), so no row sum, reciprocal or product overflows,
+# and the margin absorbs the rounding of the bound and of the scores.
+_EXP_SAFE = 20.0
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tensor:
@@ -404,13 +419,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     q, k and v are (images * t, d) rows, image by image; the width splits
     into `heads` heads of d_h = d / heads, and so does the (images * t, d)
     output. The forward keeps one (images * heads, t, t) buffer E: the
-    scores of the pre-scaled Q, max-subtracted and exponentiated in place.
-    O = E V / l takes the row sums l from a ones column on V, so P = E / l
-    is never formed. The backward is closed form, with D = rowsum(dO ∘ O)
-    costing t·d_h where rowsum(dP ∘ P) costs t·t, and −D riding the same
-    ones column into the dP product:
+    scores of the pre-scaled Q, exponentiated in place. O = E V / l takes
+    the row sums l from a ones column on V, so P = E / l is never formed.
+    Scores are max-subtracted before `exp`, except in a slice longer than
+    `_ATTENTION_TILE` whose bound max|q_i| · max|k_j| (Cauchy–Schwarz) is
+    at most `_EXP_SAFE`: there raw scores cannot overflow and P is the same.
+    The backward is closed form, with D = rowsum(dO ∘ O) costing t·d_h
+    where rowsum(dP ∘ P) costs t·t, and −D riding the same ones column
+    into the dP product:
         dV = Pᵀ dO,  dS = P ∘ (dO Vᵀ − D),  dQ = s dS K,  dK = s dSᵀ Q.
-    Both passes walk E in chunks of whole (image, head) slices.
+    Both passes walk E in chunks of whole (image, head) slices up to
+    `_ATTENTION_TILE` scores. The backward walks a longer slice in tiles
+    of whole query rows: dQ is written per tile, dV and dK are summed.
     """
     _require(q.shape == k.shape == v.shape and q.data.ndim == 2,
              f"attention: q, k, v shapes {q.shape}, {k.shape}, {v.shape} must be equal (rows, d)")
@@ -421,8 +441,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
              f"attention: width {d} does not split into {heads} heads")
     t, dh, b = n // images, d // heads, images * heads
     s = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
-    step = max(1, _ATTENTION_CHUNK // (t * t))
+    long = t * t > _ATTENTION_TILE
+    step = max(1, _ATTENTION_TILE // (t * t))
     chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
+    rows = max(1, _ATTENTION_TILE // t) if long else t
+    tiles = [(c, slice(lo, lo + rows)) for c in chunks for lo in range(0, t, rows)]
 
     def split(x):  # (images * t, d) -> (images * heads, t, d_h)
         x = x.reshape(images, t, heads, dh).transpose(0, 2, 1, 3)
@@ -433,6 +456,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
         return np.ascontiguousarray(x).reshape(n, d)
 
     qh, kh = split(q.data * s), split(k.data)
+    if long:  # squared norms; a NaN bound compares false and keeps the max pass
+        qn, kn = (np.einsum("btd,btd->bt", x, x).max(axis=-1) for x in (qh, kh))
+        raw = qn * kn <= _EXP_SAFE * _EXP_SAFE
     v1 = np.empty((b, t, dh + 1), dtype=v.data.dtype)
     v1[..., :dh] = split(v.data)
     v1[..., dh] = 1.0
@@ -441,7 +467,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     for c in chunks:
         ec = e[c]
         np.matmul(qh[c], np.swapaxes(kh[c], -1, -2), out=ec)
-        ec -= ec.max(axis=-1, keepdims=True)
+        if not (long and raw[c.start]):
+            ec -= ec.max(axis=-1, keepdims=True)
         np.exp(ec, out=ec)
         np.matmul(ec, v1[c], out=ol[c])
     l = ol[..., dh:].copy()
@@ -451,21 +478,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
         gd = np.empty_like(v1)  # [dO / l, -D / l]
         go = gd[..., :dh]
         np.divide(split(g), l, out=go)
-        if v.requires_grad:
-            v._accumulate(merge(np.swapaxes(e, -1, -2) @ go), owned=True)
-        if not (q.requires_grad or k.requires_grad):
-            return
-        gd[..., dh] = -(go * split(out)).sum(axis=-1)
-        qh, kh = split(q.data), split(k.data)  # the forward's copies are not kept
-        dq, dk = np.empty_like(qh), np.empty_like(kh)
-        slab = np.empty((min(step, b), t, t), dtype=e.dtype)
-        for c in chunks:
-            ds = slab[:e[c].shape[0]]
-            np.matmul(gd[c], np.swapaxes(v1[c], -1, -2), out=ds)
-            ds *= e[c]
-            np.matmul(ds, kh[c], out=dq[c])
-            np.matmul(np.swapaxes(ds, -1, -2), qh[c], out=dk[c])
-        for x, dx in ((q, dq), (k, dk)):
+        qk = q.requires_grad or k.requires_grad
+        dv = np.empty_like(go) if v.requires_grad else None
+        if qk:
+            gd[..., dh] = -(go * split(out)).sum(axis=-1)
+            qh, kh = split(q.data), split(k.data)  # the forward's copies are not kept
+            dq, dk = np.empty_like(qh), np.empty_like(kh)
+            slab = np.empty((min(step, b), rows, t), dtype=e.dtype)
+
+        def product(dst, x, y, first):  # a slice's first tile writes, later tiles add
+            if first:
+                np.matmul(x, y, out=dst)
+            else:
+                dst += x @ y
+
+        for c, r in tiles:
+            et = e[c, r]
+            if dv is not None:
+                product(dv[c], np.swapaxes(et, -1, -2), go[c, r], r.start == 0)
+            if qk:
+                ds = slab[:et.shape[0], :et.shape[1]]
+                np.matmul(gd[c, r], np.swapaxes(v1[c], -1, -2), out=ds)
+                ds *= et
+                np.matmul(ds, kh[c], out=dq[c, r])
+                product(dk[c], np.swapaxes(ds, -1, -2), qh[c, r], r.start == 0)
+        if dv is not None:
+            v._accumulate(merge(dv), owned=True)
+        for x, dx in ((q, dq), (k, dk)) if qk else ():
             if x.requires_grad:
                 dx *= s
                 x._accumulate(merge(dx), owned=True)
@@ -490,45 +529,85 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
     eps sits inside the sqrt, guarding constant rows; the backward pass
     is the closed form for d(gain * (x - mu) / sqrt(var + eps) + bias).
+    Every row mean, forward and backward, is a float64 matrix–vector
+    product with a 1/d column, which BLAS sums far faster than numpy's
+    `mean` does over short rows. The forward centres x in its own dtype
+    about the rounded mean, then takes out the float64 remainder c of that
+    rounding after the variance: var = mean((x - mu_r)²) - c². So a row
+    whose mean dwarfs its spread keeps full precision.
     """
     d = a.shape[-1]
     _require(gain.shape == (d,) and bias.shape == (d,),
              f"layer_norm: gain/bias {gain.shape}/{bias.shape} must be ({d},)")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    mu = a.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = ((a.data.astype(np.float64) - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(a.data.dtype)
-    xhat = ((a.data - mu.astype(a.data.dtype)) * inv).astype(a.data.dtype)
-    y = xhat * gain.data + bias.data
+    x = a.data.reshape(-1, d)
+    w = np.full(d, 1.0 / d)
+    mu = x @ w
+    mu_r = mu.astype(x.dtype)
+    xhat = x - mu_r[:, None]  # centred about the rounded mean; corrected and scaled below
+    c = mu - mu_r
+    var = (xhat * xhat) @ w - c * c
+    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)[:, None]
+    xhat -= c.astype(x.dtype)[:, None]
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
 
     def backward(g):
+        g = g.reshape(-1, d)
         if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0, dtype=np.float64).astype(g.dtype))
+            bias._accumulate(g.sum(axis=0, dtype=np.float64).astype(g.dtype))
         if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0, dtype=np.float64).astype(g.dtype))
+            gain._accumulate((g * xhat).sum(axis=0, dtype=np.float64).astype(g.dtype))
         if a.requires_grad:
             gh = g * gain.data
-            mean_gh = gh.mean(axis=-1, keepdims=True)
-            mean_gh_x = (gh * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (gh - mean_gh - xhat * mean_gh_x), owned=True)
+            ghx = gh * xhat
+            gh -= (gh @ w).astype(g.dtype)[:, None]
+            np.multiply(xhat, (ghx @ w).astype(g.dtype)[:, None], out=ghx)
+            gh -= ghx
+            gh *= inv
+            a._accumulate(gh.reshape(a.shape), owned=True)
 
-    return _out(y, (a, gain, bias), backward)
+    return _out(y.reshape(a.shape), (a, gain, bias), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    Both passes work in place in a few buffers, rounding in the order of
+    the written formulas (each in-place step only swaps the operands of a
+    commutative product or sum), so the bits are those of the formulas.
+    """
     x = a.data
     # x * x * x, not x ** 3: numpy sends a float power to powf, ~100x slower
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(inner)
+    u = x * x
+    u *= x
+    u *= _GELU_A
+    u += x
+    u *= _GELU_C
+    t = np.tanh(u)
+    np.add(t, 1.0, out=u)
+    y = x * 0.5
+    y *= u  # 0.5 x (1 + t)
 
     def backward(g):
-        sech2 = 1.0 - t * t
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner), owned=True)
+        s = t * t
+        np.subtract(1.0, s, out=s)  # sech²
+        h = x * 0.5
+        h *= s
+        dinner = x * (3.0 * _GELU_A)
+        dinner *= x
+        dinner += 1.0
+        dinner *= _GELU_C
+        h *= dinner  # 0.5 x sech² c (1 + 3 A x²)
+        np.add(t, 1.0, out=s)
+        s *= 0.5
+        s += h
+        s *= g
+        a._accumulate(s, owned=True)
 
-    return _out(0.5 * x * (1.0 + t), (a,), backward)
+    return _out(y, (a,), backward)
 
 
 def abs_val(a: Tensor) -> Tensor:

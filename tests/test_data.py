@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralmae.checkpoint import load_checkpoint, save_checkpoint, snapshot_model
 from spectralmae.errors import DataError, FormatError, TruncatedFileError
 from spectralmae.manifest import load_manifest, split
+from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
 from spectralmae.raster import normalize_bands, read_raster, resample_bilinear, write_raster
 from spectralmae.rng import CounterRng
 from spectralmae.synthetic import SyntheticSpec, generate_synthetic
@@ -73,6 +75,39 @@ def test_raster_trailing_bytes_is_format_error(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00")
     with pytest.raises(FormatError):
         read_raster(path)
+
+
+def _spck_bytes(tmp_path_factory):
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.spck"
+    save_checkpoint(snapshot_model(model, None, (0, 0)), path)
+    return path.read_bytes()
+
+
+def _spgr_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.spgr"
+    write_raster(_image(4, 4, 3), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("make,load", [(_spck_bytes, load_checkpoint), (_spgr_bytes, read_raster)],
+                         ids=["spck", "spgr"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupt_or_truncated_file_loads_or_raises_package_error(tmp_path_factory, make, load, data):
+    blob = bytearray(make(tmp_path_factory))
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tmp_path_factory.mktemp("fuzz") / "mutated"
+    path.write_bytes(bytes(blob))
+    try:
+        load(path)
+    except (FormatError, TruncatedFileError):
+        pass
 
 
 # ---------------------------------------------------------------- normalize / resize

@@ -197,32 +197,31 @@ def _qkv(seed, rows, width, spread=1.0, dtype=np.float64):
                          for name in "qkv"})
 
 
-@pytest.mark.parametrize("images", [1, 3])
-@pytest.mark.parametrize("heads", [1, 2, 3])
-def test_attention_gradcheck(images, heads):
+def _attention_gradcheck(images, heads):
     ps = _qkv(50 + heads, 4 * images, 2 * heads)
     w = T.constant(CounterRng(49).normal_array((4 * images, 2 * heads)))
     f = lambda: T.sum_all(T.mul(w, T.attention(ps["q"], ps["k"], ps["v"], images, heads)))
     assert grad_check(f, ps).max_relative_error <= 1e-3
 
 
-@pytest.mark.parametrize("images,heads,t,dh,spread", [
-    (1, 1, 1, 4, 1.0),  # t = 1: softmax of one score, no Q/K gradient
-    (2, 3, 7, 2, 1.0),
-    (3, 2, 5, 4, 3.0),
-    (2, 2, 6, 2, 30.0),  # scores near +-1000
-    (1, 3, 300, 2, 1.0),  # chunks of two (image, head) slices, the last one short
-    (2, 1, 520, 2, 1.0),  # one slice per chunk
-])
-def test_attention_matches_chain_oracle(images, heads, t, dh, spread):
+@pytest.mark.parametrize("images", [1, 3])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_gradcheck(images, heads):
+    _attention_gradcheck(images, heads)
+
+
+@pytest.mark.parametrize("images", [1, 3])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_row_tiles_gradcheck(monkeypatch, images, heads):
+    monkeypatch.setattr(T, "_ATTENTION_TILE", 12)  # 4-token slices in row tiles of 3 and 1
+    _attention_gradcheck(images, heads)
+
+
+def _assert_matches_chain(images, heads, t, dh, spread):
     fused, chain = (_qkv(60, images * t, heads * dh, spread) for _ in range(2))
     w = T.constant(CounterRng(61).normal_array((images * t, heads * dh)))
     y_fused = T.attention(fused["q"], fused["k"], fused["v"], images, heads)
     y_chain = _attention_chain(chain["q"], chain["k"], chain["v"], images, heads)
-    if spread == 30.0:
-        qh, kh = (chain[n].data.reshape(images, t, heads, dh) for n in "qk")
-        scores = np.einsum("ithd,ishd->ihts", qh, kh) / math.sqrt(dh)
-        assert scores.max() > 900.0 and scores.min() < -900.0
     pairs = [(y_fused.data, y_chain.data)]
     for ps, y in ((fused, y_fused), (chain, y_chain)):
         ps.zero_grads()
@@ -231,6 +230,75 @@ def test_attention_matches_chain_oracle(images, heads, t, dh, spread):
     for got, want in pairs:
         # exact zeros (t = 1 leaves Q and K without gradient) compare to round-off
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max() + 1e-12
+
+
+def _score_bounds(images, heads, t, dh, spread):
+    """Per (image, head): max|q_i| max|k_j| / sqrt(d_h), the bound `attention` gates on."""
+    ps = _qkv(60, images * t, heads * dh, spread)
+    qh, kh = (np.linalg.norm(ps[n].data.reshape(images, t, heads, dh), axis=-1).max(axis=1)
+              for n in "qk")
+    return qh * kh / math.sqrt(dh)
+
+
+@pytest.mark.parametrize("images,heads,t,dh,spread", [
+    (1, 1, 1, 4, 1.0),  # t = 1: softmax of one score, no Q/K gradient
+    (2, 3, 7, 2, 1.0),
+    (3, 2, 5, 4, 3.0),
+    (2, 2, 6, 2, 30.0),  # scores near +-1000
+    (1, 3, 300, 2, 1.0),  # one whole slice per chunk
+    (2, 1, 520, 2, 1.0),  # long slices in row tiles of 189, the last 142; bound 10: no max
+])
+def test_attention_matches_chain_oracle(images, heads, t, dh, spread):
+    if spread == 30.0:
+        ps = _qkv(60, images * t, heads * dh, spread)
+        qh, kh = (ps[n].data.reshape(images, t, heads, dh) for n in "qk")
+        scores = np.einsum("ithd,ishd->ihts", qh, kh) / math.sqrt(dh)
+        assert scores.max() > 900.0 and scores.min() < -900.0
+    _assert_matches_chain(images, heads, t, dh, spread)
+
+
+@pytest.mark.parametrize("images,heads,t,dh,spread,tile", [
+    (1, 3, 6, 2, 1.0, 80),  # chunks of two whole slices, the last one short
+    (2, 3, 7, 2, 1.0, 40),  # row tiles of 5, the last one 2; bounds under 6: no max
+    (1, 2, 11, 3, 3.0, 40),  # row tiles of 3, the last one 2; bounds near 27: max subtracted
+])
+def test_attention_small_tile_matches_chain_oracle(monkeypatch, images, heads, t, dh, spread, tile):
+    monkeypatch.setattr(T, "_ATTENTION_TILE", tile)
+    _assert_matches_chain(images, heads, t, dh, spread)
+
+
+@pytest.mark.parametrize("spread,raw", [(1.0, True), (30.0, False)])
+def test_attention_long_slice_max_pass_follows_score_bound(monkeypatch, spread, raw):
+    # 36 scores per slice against a budget of 20: long slices in tiles of 3 rows
+    monkeypatch.setattr(T, "_ATTENTION_TILE", 20)
+    images, heads, t, dh = 2, 2, 6, 2
+    bounds = _score_bounds(images, heads, t, dh, spread)
+    assert (bounds <= T._EXP_SAFE).all() if raw else (bounds > 100 * T._EXP_SAFE).all()
+    _assert_matches_chain(images, heads, t, dh, spread)
+    # with the gate open, scores near +-1000 overflow exp: the max pass is what keeps them finite
+    monkeypatch.setattr(T, "_EXP_SAFE", math.inf)
+    ps = _qkv(60, images * t, heads * dh, spread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = T.attention(ps["q"], ps["k"], ps["v"], images, heads)
+    assert np.isfinite(y.data).all() == raw
+
+
+@pytest.mark.parametrize("tile", [None, 20])
+@pytest.mark.parametrize("name", ["q", "k", "v"])
+def test_attention_nan_in_nan_out(monkeypatch, tile, name):
+    if tile is not None:
+        monkeypatch.setattr(T, "_ATTENTION_TILE", tile)
+    images, heads, t, dh = 2, 2, 6, 2
+    ps = _qkv(67, images * t, heads * dh)
+    ps[name].data[t + 2, dh] = np.nan  # image 1, token 2, head 1
+    y = T.attention(ps["q"], ps["k"], ps["v"], images, heads).data.reshape(images, t, heads, dh)
+    # a NaN query spoils its own row of the head, a NaN key the whole head,
+    # a NaN value its own column of the head
+    hit = np.zeros((images, t, heads, dh), dtype=bool)
+    rows = 2 if name == "q" else slice(None)
+    cols = 0 if name == "v" else slice(None)
+    hit[1, rows, 1, cols] = True
+    assert np.isnan(y[hit]).all() and np.isfinite(y[~hit]).all()
 
 
 def test_attention_float32_close_to_float64_chain():
@@ -275,6 +343,21 @@ def test_attention_graph_holds_one_score_buffer():
     assert scores_bytes <= held < 1.25 * scores_bytes
 
 
+def test_attention_backward_transient_stays_below_one_slice():
+    # the pretrain-mid decoder block: one 576-token image, 6 heads; dS is one row tile
+    q, k, v = (_qkv(64, 576, 48, dtype=np.float32)[n] for n in "qkv")
+    out = T.attention(q, k, v, 1, 6)
+    g = CounterRng(65).normal_array((576, 48)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 576 * 576 * 4
+
+
 # ---------------------------------------------------------------- layer norm
 
 def test_layer_norm_constant_row_is_zero():
@@ -315,6 +398,34 @@ def test_layer_norm_eps_must_be_positive():
         T.layer_norm(T.constant([[1.0, 2.0]]), gain, bias, eps=0.0)
 
 
+@pytest.mark.parametrize("width", [8, 48, 96])
+def test_layer_norm_float32_matches_float64_oracle(width):
+    rng = CounterRng(70 + width)
+    x = np.concatenate([
+        2.0 * rng.child("x").normal_array((5, width)) + 0.5,
+        np.full((1, width), 3.0),  # constant: var = 0, eps alone sets the scale
+        1e4 + 1e-2 * rng.child("far").normal_array((3, width)),  # mean 1e6 times the spread
+    ]).astype(np.float32)
+    gain = (1.0 + 0.1 * rng.child("gain").normal_array(width)).astype(np.float32)
+    bias = (0.1 * rng.child("bias").normal_array(width)).astype(np.float32)
+    g = rng.child("g").normal_array(x.shape).astype(np.float32)
+    ps = _param_set(x=x, gain=gain, bias=bias)
+    y = T.layer_norm(ps["x"], ps["gain"], ps["bias"], eps=1e-6)
+    y._backward(g)
+    x64, gain64, g64 = x.astype(np.float64), gain.astype(np.float64), g.astype(np.float64)
+    mu = x64.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(((x64 - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-6)
+    xhat = (x64 - mu) * inv
+    gh = g64 * gain64
+    dx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    assert y.dtype == np.float32
+    # row by row, so each kind of row is held to its own scale
+    for got, want in ((y.data, xhat * gain64 + bias), (ps["x"].grad, dx)):
+        assert (np.abs(got - want).max(axis=-1) <= 1e-6 * np.abs(want).max(axis=-1)).all()
+    for got, want in ((ps["gain"].grad, (g64 * xhat).sum(axis=0)), (ps["bias"].grad, g64.sum(axis=0))):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------- gelu
 
 def test_gelu_zero():
@@ -336,6 +447,25 @@ def test_gelu_float32_matches_float64_reference():
     ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64 ** 3)))
     rel = np.abs(got - ref) / np.maximum(np.abs(ref), np.finfo(np.float64).tiny)
     assert rel.max() <= 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_in_place_bits_match_formula(dtype):
+    x = np.concatenate([np.linspace(-12.0, 12.0, 4001),
+                        [-1e30, -1e4, -30.0, -10.5, -0.0, 0.0, 1e-30, 10.5, 30.0, 1e4, 1e30]]).astype(dtype)
+    g = CounterRng(71).normal_array(x.shape).astype(dtype)
+    xt = T.Tensor(x, requires_grad=True)  # no zeroed gradient slot: it adopts the adjoint, -0 and all
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    with np.errstate(over="ignore", invalid="ignore"):  # float32 x³ overflows at 1e30, and 0 * inf follows
+        y = T.gelu(xt)
+        y._backward(g)
+        t = np.tanh(c * (x + a * (x * x * x)))
+        want_y = 0.5 * x * (1.0 + t)
+        sech2 = 1.0 - t * t
+        dinner = c * (1.0 + 3.0 * a * x * x)
+        want_dx = g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner)
+    assert y.data.tobytes() == want_y.tobytes()
+    assert xt.grad.tobytes() == want_dx.tobytes()
 
 
 @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.5, 2.0])

@@ -405,6 +405,21 @@ def test_checkpoint_nonzero_drop_path_rejected(tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("field,value", [("encoder_heads", 0), ("decoder_heads", 3)])
+def test_checkpoint_invalid_config_is_format_error(tmp_path, field, value):
+    import struct
+
+    model, _ = _model_and_opt()
+    path = tmp_path / "c.spck"
+    save_checkpoint(snapshot_model(model, None, (0, 0)), path)
+    data = path.read_bytes()
+    slot = data.index(field.encode() + struct.pack("<I", 1) + b"i") + len(field) + 5
+    bad = tmp_path / "bad.spck"
+    bad.write_bytes(data[:slot] + struct.pack("<q", value) + data[slot + 8:])
+    with pytest.raises(FormatError, match="config"):
+        load_checkpoint(bad)
+
+
 # ---------------------------------------------------------------- pretraining loop
 
 def test_pretrain_smoke_single_step_finite():
