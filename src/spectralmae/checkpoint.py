@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError, TruncatedFileError
+from .errors import ConfigError, FormatError, ShapeError
 from .model import ModelConfig, SpectralCubeAutoencoder
 from .optim import AdamW
+from .raster import Reader, Writer
 from .tensor import ParameterSet
 
 CKPT_MAGIC = b"SPCK"
@@ -32,8 +32,11 @@ _CONFIG_FIELDS = (
     ("mlp_ratio", "f"), ("p", "i"), ("k", "i"), ("max_grid", "iii"),
     ("drop_path", "f"), ("dtype", "s"),
 )
+_KIND_FORMATS = {"i": "q", "f": "d", "iii": "3q"}  # "s" is a u32-prefixed string
 
 _DTYPE_TAGS = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+_OPT_HEADER = "Q5d"  # step count, base lr, beta1, beta2, eps, weight decay
+_TRAILER = "5Q"  # rng seed, rng counter, stage, epoch, step
 
 
 @dataclass
@@ -58,131 +61,61 @@ class Checkpoint:
     epoch: int = 0
     step: int = 0
     version: int = CKPT_VERSION
-    extra: dict = field(default_factory=dict)
 
 
-class _Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def u8(self, x):
-        self.raw(struct.pack("<B", x))
-
-    def u16(self, x):
-        self.raw(struct.pack("<H", x))
-
-    def u64(self, x):
-        self.raw(struct.pack("<Q", x))
-
-    def i64(self, x):
-        self.raw(struct.pack("<q", x))
-
-    def f64(self, x):
-        self.raw(struct.pack("<d", x))
-
-    def string(self, s: str):
-        raw = s.encode("utf-8")
-        self.raw(struct.pack("<I", len(raw)) + raw)
-
-    def tensor(self, name: str, arr: np.ndarray):
-        self.string(name)
-        self.u8(arr.dtype.itemsize)
-        self.u8(arr.ndim)
-        for extent in arr.shape:
-            self.u64(extent)
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        self.raw(np.ascontiguousarray(le).tobytes())
-
-    def bytes(self) -> bytes:
-        return b"".join(self.parts)
+def _write_tensors(w: Writer, tensors: dict[str, np.ndarray]) -> None:
+    w.pack("Q", len(tensors))
+    for name, arr in tensors.items():
+        w.string(name, "I")
+        w.pack(f"BB{arr.ndim}Q", arr.dtype.itemsize, arr.ndim, *arr.shape)
+        w.array(arr)
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.buf):
-            raise TruncatedFileError(f"checkpoint truncated while reading {what}")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u8(self, what="u8"):
-        return struct.unpack("<B", self.take(1, what))[0]
-
-    def u16(self, what="u16"):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u64(self, what="u64"):
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def i64(self, what="i64"):
-        return struct.unpack("<q", self.take(8, what))[0]
-
-    def f64(self, what="f64"):
-        return struct.unpack("<d", self.take(8, what))[0]
-
-    def string(self, what="string"):
-        n = struct.unpack("<I", self.take(4, what + " length"))[0]
-        raw = self.take(n, what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"checkpoint {what} is not UTF-8: {exc}") from exc
-
-    def tensor(self) -> tuple[str, np.ndarray]:
-        name = self.string("tensor name")
-        itemsize = self.u8("dtype tag")
-        if itemsize not in _DTYPE_TAGS:
-            raise FormatError(f"unknown tensor dtype tag {itemsize}")
-        ndim = self.u8("rank")
-        shape = tuple(self.u64("extent") for _ in range(ndim))
-        count = math.prod(shape)  # exact: numpy's int64 product wraps on huge extents
-        payload = self.take(count * itemsize, f"tensor {name!r} payload")
-        try:  # an empty payload can still declare extents numpy cannot hold
-            arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[itemsize]).reshape(shape)
-        except ValueError as exc:
-            raise FormatError(f"tensor {name!r} shape {shape} is unrepresentable: {exc}") from exc
-        return name, arr.astype(arr.dtype.newbyteorder("="))
+def _read_tensor(r: Reader) -> tuple[str, np.ndarray]:
+    name = r.string("tensor name", "I")
+    (itemsize,) = r.unpack("B", "dtype tag")
+    if itemsize not in _DTYPE_TAGS:
+        raise FormatError(f"unknown tensor dtype tag {itemsize}")
+    (ndim,) = r.unpack("B", "rank")
+    shape = r.unpack(f"{ndim}Q", "extents")
+    count = math.prod(shape)  # exact: numpy's int64 product wraps on huge extents
+    payload = r.take(count * itemsize, f"tensor {name!r} payload")
+    try:  # an empty payload can still declare extents numpy cannot hold
+        arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[itemsize]).reshape(shape)
+    except ValueError as exc:
+        raise FormatError(f"tensor {name!r} shape {shape} is unrepresentable: {exc}") from exc
+    return name, arr.astype(arr.dtype.newbyteorder("="))
 
 
-def _write_config(w: _Writer, cfg: ModelConfig) -> None:
-    w.u16(len(_CONFIG_FIELDS))
+def _read_tensors(r: Reader, what: str) -> dict[str, np.ndarray]:
+    (count,) = r.unpack("Q", what)
+    return dict(_read_tensor(r) for _ in range(count))
+
+
+def _write_config(w: Writer, cfg: ModelConfig) -> None:
+    w.pack("H", len(_CONFIG_FIELDS))
     for name, kind in _CONFIG_FIELDS:
-        w.string(name)
-        w.string(kind)
+        w.string(name, "I")
+        w.string(kind, "I")
         # the model has no drop path; v1 keeps the slot and always writes 0.0
         value = 0.0 if name == "drop_path" else getattr(cfg, name)
-        if kind == "i":
-            w.i64(value)
-        elif kind == "f":
-            w.f64(value)
-        elif kind == "iii":
-            for part in value:
-                w.i64(part)
+        if kind == "s":
+            w.string(value, "I")
         else:
-            w.string(value)
+            w.pack(_KIND_FORMATS[kind], *(value if kind == "iii" else (value,)))
 
 
-def _read_config(r: _Reader) -> ModelConfig:
-    count = r.u16("config field count")
+def _read_config(r: Reader) -> ModelConfig:
+    (count,) = r.unpack("H", "config field count")
     kwargs = {}
     for _ in range(count):
-        name = r.string("config key")
-        kind = r.string("config kind")
-        if kind == "i":
-            kwargs[name] = r.i64()
-        elif kind == "f":
-            kwargs[name] = r.f64()
-        elif kind == "iii":
-            kwargs[name] = tuple(r.i64() for _ in range(3))
-        elif kind == "s":
-            kwargs[name] = r.string()
+        name = r.string("config key", "I")
+        kind = r.string("config kind", "I")
+        if kind == "s":
+            kwargs[name] = r.string(f"config {name}", "I")
+        elif kind in _KIND_FORMATS:
+            value = r.unpack(_KIND_FORMATS[kind], f"config {name}")
+            kwargs[name] = value if kind == "iii" else value[0]
         else:
             raise FormatError(f"unknown config field kind {kind!r}")
     drop_path = kwargs.pop("drop_path", 0.0)
@@ -196,33 +129,18 @@ def _read_config(r: _Reader) -> ModelConfig:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    w = _Writer()
-    w.raw(CKPT_MAGIC)
-    w.u16(ckpt.version)
+    w = Writer()
+    w.pack("4sH", CKPT_MAGIC, ckpt.version)
     _write_config(w, ckpt.config)
-    w.u64(len(ckpt.params))
-    for name, arr in ckpt.params.items():
-        w.tensor(name, arr)
-    if ckpt.optimizer is None:
-        w.u8(0)
-    else:
-        opt = ckpt.optimizer
-        w.u8(1)
-        w.u64(opt.step_count)
-        for val in (opt.base_lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay):
-            w.f64(val)
-        w.u64(len(opt.m))
-        for name, arr in opt.m.items():
-            w.tensor(name, arr)
-        w.u64(len(opt.v))
-        for name, arr in opt.v.items():
-            w.tensor(name, arr)
-    seed, counter = ckpt.rng_state
-    w.u64(seed)
-    w.u64(counter)
-    w.u64(ckpt.stage)
-    w.u64(ckpt.epoch)
-    w.u64(ckpt.step)
+    _write_tensors(w, ckpt.params)
+    opt = ckpt.optimizer
+    w.pack("B", opt is not None)
+    if opt is not None:
+        w.pack(_OPT_HEADER, opt.step_count, opt.base_lr, opt.beta1, opt.beta2, opt.eps,
+               opt.weight_decay)
+        _write_tensors(w, opt.m)
+        _write_tensors(w, opt.v)
+    w.pack(_TRAILER, *ckpt.rng_state, ckpt.stage, ckpt.epoch, ckpt.step)
     # write a sibling and rename it over the target: a crash mid-write
     # leaves the previous checkpoint whole
     tmp = f"{os.fspath(path)}.tmp"
@@ -238,32 +156,23 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
+        r = Reader(fh.read(), "checkpoint")
     magic = r.take(4, "magic")
     if magic != CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}")
-    version = r.u16("version")
+    (version,) = r.unpack("H", "version")
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     config = _read_config(r)
-    n_params = r.u64("parameter count")
-    params = dict(r.tensor() for _ in range(n_params))
+    params = _read_tensors(r, "parameter count")
     optimizer = None
-    if r.u8("optimizer flag"):
-        step_count = r.u64("optimizer step count")
-        base_lr, beta1, beta2, eps, weight_decay = (r.f64() for _ in range(5))
-        m = dict(r.tensor() for _ in range(r.u64("first-moment count")))
-        v = dict(r.tensor() for _ in range(r.u64("second-moment count")))
-        optimizer = OptimizerSnapshot(step_count, base_lr, beta1, beta2, eps,
-                                      weight_decay, m, v)
-    rng_state = (r.u64("rng seed"), r.u64("rng counter"))
-    stage = r.u64("stage")
-    epoch = r.u64("epoch")
-    step = r.u64("step")
-    if r.off != len(buf):
-        raise FormatError(f"{len(buf) - r.off} trailing bytes after checkpoint payload")
-    return Checkpoint(config, params, optimizer, rng_state, stage, epoch, step, version)
+    if r.unpack("B", "optimizer flag")[0]:
+        header = r.unpack(_OPT_HEADER, "optimizer header")
+        optimizer = OptimizerSnapshot(*header, _read_tensors(r, "first-moment count"),
+                                      _read_tensors(r, "second-moment count"))
+    seed, counter, stage, epoch, step = r.unpack(_TRAILER, "rng state and position")
+    r.end()
+    return Checkpoint(config, params, optimizer, (seed, counter), stage, epoch, step, version)
 
 
 def snapshot_model(model: SpectralCubeAutoencoder, optimizer: AdamW | None,

@@ -65,6 +65,8 @@ def _fail(message: str) -> int:
 def _check_keys(doc: dict, allowed: set, path: str) -> None:
     from .errors import ConfigError
 
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path or 'file'} must be a JSON object, not {doc!r}")
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError("unknown config keys: "
@@ -127,8 +129,7 @@ def _load_stage(doc: dict, base_dir: str):
     band_stats = None
     if manifest.band_mean and manifest.band_std:
         band_stats = (manifest.band_mean, manifest.band_std)
-    return PretrainStage(images=images, name=os.path.basename(manifest_path),
-                         band_stats=band_stats, **doc)
+    return PretrainStage(images=images, band_stats=band_stats, **doc)
 
 
 def _emit_resolved(out_dir: str, **sections) -> None:
@@ -143,7 +144,6 @@ def _emit_resolved(out_dir: str, **sections) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    from .errors import SpectralMaeError
     from .synthetic import SyntheticSpec, generate_synthetic
 
     try:
@@ -151,15 +151,12 @@ def cmd_synth(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read spec {args.spec}: {exc}")
-    try:
-        allowed = set(SyntheticSpec.__dataclass_fields__)
-        _check_keys(doc, allowed, "spec")
-        spec = SyntheticSpec(**doc)
-        os.makedirs(args.out, exist_ok=True)
-        manifest_path = generate_synthetic(spec, args.task, args.out)
-        _emit_resolved(args.out, spec=spec, task=args.task)
-    except (SpectralMaeError, ValueError) as exc:
-        return _fail(str(exc))
+    allowed = set(SyntheticSpec.__dataclass_fields__)
+    _check_keys(doc, allowed, "spec")
+    spec = SyntheticSpec(**doc)
+    os.makedirs(args.out, exist_ok=True)
+    manifest_path = generate_synthetic(spec, args.task, args.out)
+    _emit_resolved(args.out, spec=spec, task=args.task)
     print(manifest_path)
     return 0
 
@@ -169,64 +166,63 @@ def cmd_synth(args) -> int:
 def _run_pretraining(args, progressive: bool) -> int:
     from .checkpoint import (load_checkpoint, restore_model, restore_optimizer,
                              save_checkpoint, snapshot_model)
-    from .errors import SpectralMaeError
+    from .errors import ConfigError
     from .model import SpectralCubeAutoencoder
     from .rng import CounterRng
     from .training import make_optimizer, progressive_pretrain
 
-    try:
-        config = _load_config(args.config)
-        base_dir = os.path.dirname(os.path.abspath(args.config))
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        model_cfg = _build_model_config(config.get("model", {}))
-        objective = _build_objective(config.get("objective", {}))
-        stage_docs = config.get("stages", [])
-        if not stage_docs:
-            return _fail("config has no stages")
-        if not progressive:
-            stage_docs = stage_docs[:1]
-        stages = [_load_stage(doc, base_dir) for doc in stage_docs]
+    config = _load_config(args.config)
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    model_cfg = _build_model_config(config.get("model", {}))
+    objective = _build_objective(config.get("objective", {}))
+    stage_docs = config.get("stages", [])
+    if not isinstance(stage_docs, list):
+        raise ConfigError(f"config stages must be a list, not {stage_docs!r}")
+    if not stage_docs:
+        return _fail("config has no stages")
+    if not progressive:
+        stage_docs = stage_docs[:1]
+    stages = [_load_stage(doc, base_dir) for doc in stage_docs]
 
-        os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
-                       stages=stage_docs)
-        rng = CounterRng(seed)
-        start_stage = start_epoch = 0
-        optimizer = None
-        if args.resume:
-            ckpt = load_checkpoint(args.resume)
-            model = SpectralCubeAutoencoder(ckpt.config, CounterRng(seed))
-            restore_model(ckpt, model)
-            rng = CounterRng(*ckpt.rng_state)
-            start_stage, start_epoch = ckpt.stage, ckpt.epoch
-            if start_epoch >= stages[start_stage].epochs:
-                start_stage, start_epoch = start_stage + 1, 0
-                if start_stage >= len(stages):
-                    print("run already complete")
-                    return 0
-            elif ckpt.optimizer is not None:
-                optimizer = make_optimizer(model, stages[start_stage])
-                restore_optimizer(ckpt.optimizer, optimizer)
-        else:
-            model = SpectralCubeAutoencoder(model_cfg, CounterRng(seed))
+    os.makedirs(args.out, exist_ok=True)
+    _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
+                   stages=stage_docs)
+    rng = CounterRng(seed)
+    start_stage = start_epoch = 0
+    optimizer = None
+    if args.resume:
+        ckpt = load_checkpoint(args.resume)
+        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(seed))
+        restore_model(ckpt, model)
+        rng = CounterRng(*ckpt.rng_state)
+        start_stage, start_epoch = ckpt.stage, ckpt.epoch
+        if start_epoch >= stages[start_stage].epochs:
+            start_stage, start_epoch = start_stage + 1, 0
+            if start_stage >= len(stages):
+                print("run already complete")
+                return 0
+        elif ckpt.optimizer is not None:
+            optimizer = make_optimizer(model, stages[start_stage])
+            restore_optimizer(ckpt.optimizer, optimizer)
+    else:
+        model = SpectralCubeAutoencoder(model_cfg, CounterRng(seed))
 
-        log_path = os.path.join(args.out, "train_log.jsonl")
-        log_mode = "a" if args.resume else "w"
-        with open(log_path, log_mode, encoding="utf-8") as log:
-            def on_epoch(record, opt):
-                log.write(record.to_json() + "\n")
-                log.flush()
-                ckpt = snapshot_model(model, opt, rng.state(), stage=record.stage,
-                                      epoch=record.epoch + 1)
-                save_checkpoint(ckpt, os.path.join(args.out, "checkpoint_last.spck"))
+    log_path = os.path.join(args.out, "train_log.jsonl")
+    log_mode = "a" if args.resume else "w"
+    with open(log_path, log_mode, encoding="utf-8") as log:
+        def on_epoch(record, opt):
+            log.write(record.to_json() + "\n")
+            log.flush()
+            ckpt = snapshot_model(model, opt, rng.state(), stage=record.stage,
+                                  epoch=record.epoch + 1)
+            save_checkpoint(ckpt, os.path.join(args.out, "checkpoint_last.spck"))
 
-            progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch,
-                                 start_stage=start_stage, start_epoch=start_epoch,
-                                 optimizer=optimizer)
-        final = snapshot_model(model, None, rng.state(), stage=len(stages), epoch=0)
-        save_checkpoint(final, os.path.join(args.out, "checkpoint_final.spck"))
-    except (SpectralMaeError, ValueError) as exc:
-        return _fail(str(exc))
+        progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch,
+                             start_stage=start_stage, start_epoch=start_epoch,
+                             optimizer=optimizer)
+    final = snapshot_model(model, None, rng.state(), stage=len(stages), epoch=0)
+    save_checkpoint(final, os.path.join(args.out, "checkpoint_final.spck"))
     print(os.path.join(args.out, "checkpoint_final.spck"))
     return 0
 
@@ -248,8 +244,9 @@ def _downstream_setup(args):
 
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    ft_doc = dict(config.get("finetune", {}))
+    ft_doc = config.get("finetune", {})
     _check_keys(ft_doc, _FINETUNE_KEYS, "finetune")
+    ft_doc = dict(ft_doc)
     if "split_fractions" in ft_doc:
         ft_doc["split_fractions"] = tuple(ft_doc["split_fractions"])
     if getattr(args, "train_fraction", None) is not None:
@@ -279,59 +276,51 @@ def _write_report(out_dir: str, report) -> None:
 def cmd_finetune(args) -> int:
     from . import finetune
     from .checkpoint import load_checkpoint, restore_model, save_checkpoint, snapshot_model
-    from .errors import SpectralMaeError
     from .model import SpectralCubeAutoencoder
     from .rng import CounterRng
 
-    try:
-        config, cfg, train_man, val_man, dataset = _downstream_setup(args)
-        if args.checkpoint:
-            ckpt = load_checkpoint(args.checkpoint)
-            model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
-            restore_model(ckpt, model)
-        else:
-            model_cfg = _build_model_config(config.get("model", {}))
-            model = SpectralCubeAutoencoder(model_cfg, CounterRng(cfg.seed))
+    config, cfg, train_man, val_man, dataset = _downstream_setup(args)
+    if args.checkpoint:
+        ckpt = load_checkpoint(args.checkpoint)
+        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
+        restore_model(ckpt, model)
+    else:
+        model_cfg = _build_model_config(config.get("model", {}))
+        model = SpectralCubeAutoencoder(model_cfg, CounterRng(cfg.seed))
 
-        os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
-                       dataset=dataset)
-        head = finetune.make_head(args.task, model, train_man, cfg)
-        # looked up at call time, so a wrapper rebound onto the entry name sees the call
-        runner = getattr(finetune, {"classify": "finetune_classify",
-                                    "multilabel": "finetune_multilabel",
-                                    "segment": "segment", "change": "change_detect"}[args.task])
-        report = runner(model, train_man, cfg, val_man, head=head)
-        tuned = snapshot_model(model, None, (cfg.seed, 0))
-        tuned.params.update({name: p.data.copy() for name, p in head.params.items()})
-        save_checkpoint(tuned, os.path.join(args.out, "checkpoint_finetuned.spck"))
-        _write_report(args.out, report)
-    except (SpectralMaeError, ValueError) as exc:
-        return _fail(str(exc))
+    os.makedirs(args.out, exist_ok=True)
+    _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
+                   dataset=dataset)
+    head = finetune.make_head(args.task, model, train_man, cfg)
+    # looked up at call time, so a wrapper rebound onto the entry name sees the call
+    runner = getattr(finetune, {"classify": "finetune_classify",
+                                "multilabel": "finetune_multilabel",
+                                "segment": "segment", "change": "change_detect"}[args.task])
+    report = runner(model, train_man, cfg, val_man, head=head)
+    tuned = snapshot_model(model, None, (cfg.seed, 0))
+    tuned.params.update({name: p.data.copy() for name, p in head.params.items()})
+    save_checkpoint(tuned, os.path.join(args.out, "checkpoint_finetuned.spck"))
+    _write_report(args.out, report)
     return 0
 
 
 def cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint, restore_into
-    from .errors import SpectralMaeError
     from .finetune import TASKS, evaluate, make_head
     from .heads import combine_params
     from .model import SpectralCubeAutoencoder
     from .rng import CounterRng
 
-    try:
-        _, cfg, train_man, val_man, dataset = _downstream_setup(args)
-        ckpt = load_checkpoint(args.checkpoint)
-        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
-        head = make_head(args.task, model, train_man, cfg)
-        restore_into(ckpt.params, combine_params(model.parameters(), head.params))
-        os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
-                       dataset=dataset)
-        val = TASKS[args.task].load(val_man, val_man.samples)
-        _write_report(args.out, evaluate(args.task, model, head, train_man, val, cfg))
-    except (SpectralMaeError, ValueError) as exc:
-        return _fail(str(exc))
+    _, cfg, train_man, val_man, dataset = _downstream_setup(args)
+    ckpt = load_checkpoint(args.checkpoint)
+    model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
+    head = make_head(args.task, model, train_man, cfg)
+    restore_into(ckpt.params, combine_params(model.parameters(), head.params))
+    os.makedirs(args.out, exist_ok=True)
+    _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
+                   dataset=dataset)
+    val = TASKS[args.task].load(val_man, val_man.samples)
+    _write_report(args.out, evaluate(args.task, model, head, train_man, val, cfg))
     return 0
 
 
@@ -341,7 +330,6 @@ def cmd_reconstruct(args) -> int:
     import numpy as np
 
     from .checkpoint import load_checkpoint, restore_model
-    from .errors import SpectralMaeError
     from .manifest import load_manifest
     from .model import GridDims, SpectralCubeAutoencoder
     from .preview import PRESETS, render_preset, to_display, write_ppm
@@ -350,68 +338,65 @@ def cmd_reconstruct(args) -> int:
     from .tokenizer import (TokenGrid, build_mask, invert_targets, make_targets, patchify,
                             unpatchify)
 
-    try:
-        ratios = [float(r) for r in args.ratios.split(",") if r]
-        if not ratios or any(not 0.0 <= r < 1.0 for r in ratios):
-            return _fail(f"ratios {args.ratios!r} must lie in [0, 1)")
-        presets = sorted(PRESETS) if args.preset == "all" else [args.preset]
-        for preset in presets:
-            if preset not in PRESETS:
-                return _fail(f"unknown preset {preset!r}; expected one of "
-                             f"{sorted(PRESETS)} or 'all'")
+    ratios = [float(r) for r in args.ratios.split(",") if r]
+    if not ratios or any(not 0.0 <= r < 1.0 for r in ratios):
+        return _fail(f"ratios {args.ratios!r} must lie in [0, 1)")
+    presets = sorted(PRESETS) if args.preset == "all" else [args.preset]
+    for preset in presets:
+        if preset not in PRESETS:
+            return _fail(f"unknown preset {preset!r}; expected one of "
+                         f"{sorted(PRESETS)} or 'all'")
 
-        ckpt = load_checkpoint(args.checkpoint)
-        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(args.seed or 0))
-        restore_model(ckpt, model)
-        raw = read_raster(args.raster)
-        man = load_manifest(args.manifest) if args.manifest else None
-        if man is not None:  # the dataset-level scaling the model was trained with
-            band_min, band_max = man.band_min, man.band_max
-        else:
-            band_min = raw.values.reshape(-1, raw.bands).min(axis=0)
-            band_max = raw.values.reshape(-1, raw.bands).max(axis=0)
-        img = normalize_bands(raw, band_min, band_max)
+    ckpt = load_checkpoint(args.checkpoint)
+    model = SpectralCubeAutoencoder(ckpt.config, CounterRng(args.seed or 0))
+    restore_model(ckpt, model)
+    raw = read_raster(args.raster)
+    man = load_manifest(args.manifest) if args.manifest else None
+    if man is not None:  # the dataset-level scaling the model was trained with
+        band_min, band_max = man.band_min, man.band_max
+    else:
+        band_min = raw.values.reshape(-1, raw.bands).min(axis=0)
+        band_max = raw.values.reshape(-1, raw.bands).max(axis=0)
+    img = normalize_bands(raw, band_min, band_max)
 
-        band_stats = (None, None)
-        if args.target_mode == "standardized":
-            if man is None:
-                return _fail("standardized target mode needs --manifest for band stats")
-            band_stats = (np.asarray(man.band_mean), np.asarray(man.band_std))
+    band_stats = (None, None)
+    if args.target_mode == "standardized":
+        if man is None:
+            return _fail("standardized target mode needs --manifest for band stats")
+        band_stats = (np.asarray(man.band_mean), np.asarray(man.band_std))
 
-        cfg = model.config
-        grid = patchify(img, cfg.p, cfg.k)
-        dims = GridDims(grid.gh, grid.gw, grid.gs)
-        _, stats = make_targets(grid, args.target_mode, band_mean=band_stats[0],
-                                band_std=band_stats[1])
-        os.makedirs(args.out, exist_ok=True)
-        _emit_resolved(args.out, checkpoint=args.checkpoint, raster=args.raster,
-                       ratios=ratios, presets=presets, seed=args.seed or 0,
-                       target_mode=args.target_mode)
-        records_path = os.path.join(args.out, "reconstruction_mse.jsonl")
-        rng = CounterRng(args.seed or 0)
-        with open(records_path, "w", encoding="utf-8") as records:
-            for ratio in ratios:
-                plan = build_mask(grid.n_tokens, ratio, rng.child("mask", repr(ratio)))
-                recon = model.reconstruct(grid.tokens, plan, dims).data
-                pixels = invert_targets(recon, grid, args.target_mode, stats, band_stats)
-                composite = pixels.copy()
-                composite[plan.visible] = grid.tokens[plan.visible]
-                full_mse = float(np.mean((pixels - grid.tokens) ** 2))
-                masked_mse = float(np.mean(
-                    (pixels[plan.masked] - grid.tokens[plan.masked]) ** 2)) if plan.m else 0.0
-                composite_mse = float(np.mean((composite - grid.tokens) ** 2))
-                records.write(json.dumps({
-                    "ratio": ratio, "masked_mse": masked_mse, "full_mse": full_mse,
-                    "composite_mse": composite_mse}, sort_keys=True) + "\n")
-                for kind, tokens in (("composite", composite), ("pure", pixels)):
-                    out_img = unpatchify(TokenGrid(grid.p, grid.k, grid.gh, grid.gw,
-                                                   grid.gs, tokens, grid.band_names))
-                    for preset in presets:
-                        rgb = to_display(render_preset(out_img, preset))
-                        name = f"recon_r{int(round(ratio * 100)):02d}_{preset}_{kind}.ppm"
-                        write_ppm(os.path.join(args.out, name), rgb)
-    except (SpectralMaeError, ValueError) as exc:
-        return _fail(str(exc))
+    cfg = model.config
+    grid = patchify(img, cfg.p, cfg.k)
+    dims = GridDims(grid.gh, grid.gw, grid.gs)
+    _, stats = make_targets(grid, args.target_mode, band_mean=band_stats[0],
+                            band_std=band_stats[1])
+    os.makedirs(args.out, exist_ok=True)
+    _emit_resolved(args.out, checkpoint=args.checkpoint, raster=args.raster,
+                   ratios=ratios, presets=presets, seed=args.seed or 0,
+                   target_mode=args.target_mode)
+    records_path = os.path.join(args.out, "reconstruction_mse.jsonl")
+    rng = CounterRng(args.seed or 0)
+    with open(records_path, "w", encoding="utf-8") as records:
+        for ratio in ratios:
+            plan = build_mask(grid.n_tokens, ratio, rng.child("mask", repr(ratio)))
+            recon = model.reconstruct(grid.tokens, plan, dims).data
+            pixels = invert_targets(recon, grid, args.target_mode, stats, band_stats)
+            composite = pixels.copy()
+            composite[plan.visible] = grid.tokens[plan.visible]
+            full_mse = float(np.mean((pixels - grid.tokens) ** 2))
+            masked_mse = float(np.mean(
+                (pixels[plan.masked] - grid.tokens[plan.masked]) ** 2)) if plan.m else 0.0
+            composite_mse = float(np.mean((composite - grid.tokens) ** 2))
+            records.write(json.dumps({
+                "ratio": ratio, "masked_mse": masked_mse, "full_mse": full_mse,
+                "composite_mse": composite_mse}, sort_keys=True) + "\n")
+            for kind, tokens in (("composite", composite), ("pure", pixels)):
+                out_img = unpatchify(TokenGrid(grid.p, grid.k, grid.gh, grid.gw,
+                                               grid.gs, tokens, grid.band_names))
+                for preset in presets:
+                    rgb = to_display(render_preset(out_img, preset))
+                    name = f"recon_r{int(round(ratio * 100)):02d}_{preset}_{kind}.ppm"
+                    write_ppm(os.path.join(args.out, name), rgb)
     print(records_path)
     return 0
 
@@ -422,7 +407,6 @@ def cmd_gradcheck(args) -> int:
     import numpy as np
 
     from . import tensor as T
-    from .errors import SpectralMaeError
     from .gradcheck import REL_TOLERANCE, grad_check
     from .heads import ClassifierHead, cross_entropy
     from .model import GridDims, ModelConfig, SpectralCubeAutoencoder
@@ -430,69 +414,66 @@ def cmd_gradcheck(args) -> int:
     from .rng import CounterRng
     from .tokenizer import SpectralImage, build_mask, make_targets, patchify
 
-    try:
-        if not (1e-4 <= args.eps <= 1e-2):
-            return _fail(f"--eps {args.eps} outside [1e-4, 1e-2]")
-        if args.config:
-            config = _load_config(args.config)
-            model_cfg = _build_model_config(config.get("model", {}))
-            model_cfg.dtype = "float64"
-        else:
-            model_cfg = ModelConfig.tiny(dtype="float64")
-        model = SpectralCubeAutoencoder(model_cfg, CounterRng(0))
-        vals = CounterRng(1).uniform_array(
-            (model_cfg.max_grid[0] * model_cfg.p, model_cfg.max_grid[1] * model_cfg.p,
-             model_cfg.max_grid[2] * model_cfg.k)).astype(np.float64)
-        img = SpectralImage(vals.astype(np.float32),
-                            [f"B{i + 1}" for i in range(vals.shape[2])])
-        grid = patchify(img, model_cfg.p, model_cfg.k)
-        grid.tokens = grid.tokens.astype(np.float64)
-        dims = GridDims(grid.gh, grid.gw, grid.gs)
-        plan = build_mask(grid.n_tokens, 0.5, CounterRng(2))
-        targets, _ = make_targets(grid, "per_token_normalized")
-        objective = ObjectiveConfig(lam=1.0)
+    if not (1e-4 <= args.eps <= 1e-2):
+        return _fail(f"--eps {args.eps} outside [1e-4, 1e-2]")
+    if args.config:
+        config = _load_config(args.config)
+        model_cfg = _build_model_config(config.get("model", {}))
+        model_cfg.dtype = "float64"
+    else:
+        model_cfg = ModelConfig.tiny(dtype="float64")
+    model = SpectralCubeAutoencoder(model_cfg, CounterRng(0))
+    vals = CounterRng(1).uniform_array(
+        (model_cfg.max_grid[0] * model_cfg.p, model_cfg.max_grid[1] * model_cfg.p,
+         model_cfg.max_grid[2] * model_cfg.k)).astype(np.float64)
+    img = SpectralImage(vals.astype(np.float32),
+                        [f"B{i + 1}" for i in range(vals.shape[2])])
+    grid = patchify(img, model_cfg.p, model_cfg.k)
+    grid.tokens = grid.tokens.astype(np.float64)
+    dims = GridDims(grid.gh, grid.gw, grid.gs)
+    plan = build_mask(grid.n_tokens, 0.5, CounterRng(2))
+    targets, _ = make_targets(grid, "per_token_normalized")
+    objective = ObjectiveConfig(lam=1.0)
 
-        worst = {}
+    worst = {}
 
-        def f_model():
-            recon = model.reconstruct(grid.tokens, plan, dims)
-            return total_loss(recon, targets, plan, grid, objective)[0]
+    def f_model():
+        recon = model.reconstruct(grid.tokens, plan, dims)
+        return total_loss(recon, targets, plan, grid, objective)[0]
 
-        worst["model+objective"] = grad_check(f_model, model.parameters(),
-                                              eps=args.eps, sample_per_param=8)
+    worst["model+objective"] = grad_check(f_model, model.parameters(),
+                                          eps=args.eps, sample_per_param=8)
 
-        rng = CounterRng(3)
-        ps = T.ParameterSet()
-        a = ps.add("a", T.Parameter(rng.normal_array((4, 4))))
-        g = ps.add("g", T.Parameter(1.0 + 0.1 * rng.normal_array(4)))
-        b = ps.add("b", T.Parameter(0.1 * rng.normal_array(4)))
-        w = T.Tensor(rng.normal_array((4, 4)))
-        c = ps.add("c", T.Parameter(0.1 * rng.normal_array(4)))
+    rng = CounterRng(3)
+    ps = T.ParameterSet()
+    a = ps.add("a", T.Parameter(rng.normal_array((4, 4))))
+    g = ps.add("g", T.Parameter(1.0 + 0.1 * rng.normal_array(4)))
+    b = ps.add("b", T.Parameter(0.1 * rng.normal_array(4)))
+    w = T.Tensor(rng.normal_array((4, 4)))
+    c = ps.add("c", T.Parameter(0.1 * rng.normal_array(4)))
 
-        def f_ops():
-            z = T.layer_norm(T.gelu(T.matmul(a, w)), g, b, 1e-5)
-            ctx = T.attention(z, a, T.matmul(a, w, c), 2, 2)  # 2 images of 2 rows, 2 heads
-            return T.sum_all(T.mul(w, T.add(T.softmax_lastaxis(z), ctx)))
+    def f_ops():
+        z = T.layer_norm(T.gelu(T.matmul(a, w)), g, b, 1e-5)
+        ctx = T.attention(z, a, T.matmul(a, w, c), 2, 2)  # 2 images of 2 rows, 2 heads
+        return T.sum_all(T.mul(w, T.add(T.softmax_lastaxis(z), ctx)))
 
-        worst["numerics"] = grad_check(f_ops, ps, eps=args.eps)
+    worst["numerics"] = grad_check(f_ops, ps, eps=args.eps)
 
-        head = ClassifierHead(model_cfg.embed_dim, 8, 3, CounterRng(4),
-                              dtype=np.float64)
-        latents = T.Tensor(CounterRng(5).normal_array((6, model_cfg.embed_dim)))
-        worst["heads"] = grad_check(lambda: cross_entropy(head.forward(latents), [1]),
-                                    head.params, eps=args.eps)
+    head = ClassifierHead(model_cfg.embed_dim, 8, 3, CounterRng(4),
+                          dtype=np.float64)
+    latents = T.Tensor(CounterRng(5).normal_array((6, model_cfg.embed_dim)))
+    worst["heads"] = grad_check(lambda: cross_entropy(head.forward(latents), [1]),
+                                head.params, eps=args.eps)
 
-        failed = False
-        for module, result in worst.items():
-            status = "ok" if result.max_relative_error <= REL_TOLERANCE else "FAIL"
-            print(f"{module}: max relative error {result.max_relative_error:.3e} "
-                  f"({status}, worst parameter {result.worst_parameter!r})")
-            failed = failed or status == "FAIL"
-        if failed:
-            print("gradient check failed", file=sys.stderr)
-            return 1
-    except (SpectralMaeError, ValueError) as exc:
-        return _fail(str(exc))
+    failed = False
+    for module, result in worst.items():
+        status = "ok" if result.max_relative_error <= REL_TOLERANCE else "FAIL"
+        print(f"{module}: max relative error {result.max_relative_error:.3e} "
+              f"({status}, worst parameter {result.worst_parameter!r})")
+        failed = failed or status == "FAIL"
+    if failed:
+        print("gradient check failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -564,7 +545,12 @@ def main(argv=None) -> int:
     _pin_heap()
     _apply_thread_env()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    from .errors import SpectralMaeError
+
+    try:
+        return args.func(args)
+    except (SpectralMaeError, ValueError, OSError) as exc:  # bad input: one line, exit 2
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

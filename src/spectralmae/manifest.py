@@ -70,6 +70,8 @@ def _resolve(sample: dict, base: str) -> dict:
     out = dict(sample)
     for key, value in sample.items():
         if key.startswith("raster") or key == "mask":
+            if not isinstance(value, str):
+                raise FormatError(f"manifest sample {key} {value!r} is not a path string")
             resolved = value if os.path.isabs(value) else os.path.join(base, value)
             if not os.path.exists(resolved):
                 raise DataError(f"manifest references missing file {resolved}")
@@ -81,16 +83,24 @@ def load_manifest(path) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"manifest is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"manifest is a JSON {type(doc).__name__}, not an object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise FormatError(f"unknown manifest keys: {sorted(unknown)}")
     if doc.get("schema_version") != MANIFEST_VERSION:
         raise FormatError(f"unsupported manifest schema version {doc.get('schema_version')}")
+    samples = doc.get("samples", [])
+    if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
+        raise FormatError("manifest samples must be a list of objects")
     base = os.path.dirname(os.path.abspath(path))
-    doc["samples"] = [_resolve(s, base) for s in doc.get("samples", [])]
-    return DatasetManifest(**doc)
+    doc["samples"] = [_resolve(s, base) for s in samples]
+    try:  # missing keys and mistyped fields
+        return DatasetManifest(**doc)
+    except TypeError as exc:
+        raise FormatError(f"manifest does not match DatasetManifest: {exc}") from exc
 
 
 def split(manifest: DatasetManifest, fractions: tuple[float, float],

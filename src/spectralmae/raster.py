@@ -10,6 +10,9 @@ File layout (all little-endian):
 
 The payload order matches the tokenizer's flattening order, so patchify
 reads rasters without any transposition. Round trips are bit-exact.
+
+`Writer` and `Reader` are the little-endian codec both this format and
+SPCK checkpoints (`checkpoint.py`) are written and read with.
 """
 
 from __future__ import annotations
@@ -28,47 +31,88 @@ RASTER_MAGIC = b"SPGR"
 RASTER_VERSION = 1
 
 
+class Writer:
+    """Little-endian fields appended in order; `bytes()` joins them."""
+
+    def __init__(self):
+        self.parts: list = []
+
+    def pack(self, fmt: str, *values) -> None:
+        self.parts.append(struct.pack("<" + fmt, *values))
+
+    def string(self, s: str, length_fmt: str) -> None:
+        raw = s.encode("utf-8")
+        self.pack(length_fmt, len(raw))
+        self.parts.append(raw)
+
+    def array(self, arr: np.ndarray) -> None:
+        # the array's own buffer, no copy: `bytes()` copies it once
+        self.parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+
+    def bytes(self) -> bytes:
+        return b"".join(self.parts)
+
+
+class Reader:
+    """Bounds-checked little-endian fields read in order from one file's bytes.
+
+    A short read raises `TruncatedFileError` and a string that is not UTF-8,
+    or bytes left over at `end()`, raise `FormatError`; each message names the
+    file kind.
+    """
+
+    def __init__(self, buf: bytes, kind: str):
+        self.buf = buf
+        self.kind = kind
+        self.off = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.off + n > len(self.buf):
+            raise TruncatedFileError(f"{self.kind} truncated while reading {what}")
+        out = self.buf[self.off:self.off + n]
+        self.off += n
+        return out
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def string(self, what: str, length_fmt: str) -> str:
+        (n,) = self.unpack(length_fmt, f"{what} length")
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.kind} {what} is not UTF-8: {exc}") from exc
+
+    def end(self) -> None:
+        if self.off != len(self.buf):
+            raise FormatError(f"{len(self.buf) - self.off} trailing bytes after "
+                              f"{self.kind} payload")
+
+
 def write_raster(img: SpectralImage, path) -> None:
-    h, w, d = img.values.shape
-    parts = [RASTER_MAGIC, struct.pack("<HIII", RASTER_VERSION, h, w, d)]
+    w = Writer()
+    w.pack("4sHIII", RASTER_MAGIC, RASTER_VERSION, *img.values.shape)
     for name in img.band_names:
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)) + raw)
-    parts.append(np.ascontiguousarray(img.values, dtype="<f4").tobytes())
+        w.string(name, "H")
+    w.array(np.asarray(img.values, dtype=np.float32))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def _take(buf: bytes, offset: int, n: int, what: str) -> tuple[bytes, int]:
-    if offset + n > len(buf):
-        raise TruncatedFileError(f"raster truncated while reading {what}")
-    return buf[offset:offset + n], offset + n
+        fh.write(w.bytes())
 
 
 def read_raster(path) -> SpectralImage:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    magic, off = _take(buf, 0, 4, "magic")
+        r = Reader(fh.read(), "raster")
+    magic = r.take(4, "magic")
     if magic != RASTER_MAGIC:
         raise FormatError(f"bad raster magic {magic!r}")
-    header, off = _take(buf, off, 14, "header")
-    version, h, w, d = struct.unpack("<HIII", header)
+    version, h, w, d = r.unpack("HIII", "header")
     if version != RASTER_VERSION:
         raise FormatError(f"unsupported raster version {version}")
-    names = []
-    for i in range(d):
-        raw, off = _take(buf, off, 2, f"band name {i} length")
-        (ln,) = struct.unpack("<H", raw)
-        raw, off = _take(buf, off, ln, f"band name {i}")
-        try:
-            names.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"raster band name {i} is not UTF-8: {exc}") from exc
-    payload, off = _take(buf, off, h * w * d * 4, "payload")
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after declared payload")
-    values = np.frombuffer(payload, dtype="<f4").reshape(h, w, d)
-    return SpectralImage(values.copy(), names)
+    names = [r.string(f"band name {i}", "H") for i in range(d)]
+    payload = r.take(h * w * d * 4, "payload")
+    r.end()
+    return SpectralImage(np.frombuffer(payload, dtype="<f4").reshape(h, w, d).copy(), names)
 
 
 def normalize_bands(img: SpectralImage, band_min, band_max) -> SpectralImage:

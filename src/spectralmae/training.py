@@ -33,7 +33,6 @@ class PretrainStage:
     warmup_frac: float = 0.1
     min_lr: float = 0.0
     clip_norm: float | None = None
-    name: str = "stage"
     band_stats: tuple | None = None  # (mean, std) per band, for standardized targets
 
 

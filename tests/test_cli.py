@@ -257,6 +257,25 @@ def test_model_drop_path_key_rejected(tmp_path, capsys):
     assert "model.drop_path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,section", [
+    ("pretrain", {"model": 5}),
+    ("pretrain", {"stages": [7]}),
+    ("pretrain", {"stages": 7}),
+    ("finetune", {"finetune": 5}),
+    ("finetune", {"dataset": "ds"}),
+], ids=["model", "stage_entry", "stages", "finetune", "dataset"])
+def test_config_section_of_wrong_type_is_one_error_line(tmp_path, capsys, command, section):
+    if command == "pretrain":
+        config = _pretrain_config(tmp_path, tmp_path / "unused.json", **section)
+        argv = ["pretrain", "--config", config]
+    else:
+        config = _write_json(tmp_path / "ft.json", {"seed": 1, **section})
+        argv = ["finetune", "--task", "classify", "--config", config]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- reconstruct
 
 def _twelve_band_setup(tmp_path):
@@ -345,6 +364,17 @@ def test_reconstruct_missing_band_rejected(tmp_path):
     raster = manifest.parent / json.loads(open(manifest).read())["samples"][0]["raster"]
     assert main(["reconstruct", "--checkpoint", str(ckpt), "--raster", str(raster),
                  "--preset", "ndvi", "--out", str(tmp_path / "x")]) != 0
+
+
+@pytest.mark.parametrize("missing", ["--checkpoint", "--raster"])
+def test_reconstruct_missing_input_file_is_one_error_line(tmp_path, capsys, missing):
+    ckpt, raster = _twelve_band_setup(tmp_path)
+    inputs = {"--checkpoint": str(ckpt), "--raster": str(raster)}
+    inputs[missing] = str(tmp_path / "nope")
+    argv = ["reconstruct"] + [x for pair in inputs.items() for x in pair]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- gradcheck

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralmae.checkpoint import load_checkpoint, save_checkpoint, snapshot_model
+from spectralmae.checkpoint import (Checkpoint, OptimizerSnapshot, load_checkpoint,
+                                    save_checkpoint, snapshot_model)
 from spectralmae.errors import DataError, FormatError, TruncatedFileError
 from spectralmae.manifest import load_manifest, split
 from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
@@ -110,6 +113,48 @@ def test_corrupt_or_truncated_file_loads_or_raises_package_error(tmp_path_factor
         pass
 
 
+# SPCK v1 and SPGR v1 byte for byte. Every value is exact in binary and no
+# random draw feeds the files, so a layout change made to a writer and its
+# reader together, which round trips cannot see, changes these digests.
+_PINNED_SHA256 = {
+    "spck": "eda8e7e5e507e6a084c54bbb648269f1b00f50e8f17fe5b6832f35d28633adf4",
+    "spgr": "700d8646058f916d8a9c0a1e01c572e02e7ded66ea8d4afe1f7c25216f751f18",
+}
+
+
+def _pinned_spck(path):
+    def ramp(shape, dtype):
+        return (np.arange(int(np.prod(shape)), dtype=dtype) / 8 - 1).reshape(shape)
+
+    params = {"w\u00e4ight": ramp((2, 3, 4), np.float32), "bias": ramp((5,), np.float64),
+              "scale": ramp((), np.float32), "empty": ramp((3, 0), np.float32)}
+    moments = {name: arr * 2 for name, arr in params.items()}
+    config = ModelConfig(embed_dim=16, encoder_depth=2, encoder_heads=2, decoder_dim=8,
+                         decoder_depth=1, decoder_heads=1, mlp_ratio=2.5, p=4, k=3,
+                         max_grid=(3, 2, 1), dtype="float64")
+    optimizer = OptimizerSnapshot(7, 0.125, 0.5, 0.75, 2.0 ** -20, 0.0625, moments,
+                                  {name: arr / 4 for name, arr in params.items()})
+    save_checkpoint(Checkpoint(config, params, optimizer, (11, 2 ** 40 + 3), stage=2,
+                               epoch=5, step=1234), path)
+
+
+def _pinned_spgr(path):
+    values = (np.arange(24, dtype=np.float32) / 4 - 3).reshape(3, 2, 4)
+    write_raster(SpectralImage(values, ["B1", "n\u00edr", "", "SWIR-2"]), path)
+
+
+@pytest.mark.parametrize("kind,write,rewrite", [
+    ("spck", _pinned_spck, lambda src, dst: save_checkpoint(load_checkpoint(src), dst)),
+    ("spgr", _pinned_spgr, lambda src, dst: write_raster(read_raster(src), dst)),
+], ids=["spck", "spgr"])
+def test_v1_layout_bytes_are_pinned(tmp_path, kind, write, rewrite):
+    path, again = tmp_path / f"pinned.{kind}", tmp_path / f"again.{kind}"
+    write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_SHA256[kind]
+    rewrite(path, again)  # the reader takes the pinned bytes back to the same bytes
+    assert again.read_bytes() == path.read_bytes()
+
+
 # ---------------------------------------------------------------- normalize / resize
 
 def test_normalize_midpoint():
@@ -180,6 +225,52 @@ def test_manifest_missing_file_rejected(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_manifest(bad)
+
+
+def _manifest_with(doc, **changes):
+    doc = {**doc, **changes}
+    return json.dumps({k: v for k, v in doc.items() if v is not None}).encode("utf-8")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: _manifest_with(doc).replace(b'"B1"', b'"B\xff"'),
+    lambda doc: _manifest_with(doc, samples=5),
+    lambda doc: _manifest_with(doc, band_min=None),
+    lambda doc: _manifest_with(doc, samples=[{**doc["samples"][0], "raster": 5}]),
+], ids=["non_utf8", "samples_not_a_list", "missing_required_key", "non_string_raster_path"])
+def test_manifest_malformed_is_format_error(tmp_path, corrupt):
+    path = _tiny_manifest(tmp_path)
+    bad = tmp_path / "ds" / "bad.json"
+    bad.write_bytes(corrupt(json.loads(open(path).read())))
+    with pytest.raises(FormatError):
+        load_manifest(bad)
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifest(tmp_path_factory):
+    spec = SyntheticSpec(height=4, width=4, bands=2, classes=2, n_images=2, seed=5)
+    return generate_synthetic(spec, "classify", tmp_path_factory.mktemp("manifest"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupt_or_truncated_manifest_loads_or_raises_package_error(fuzz_manifest, data):
+    with open(fuzz_manifest, "rb") as fh:
+        blob = bytearray(fh.read())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    # beside the original, so the rasters it names resolve
+    with tempfile.NamedTemporaryFile("wb", suffix=".json", dir=os.path.dirname(fuzz_manifest),
+                                     delete=False) as fh:
+        fh.write(bytes(blob))
+    try:
+        load_manifest(fh.name)
+    except (FormatError, DataError):
+        pass
 
 
 def test_split_disjoint_union_and_determinism(tmp_path):
