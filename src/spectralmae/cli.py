@@ -14,6 +14,11 @@ import ctypes
 import json
 import os
 import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+
+from .errors import ConfigError
 
 
 def _apply_thread_env() -> None:
@@ -46,98 +51,123 @@ def _pin_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, 1 << 30)
 
 
-_MODEL_KEYS = {"preset", "embed_dim", "encoder_depth", "encoder_heads", "decoder_dim",
-               "decoder_depth", "decoder_heads", "mlp_ratio", "p", "k", "max_grid", "dtype"}
-_OBJECTIVE_KEYS = {"lam", "token_loss_scope", "target_mode"}
-_STAGE_KEYS = {"manifest", "epochs", "base_lr", "batch_size", "mask_ratio",
-               "weight_decay", "warmup_frac", "min_lr", "clip_norm"}
-_FINETUNE_KEYS = {"epochs", "batch_size", "lr", "weight_decay", "hidden",
-                  "train_fraction", "split_fractions", "crop", "warmup_frac"}
-_DATASET_KEYS = {"manifest", "val_manifest"}
-_TOP_KEYS = {"seed", "model", "objective", "stages", "finetune", "dataset"}
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def _check_keys(doc: dict, allowed: set, path: str) -> None:
-    from .errors import ConfigError
+@dataclass
+class _Run:
+    """A run config's top level; each section is read by its own command."""
+    seed: int = 0
+    model: dict = field(default_factory=dict)
+    objective: dict = field(default_factory=dict)
+    stages: list[dict] = field(default_factory=list)
+    finetune: dict = field(default_factory=dict)
+    dataset: dict = field(default_factory=dict)
 
+
+@dataclass
+class _Dataset:
+    manifest: str
+    val_manifest: str | None = None
+
+
+def _convert(value, hint):
+    """`value` as the annotation `hint`; TypeError where the JSON type does not fit."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _convert(value, args[0])
+    # a list from JSON; a tuple from `model.PRESETS`
+    if origin is tuple and isinstance(value, (list, tuple)) and len(value) == len(args):
+        return tuple(map(_convert, value, args))
+    if origin is list and isinstance(value, list):
+        return [_convert(v, args[0]) for v in value]
+    if type(value) is hint or (hint is float and type(value) is int):
+        return hint(value)
+    raise TypeError(value)
+
+
+def _field_value(value, hint, key: str):
+    try:
+        return _convert(value, hint)
+    except (TypeError, OverflowError):  # OverflowError: an int too large for a float
+        name = hint.__name__ if isinstance(hint, type) else hint
+        raise ConfigError(f"config {key} must be {name}, not {value!r}") from None
+
+
+def from_doc(cls, doc, path: str, **fixed):
+    """The dataclass `cls` built from the config section `doc` at `path`.
+
+    Each value must have the JSON type of its field's annotation: int (not
+    bool); float, which also takes an int; str; null for `X | None`; a list
+    of the tuple's length for `tuple[...]`; a list for `list[...]`. Lists
+    become tuples where the field is a tuple. An absent field takes its
+    default. The `fixed` fields come from the caller, never from the doc.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path or 'file'} must be a JSON object, not {doc!r}")
-    unknown = sorted(set(doc) - allowed)
+    prefix = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(doc.keys() - hints.keys() - fixed.keys())
     if unknown:
-        raise ConfigError("unknown config keys: "
-                          + ", ".join(f"{path}.{k}" for k in unknown))
+        raise ConfigError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
+    values = {k: _field_value(v, hints[k], prefix + k) for k, v in doc.items()}
+    given = values.keys() | fixed.keys()
+    for f in fields(cls):
+        if f.name not in given and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"config {prefix}{f.name} is required")
+    return cls(**values, **fixed)
 
 
-def _load_config(path: str) -> dict:
-    from .errors import ConfigError
+def to_doc(obj, omit=()) -> dict:
+    """The doc `from_doc` reads back into `obj`, less the fixed fields in `omit`."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
 
+
+def _load_config(path: str, cls=_Run):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _check_keys(doc, _TOP_KEYS, "")
-    return doc
+    return from_doc(cls, doc, "")
 
 
 def _build_model_config(doc: dict):
-    from .errors import ConfigError
-    from .model import ModelConfig
+    from .model import PRESETS, ModelConfig
 
-    _check_keys(doc, _MODEL_KEYS, "model")
-    doc = dict(doc)
-    preset = doc.pop("preset", None)
-    if "max_grid" in doc:
-        doc["max_grid"] = tuple(doc["max_grid"])
-    if preset is None:
-        return ModelConfig(**doc)
-    factory = {"tiny": ModelConfig.tiny, "base": ModelConfig.base,
-               "large": ModelConfig.large, "huge": ModelConfig.huge}.get(preset)
-    if factory is None:
-        raise ConfigError(f"unknown model.preset {preset!r}")
-    return factory(**doc)
-
-
-def _build_objective(doc: dict):
-    from .objective import ObjectiveConfig
-
-    _check_keys(doc, _OBJECTIVE_KEYS, "objective")
-    return ObjectiveConfig(**doc)
+    preset = _field_value(doc.get("preset", "base"), str, "model.preset")
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown model.preset {preset!r}; expected one of {sorted(PRESETS)}")
+    doc = {k: v for k, v in doc.items() if k != "preset"}
+    return from_doc(ModelConfig, {**PRESETS[preset], **doc}, "model")
 
 
 def _load_stage(doc: dict, base_dir: str):
-    from .errors import ConfigError
     from .manifest import load_manifest
     from .raster import normalize_bands, read_raster
     from .training import PretrainStage
 
-    _check_keys(doc, _STAGE_KEYS, "stages[]")
-    doc = dict(doc)
-    manifest_path = doc.pop("manifest", None)
-    if manifest_path is None:
-        raise ConfigError("stages[].manifest is required")
-    if not os.path.isabs(manifest_path):
-        manifest_path = os.path.join(base_dir, manifest_path)
+    if "manifest" not in doc:
+        raise ConfigError("config stages[].manifest is required")
+    manifest_path = os.path.join(base_dir, _field_value(doc["manifest"], str,
+                                                        "stages[].manifest"))
     manifest = load_manifest(manifest_path)
-    images = [normalize_bands(read_raster(s["raster"]), manifest.band_min,
-                              manifest.band_max) for s in manifest.samples]
-    band_stats = None
+    fixed = dict(images=[normalize_bands(read_raster(s["raster"]), manifest.band_min,
+                                         manifest.band_max) for s in manifest.samples],
+                 band_stats=None)
     if manifest.band_mean and manifest.band_std:
-        band_stats = (manifest.band_mean, manifest.band_std)
-    return PretrainStage(images=images, band_stats=band_stats, **doc)
+        fixed["band_stats"] = (manifest.band_mean, manifest.band_std)
+    doc = {k: v for k, v in doc.items() if k != "manifest"}
+    stage = from_doc(PretrainStage, doc, "stages[]", **fixed)
+    return stage, {"manifest": manifest_path, **to_doc(stage, omit=fixed)}
 
 
 def _emit_resolved(out_dir: str, **sections) -> None:
-    from dataclasses import asdict, is_dataclass
-
-    doc = {name: asdict(v) if is_dataclass(v) else v for name, v in sections.items()}
+    doc = {name: to_doc(v) if is_dataclass(v) else v for name, v in sections.items()}
     with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1, default=str)
+        json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -146,14 +176,7 @@ def _emit_resolved(out_dir: str, **sections) -> None:
 def cmd_synth(args) -> int:
     from .synthetic import SyntheticSpec, generate_synthetic
 
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read spec {args.spec}: {exc}")
-    allowed = set(SyntheticSpec.__dataclass_fields__)
-    _check_keys(doc, allowed, "spec")
-    spec = SyntheticSpec(**doc)
+    spec = _load_config(args.spec, SyntheticSpec)
     os.makedirs(args.out, exist_ok=True)
     manifest_path = generate_synthetic(spec, args.task, args.out)
     _emit_resolved(args.out, spec=spec, task=args.task)
@@ -166,24 +189,20 @@ def cmd_synth(args) -> int:
 def _run_pretraining(args, progressive: bool) -> int:
     from .checkpoint import (load_checkpoint, restore_model, restore_optimizer,
                              save_checkpoint, snapshot_model)
-    from .errors import ConfigError
     from .model import SpectralCubeAutoencoder
+    from .objective import ObjectiveConfig
     from .rng import CounterRng
     from .training import make_optimizer, progressive_pretrain
 
     config = _load_config(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    model_cfg = _build_model_config(config.get("model", {}))
-    objective = _build_objective(config.get("objective", {}))
-    stage_docs = config.get("stages", [])
-    if not isinstance(stage_docs, list):
-        raise ConfigError(f"config stages must be a list, not {stage_docs!r}")
-    if not stage_docs:
+    seed = args.seed if args.seed is not None else config.seed
+    model_cfg = _build_model_config(config.model)
+    objective = from_doc(ObjectiveConfig, config.objective, "objective")
+    if not config.stages:
         return _fail("config has no stages")
-    if not progressive:
-        stage_docs = stage_docs[:1]
-    stages = [_load_stage(doc, base_dir) for doc in stage_docs]
+    stage_docs = config.stages if progressive else config.stages[:1]
+    stages, stage_docs = zip(*(_load_stage(doc, base_dir) for doc in stage_docs))
 
     os.makedirs(args.out, exist_ok=True)
     _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
@@ -239,32 +258,21 @@ def cmd_progressive(args) -> int:
 
 def _downstream_setup(args):
     """Config, manifests and finetune settings shared by `finetune` and `eval`."""
-    from .errors import ConfigError
     from .finetune import FinetuneConfig, resolve_splits
 
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    ft_doc = config.get("finetune", {})
-    _check_keys(ft_doc, _FINETUNE_KEYS, "finetune")
-    ft_doc = dict(ft_doc)
-    if "split_fractions" in ft_doc:
-        ft_doc["split_fractions"] = tuple(ft_doc["split_fractions"])
+    seed = args.seed if args.seed is not None else config.seed
+    ft_doc = config.finetune
     if getattr(args, "train_fraction", None) is not None:
-        ft_doc["train_fraction"] = args.train_fraction
-    cfg = FinetuneConfig(seed=seed, **ft_doc)
-    dataset = config.get("dataset", {})
-    _check_keys(dataset, _DATASET_KEYS, "dataset")
+        ft_doc = {**ft_doc, "train_fraction": args.train_fraction}
+    cfg = from_doc(FinetuneConfig, ft_doc, "finetune", seed=seed)
+    dataset = from_doc(_Dataset, config.dataset, "dataset")
     base_dir = os.path.dirname(os.path.abspath(args.config))
-
-    def resolve(p):
-        return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
-
-    manifest_path = resolve(dataset.get("manifest"))
-    if manifest_path is None:
-        raise ConfigError("config dataset.manifest is required")
-    val_path = resolve(dataset.get("val_manifest"))
-    train_man, val_man = resolve_splits(manifest_path, val_path, cfg)
-    return config, cfg, train_man, val_man, {"manifest": manifest_path, "val_manifest": val_path}
+    dataset.manifest = os.path.join(base_dir, dataset.manifest)
+    if dataset.val_manifest is not None:
+        dataset.val_manifest = os.path.join(base_dir, dataset.val_manifest)
+    train_man, val_man = resolve_splits(dataset.manifest, dataset.val_manifest, cfg)
+    return config, cfg, train_man, val_man, dataset
 
 
 def _write_report(out_dir: str, report) -> None:
@@ -285,12 +293,12 @@ def cmd_finetune(args) -> int:
         model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
         restore_model(ckpt, model)
     else:
-        model_cfg = _build_model_config(config.get("model", {}))
-        model = SpectralCubeAutoencoder(model_cfg, CounterRng(cfg.seed))
+        model = SpectralCubeAutoencoder(_build_model_config(config.model),
+                                        CounterRng(cfg.seed))
 
     os.makedirs(args.out, exist_ok=True)
-    _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
-                   dataset=dataset)
+    _emit_resolved(args.out, seed=cfg.seed, model=model.config,
+                   finetune=to_doc(cfg, ("seed",)), dataset=dataset)
     head = finetune.make_head(args.task, model, train_man, cfg)
     # looked up at call time, so a wrapper rebound onto the entry name sees the call
     runner = getattr(finetune, {"classify": "finetune_classify",
@@ -317,8 +325,8 @@ def cmd_eval(args) -> int:
     head = make_head(args.task, model, train_man, cfg)
     restore_into(ckpt.params, combine_params(model.parameters(), head.params))
     os.makedirs(args.out, exist_ok=True)
-    _emit_resolved(args.out, seed=cfg.seed, model=model.config, finetune=cfg,
-                   dataset=dataset)
+    _emit_resolved(args.out, seed=cfg.seed, model=model.config,
+                   finetune=to_doc(cfg, ("seed",)), dataset=dataset)
     val = TASKS[args.task].load(val_man, val_man.samples)
     _write_report(args.out, evaluate(args.task, model, head, train_man, val, cfg))
     return 0
@@ -417,8 +425,7 @@ def cmd_gradcheck(args) -> int:
     if not (1e-4 <= args.eps <= 1e-2):
         return _fail(f"--eps {args.eps} outside [1e-4, 1e-2]")
     if args.config:
-        config = _load_config(args.config)
-        model_cfg = _build_model_config(config.get("model", {}))
+        model_cfg = _build_model_config(_load_config(args.config).model)
         model_cfg.dtype = "float64"
     else:
         model_cfg = ModelConfig.tiny(dtype="float64")

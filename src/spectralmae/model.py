@@ -56,7 +56,6 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        self.max_grid = tuple(int(g) for g in self.max_grid)
         if self.encoder_heads < 1 or self.decoder_heads < 1:
             raise ConfigError(f"head counts {self.encoder_heads} and {self.decoder_heads} "
                               "must be positive")
@@ -80,32 +79,21 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     @staticmethod
-    def tiny(max_grid=(2, 2, 2), **overrides) -> "ModelConfig":
-        args = dict(embed_dim=16, encoder_depth=2, encoder_heads=2, decoder_dim=8,
-                    decoder_depth=1, decoder_heads=1, p=8, k=3, max_grid=max_grid)
-        args.update(overrides)
-        return ModelConfig(**args)
+    def tiny(**overrides) -> "ModelConfig":
+        return ModelConfig(**{**PRESETS["tiny"], **overrides})
 
-    @staticmethod
-    def base(**overrides) -> "ModelConfig":
-        args = dict(embed_dim=768, encoder_depth=12, encoder_heads=12, decoder_dim=384,
-                    decoder_depth=4, decoder_heads=6)
-        args.update(overrides)
-        return ModelConfig(**args)
 
-    @staticmethod
-    def large(**overrides) -> "ModelConfig":
-        args = dict(embed_dim=1024, encoder_depth=24, encoder_heads=16, decoder_dim=512,
-                    decoder_depth=4, decoder_heads=8)
-        args.update(overrides)
-        return ModelConfig(**args)
-
-    @staticmethod
-    def huge(**overrides) -> "ModelConfig":
-        args = dict(embed_dim=1280, encoder_depth=32, encoder_heads=16, decoder_dim=640,
-                    decoder_depth=4, decoder_heads=8)
-        args.update(overrides)
-        return ModelConfig(**args)
+# Named model sizes as overrides of ModelConfig's defaults, which are `base`
+# (the ViT-Base encoder). `tiny` is the size the tests train.
+PRESETS = {
+    "tiny": dict(embed_dim=16, encoder_depth=2, encoder_heads=2, decoder_dim=8,
+                 decoder_depth=1, decoder_heads=1, max_grid=(2, 2, 2)),
+    "base": {},
+    "large": dict(embed_dim=1024, encoder_depth=24, encoder_heads=16, decoder_dim=512,
+                  decoder_heads=8),
+    "huge": dict(embed_dim=1280, encoder_depth=32, encoder_heads=16, decoder_dim=640,
+                 decoder_heads=8),
+}
 
 
 def _block_param_count(d: int, mlp_ratio: float) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tokenizer import MaskPlan, TokenGrid
+from .tokenizer import TARGET_MODES, MaskPlan, TokenGrid
 
 TOKEN_SCOPES = ("all_tokens", "masked_only")
 
@@ -32,6 +32,8 @@ class ObjectiveConfig:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.token_loss_scope not in TOKEN_SCOPES:
             raise ValueError(f"token_loss_scope must be one of {TOKEN_SCOPES}")
+        if self.target_mode not in TARGET_MODES:
+            raise ValueError(f"target_mode must be one of {TARGET_MODES}")
 
 
 @dataclass

@@ -1,12 +1,19 @@
+import contextlib
+import copy
+import io
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralmae.cli import main
 from spectralmae.checkpoint import save_checkpoint, snapshot_model
-from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
+import spectralmae.model as model_module
+from spectralmae.model import ModelConfig, SpectralCubeAutoencoder, parameter_count
 from spectralmae.preview import PRESETS, read_ppm
 from spectralmae.rng import CounterRng
 
@@ -78,13 +85,14 @@ def test_pretrain_smoke_and_artifacts(tmp_path):
     assert {"stage", "epoch", "token", "spectral", "total", "lr"} <= set(record)
 
 
-def test_pretrain_negative_lambda_rejected_before_training(tmp_path, capsys):
+@pytest.mark.parametrize("objective", [{"lam": -0.5}, {"target_mode": "bogus"}],
+                         ids=["negative_lambda", "unknown_target_mode"])
+def test_pretrain_negative_lambda_rejected_before_training(tmp_path, capsys, objective):
     manifest = _synth(tmp_path, task="pretrain")
-    config = _pretrain_config(tmp_path, manifest,
-                              objective={"lam": -0.5})
+    config = _pretrain_config(tmp_path, manifest, objective=objective)
     out = tmp_path / "run"
     assert main(["pretrain", "--config", config, "--out", str(out)]) != 0
-    assert not (out / "checkpoint_final.spck").exists()
+    assert not out.exists()  # rejected before --out, config.resolved.json or a log
 
 
 def test_pretrain_unknown_config_key_named(tmp_path, capsys):
@@ -274,6 +282,160 @@ def test_config_section_of_wrong_type_is_one_error_line(tmp_path, capsys, comman
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """A pretraining and a classification set of four 16x16x6 images each."""
+    root = tmp_path_factory.mktemp("datasets")
+    return {task: _synth(root, task, task=task, n_images=4) for task in ("pretrain", "classify")}
+
+
+def _valid_docs(datasets):
+    return {
+        "pretrain": {"seed": 5, "model": {"preset": "tiny", "max_grid": [2, 2, 2]},
+                     "objective": {"lam": 1.0},
+                     "stages": [{"manifest": str(datasets["pretrain"]), "epochs": 1,
+                                 "base_lr": 1e-3, "batch_size": 4, "mask_ratio": 0.5,
+                                 "clip_norm": 1.0}]},
+        "finetune": {"seed": 11, "model": {"preset": "tiny", "max_grid": [2, 2, 2]},
+                     "finetune": {"epochs": 1, "batch_size": 2, "lr": 1e-3, "hidden": 8,
+                                  "split_fractions": [0.5, 0.5], "crop": None},
+                     "dataset": {"manifest": str(datasets["classify"])}},
+        "synth": {"height": 8, "width": 8, "bands": 3, "classes": 2, "n_images": 2,
+                  "seed": 3, "rho": 0.5, "signatures": [[0.2, 0.4, 0.6], [0.6, 0.4, 0.2]]},
+    }
+
+
+def _run(command, doc, path, out):
+    config = _write_json(path, doc)
+    argv = {"pretrain": ["pretrain", "--config", config],
+            "finetune": ["finetune", "--task", "classify", "--config", config],
+            "synth": ["synth", "--task", "classify", "--spec", config]}[command]
+    return main(argv + ["--out", str(out)])
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("pretrain", ("model", "max_grid"), 5),
+    ("pretrain", ("model", "embed_dim"), "16"),
+    ("pretrain", ("stages", 0, "epochs"), "1"),
+    ("pretrain", ("stages", 0, "clip_norm"), "x"),
+    ("pretrain", ("objective", "lam"), "1"),
+    ("pretrain", ("stages", 0, "manifest"), 7),
+    ("finetune", ("finetune", "split_fractions"), 0.5),
+    ("finetune", ("finetune", "split_fractions"), [0.5, 0.3, 0.2]),
+    ("finetune", ("finetune", "hidden"), 8.5),
+    ("finetune", ("finetune", "lr"), None),
+    ("finetune", ("finetune", "crop"), "8"),
+    ("finetune", ("seed",), "3"),
+    ("synth", ("height",), "16"),
+    ("synth", ("signatures",), 3),
+], ids=["max_grid_int", "embed_dim_str", "epochs_str", "clip_norm_str", "lam_str",
+        "manifest_int", "split_fractions_float", "split_fractions_three", "hidden_float",
+        "lr_null", "crop_str", "seed_str", "synth_height_str", "synth_signatures_int"])
+def test_config_value_of_wrong_type_is_one_error_line(tmp_path, capsys, datasets, command,
+                                                      path, value):
+    doc = _valid_docs(datasets)[command]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert _run(command, doc, tmp_path / "c.json", tmp_path / "o") == 2
+    key = ".".join("[]" if isinstance(k, int) else k for k in path).replace(".[]", "[]")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def _paths(node, prefix=()):
+    """The path of every value under `node`, outermost first."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, data):
+    """`doc` after one or two type swaps, deletions, re-nestings or resized lists."""
+    box = {"doc": copy.deepcopy(doc)}  # so the whole doc can be swapped or nested too
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        paths = list(_paths(box))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent = box
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        kind = data.draw(st.sampled_from(["swap", "delete", "nest", "unnest", "resize"]),
+                         label="kind")
+        if kind == "swap":
+            parent[key] = data.draw(st.sampled_from(
+                ["1", 1, 1.5, True, None, [], [1, 2], {}, {"x": 1}]), label="value")
+        elif kind == "delete":
+            del parent[key]
+        elif kind == "nest":
+            parent[key] = data.draw(st.sampled_from([[value], {"x": value}]), label="nest")
+        elif kind == "unnest" and value and isinstance(value, (dict, list)):
+            parent[key] = list(value.values())[0] if isinstance(value, dict) else value[0]
+        elif kind == "resize" and isinstance(value, list):
+            parent[key] = value[:-1] if data.draw(st.booleans(), label="shrink") \
+                else value + value[-1:]
+    return box.get("doc", {})
+
+
+class _FullSizeModel(Exception):
+    """Raised in place of building a model of a preset's full size."""
+
+
+def _tiny_models_only(cfg, rng, build=SpectralCubeAutoencoder):
+    # a mutant that drops the tiny preset selects `base`: a valid config, but
+    # 86M parameters would cost seconds and a gigabyte to build and train
+    if parameter_count(cfg) > 10 ** 6:
+        raise _FullSizeModel
+    return build(cfg, rng)
+
+
+_runs = itertools.count()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "synth"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_config_runs_or_is_one_error_line(tmp_path_factory, datasets, command, data):
+    doc = _mutate(_valid_docs(datasets)[command], data)
+    run = tmp_path_factory.getbasetemp() / f"fuzz{next(_runs)}"
+    run.mkdir()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
+        patch.setattr(model_module, "SpectralCubeAutoencoder", _tiny_models_only)
+        try:
+            code = _run(command, doc, run / "c.json", run / "o")
+        except _FullSizeModel:
+            code = 0  # the config was read and accepted
+    err = stderr.getvalue()
+    assert code == 0 or (code == 2 and err.startswith("error: ") and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_resolved_config_reproduces_the_run(tmp_path, datasets, command):
+    # a relative manifest, a preset, and a flag that overrides the config
+    doc = _valid_docs(datasets)[command]
+    section = doc["stages"][0] if command == "pretrain" else doc["dataset"]
+    section["manifest"] = os.path.relpath(section["manifest"], tmp_path)
+    flags = ["--seed", "9"] + (["--train-fraction", "0.5"] if command == "finetune" else [])
+    argv = [command] + (["--task", "classify"] if command == "finetune" else [])
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(argv + ["--config", _write_json(tmp_path / "c.json", doc),
+                        "--out", str(first)] + flags) == 0
+    assert main(argv + ["--config", str(first / "config.resolved.json"),
+                        "--out", str(again)]) == 0
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(again))
+    assert {"config.resolved.json", "train_log.jsonl" if command == "pretrain"
+            else "metrics.json"} <= set(names)
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------- reconstruct

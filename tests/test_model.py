@@ -4,7 +4,7 @@ import pytest
 from spectralmae import tensor as T
 from spectralmae.errors import ConfigError
 from spectralmae.gradcheck import grad_check
-from spectralmae.model import (GridDims, ModelConfig, SpectralCubeAutoencoder,
+from spectralmae.model import (PRESETS, GridDims, ModelConfig, SpectralCubeAutoencoder,
                                empty_mask_plan, encoder_parameter_count,
                                parameter_count)
 from spectralmae.rng import CounterRng
@@ -52,14 +52,14 @@ def test_parameter_count_formula_matches_instantiation():
 
 
 def test_base_preset_encoder_is_86m_scale():
-    count = encoder_parameter_count(ModelConfig.base())
+    count = encoder_parameter_count(ModelConfig(**PRESETS["base"]))
     assert abs(count - 86e6) / 86e6 <= 0.05
 
 
 def test_presets_depths():
-    assert ModelConfig.base().encoder_depth == 12
-    assert ModelConfig.large().encoder_depth == 24
-    assert ModelConfig.huge().encoder_depth == 32
+    assert ModelConfig(**PRESETS["base"]).encoder_depth == 12
+    assert ModelConfig(**PRESETS["large"]).encoder_depth == 24
+    assert ModelConfig(**PRESETS["huge"]).encoder_depth == 32
 
 
 # ---------------------------------------------------------------- embed
