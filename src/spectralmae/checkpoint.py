@@ -79,12 +79,11 @@ def _read_tensor(r: Reader) -> tuple[str, np.ndarray]:
     (ndim,) = r.unpack("B", "rank")
     shape = r.unpack(f"{ndim}Q", "extents")
     count = math.prod(shape)  # exact: numpy's int64 product wraps on huge extents
-    payload = r.take(count * itemsize, f"tensor {name!r} payload")
+    flat = r.array(_DTYPE_TAGS[itemsize], count, f"tensor {name!r} payload")
     try:  # an empty payload can still declare extents numpy cannot hold
-        arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[itemsize]).reshape(shape)
+        return name, flat.reshape(shape)
     except ValueError as exc:
         raise FormatError(f"tensor {name!r} shape {shape} is unrepresentable: {exc}") from exc
-    return name, arr.astype(arr.dtype.newbyteorder("="))
 
 
 def _read_tensors(r: Reader, what: str) -> dict[str, np.ndarray]:
@@ -146,7 +145,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(w.bytes())
+            w.write_to(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,8 +154,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        r = Reader(fh.read(), "checkpoint")
+    r = Reader(path, "checkpoint")
     magic = r.take(4, "magic")
     if magic != CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}")

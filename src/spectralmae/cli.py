@@ -109,7 +109,7 @@ def from_doc(cls, doc, path: str, **fixed):
         raise ConfigError(f"config {path or 'file'} must be a JSON object, not {doc!r}")
     prefix = f"{path}." if path else ""
     hints = typing.get_type_hints(cls)
-    unknown = sorted(doc.keys() - hints.keys() - fixed.keys())
+    unknown = sorted(doc.keys() - (hints.keys() - fixed.keys()))
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
     values = {k: _field_value(v, hints[k], prefix + k) for k, v in doc.items()}
@@ -305,7 +305,7 @@ def cmd_finetune(args) -> int:
                                 "multilabel": "finetune_multilabel",
                                 "segment": "segment", "change": "change_detect"}[args.task])
     report = runner(model, train_man, cfg, val_man, head=head)
-    tuned = snapshot_model(model, None, (cfg.seed, 0))
+    tuned = snapshot_model(model, None, CounterRng(cfg.seed).state())
     tuned.params.update({name: p.data.copy() for name, p in head.params.items()})
     save_checkpoint(tuned, os.path.join(args.out, "checkpoint_finetuned.spck"))
     _write_report(args.out, report)

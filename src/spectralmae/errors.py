@@ -9,6 +9,10 @@ class ShapeError(SpectralMaeError):
     """Tensor shapes incompatible for the requested operation."""
 
 
+class ConsumedGraphError(SpectralMaeError):
+    """Backward reached an autodiff graph an earlier backward already consumed."""
+
+
 class TokenizationError(SpectralMaeError):
     """Image dimensions not divisible by the token geometry."""
 
@@ -31,3 +35,10 @@ class TruncatedFileError(SpectralMaeError):
 
 class DataError(SpectralMaeError):
     """Dataset contents violate the task contract (labels, sizes, pairing)."""
+
+
+def check_config(*rules: tuple[bool, str]) -> None:
+    """Raise `ConfigError` with the message of the first rule that does not hold."""
+    for ok, message in rules:
+        if not ok:
+            raise ConfigError(message)

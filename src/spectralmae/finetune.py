@@ -10,13 +10,14 @@ metric values can be re-derived by independent oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_config
 from .heads import (ChangeHead, ClassifierHead, SegmentationHead, combine_params,
                     cross_entropy, multilabel_soft_margin, nll_from_log_probs)
 from .manifest import DatasetManifest, load_manifest, split
@@ -42,6 +43,21 @@ class FinetuneConfig:
     crop: int | None = None
     warmup_frac: float = 0.1
 
+    def __post_init__(self):
+        check_config(
+            (self.epochs >= 0, f"finetune epochs {self.epochs} must not be negative"),
+            (self.batch_size >= 1, f"finetune batch_size {self.batch_size} must be positive"),
+            (0.0 <= self.lr < math.inf, f"finetune lr {self.lr} must be finite and >= 0"),
+            (0.0 <= self.weight_decay < math.inf,
+             f"finetune weight_decay {self.weight_decay} must be finite and >= 0"),
+            (self.hidden >= 1, f"finetune hidden {self.hidden} must be positive"),
+            (0.0 < self.train_fraction <= 1.0,
+             f"train fraction {self.train_fraction} outside (0, 1]"),
+            (self.crop is None or self.crop >= 1,
+             f"finetune crop {self.crop} must be positive or null"),
+            (0.0 <= self.warmup_frac <= 1.0,
+             f"finetune warmup_frac {self.warmup_frac} outside [0, 1]"))
+
 
 def _load_image(manifest: DatasetManifest, path: str) -> SpectralImage:
     return normalize_bands(read_raster(path), manifest.band_min, manifest.band_max)
@@ -65,8 +81,6 @@ def resolve_splits(manifest, val_manifest, cfg: FinetuneConfig):
 
 
 def _subset(samples: list, fraction: float, seed: int) -> list:
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"train fraction {fraction} outside (0, 1]")
     if fraction == 1.0:
         return list(samples)
     count = int(fraction * len(samples))

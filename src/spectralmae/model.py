@@ -11,12 +11,13 @@ back to pixel space covering all tokens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_config
 from .rng import CounterRng
 from .tokenizer import MaskPlan, SpectralImage, patchify_group
 
@@ -28,14 +29,15 @@ INIT_STD = 0.02
 # paying once an image's own kernels dominate, and it holds every image's
 # activations at once. One pretraining step with AdamW, one BLAS thread,
 # per-image graphs against one graph for the batch (p75 ms of two runs; peak
-# RSS of a process that synthesizes 4 batches and runs `pretrain` on them):
+# RSS of a process that synthesizes 4 batches and runs `pretrain` on them,
+# one run each, with backward consuming each graph before the next forward):
 #
 #   image, model, B          rows/graph  per-image p75  one graph p75  peak RSS MB
-#   16x16x6 tiny, 16                128      28 / 41         6.3 / 7.2   36 -> 37
-#   32x32x12 d96, 4                 256      93 / 102         53 / 61   115 -> 125
-#   48x48x12 d96, 4                 576     133 / 139         88 / 87   123 -> 146
-#   64x64x12 d96, 4                1024     220 / 163        154 / 136  133 -> 221
-#   96x96x12 d96, 4                2304     449 / 461        428 / 463  199 -> 527
+#   16x16x6 tiny, 16                128      28 / 41         6.3 / 7.2  36.1 -> 36.5
+#   32x32x12 d96, 4                 256      93 / 102         53 / 61   77.3 -> 77.0
+#   48x48x12 d96, 4                 576     133 / 139         88 / 87   78.3 -> 91.5
+#   64x64x12 d96, 4                1024     220 / 163        154 / 136  79.9 -> 127.5
+#   96x96x12 d96, 4                2304     449 / 461        428 / 463 120.8 -> 283.6
 #
 # Under the cap the 96x96x12 (576-token) image keeps one graph per image.
 MAX_GROUP_ROWS = 512
@@ -56,6 +58,14 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_config(
+            *((getattr(self, name) >= 1, f"{name} {getattr(self, name)} must be positive")
+              for name in ("embed_dim", "decoder_dim", "p", "k")),
+            (min(self.encoder_depth, self.decoder_depth) >= 0,
+             f"depths {self.encoder_depth} and {self.decoder_depth} must not be negative"),
+            (0.0 < self.mlp_ratio < math.inf, f"mlp_ratio {self.mlp_ratio} must be finite and > 0"),
+            (len(self.max_grid) == 3 and min(self.max_grid) >= 1,
+             f"max_grid {self.max_grid} must be three positive extents"))
         if self.encoder_heads < 1 or self.decoder_heads < 1:
             raise ConfigError(f"head counts {self.encoder_heads} and {self.decoder_heads} "
                               "must be positive")

@@ -18,6 +18,7 @@ SPCK checkpoints (`checkpoint.py`) are written and read with.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 
 import numpy as np
@@ -32,7 +33,7 @@ RASTER_VERSION = 1
 
 
 class Writer:
-    """Little-endian fields appended in order; `bytes()` joins them."""
+    """Little-endian fields appended in order; `write_to` writes them out."""
 
     def __init__(self):
         self.parts: list = []
@@ -46,36 +47,52 @@ class Writer:
         self.parts.append(raw)
 
     def array(self, arr: np.ndarray) -> None:
-        # the array's own buffer, no copy: `bytes()` copies it once
+        # the array's own buffer, no copy
         self.parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
 
-    def bytes(self) -> bytes:
-        return b"".join(self.parts)
+    def write_to(self, fh) -> None:
+        """Write every part in order, without joining them into one copy."""
+        for part in self.parts:
+            fh.write(part)
 
 
 class Reader:
-    """Bounds-checked little-endian fields read in order from one file's bytes.
+    """Bounds-checked little-endian fields read in order from one file.
 
-    A short read raises `TruncatedFileError` and a string that is not UTF-8,
-    or bytes left over at `end()`, raise `FormatError`; each message names the
-    file kind.
+    The file is read into one writable buffer, and `array` returns a payload
+    as a view of it, so a payload is copied once, by the read. A short read
+    raises `TruncatedFileError` and a string that is not UTF-8, or bytes
+    left over at `end()`, raise `FormatError`; each message names the file
+    kind.
     """
 
-    def __init__(self, buf: bytes, kind: str):
-        self.buf = buf
+    def __init__(self, path, kind: str):
+        with open(path, "rb") as fh:
+            self.buf = bytearray(os.fstat(fh.fileno()).st_size)
+            del self.buf[fh.readinto(self.buf):]  # a file that shrank since the stat
         self.kind = kind
         self.off = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def _skip(self, n: int, what: str) -> int:
+        """Offset of the next `n` bytes, which the reader moves past."""
         if self.off + n > len(self.buf):
             raise TruncatedFileError(f"{self.kind} truncated while reading {what}")
-        out = self.buf[self.off:self.off + n]
         self.off += n
-        return out
+        return self.off - n
+
+    def take(self, n: int, what: str) -> bytes:
+        off = self._skip(n, what)
+        return bytes(self.buf[off:off + n])
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        """The next `count` items of the little-endian `dtype` as a view of the buffer."""
+        dtype = np.dtype(dtype)
+        arr = np.frombuffer(self.buf, dtype, count, self._skip(count * dtype.itemsize, what))
+        return arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
 
     def unpack(self, fmt: str, what: str) -> tuple:
         fmt = "<" + fmt
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        return struct.unpack_from(fmt, self.buf, self._skip(struct.calcsize(fmt), what))
 
     def string(self, what: str, length_fmt: str) -> str:
         (n,) = self.unpack(length_fmt, f"{what} length")
@@ -97,12 +114,11 @@ def write_raster(img: SpectralImage, path) -> None:
         w.string(name, "H")
     w.array(np.asarray(img.values, dtype=np.float32))
     with open(path, "wb") as fh:
-        fh.write(w.bytes())
+        w.write_to(fh)
 
 
 def read_raster(path) -> SpectralImage:
-    with open(path, "rb") as fh:
-        r = Reader(fh.read(), "raster")
+    r = Reader(path, "raster")
     magic = r.take(4, "magic")
     if magic != RASTER_MAGIC:
         raise FormatError(f"bad raster magic {magic!r}")
@@ -110,9 +126,9 @@ def read_raster(path) -> SpectralImage:
     if version != RASTER_VERSION:
         raise FormatError(f"unsupported raster version {version}")
     names = [r.string(f"band name {i}", "H") for i in range(d)]
-    payload = r.take(h * w * d * 4, "payload")
+    values = r.array("<f4", h * w * d, "payload").reshape(h, w, d)
     r.end()
-    return SpectralImage(np.frombuffer(payload, dtype="<f4").reshape(h, w, d).copy(), names)
+    return SpectralImage(values, names)
 
 
 def normalize_bands(img: SpectralImage, band_min, band_max) -> SpectralImage:

@@ -6,6 +6,14 @@ bookkeeping needed to backpropagate: parent links and a closure that
 routes the output adjoint to the parents. `Parameter` is a leaf tensor
 with a persistent, zero-initialized gradient buffer.
 
+`backward()` consumes its graph. As the sweep passes an op node it drops
+the node's closure and parent links, so the activations only closures
+hold (attention's scores, GELU's tanh, LayerNorm's normalised rows,
+matmul inputs) are freed during the sweep, and a caller that still holds
+the loss pins nothing. A consumed node keeps its value but not its
+history: a second `backward()` through it raises `ConsumedGraphError`.
+Leaves and Parameters are never consumed.
+
 Shape discipline is strict: no implicit broadcasting anywhere. The only
 shape-mixing ops are the explicit ones (`matmul`'s optional row bias,
 `tile_rows`, `mean_rows`), and every mismatch raises `ShapeError` naming
@@ -19,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConsumedGraphError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
@@ -83,7 +91,7 @@ class Tensor:
         self.grad += delta
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output; consumes the graph it walks."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         order: list[Tensor] = []
@@ -96,17 +104,23 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)  # raises before any adjoint moves
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data), owned=True)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:  # reverse topological order; a popped node is done with
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its adjoint
+            if node.grad is not None:
                 node._backward(node.grad)
-                if not isinstance(node, Parameter) and node is not self:
-                    node.grad = None  # interior adjoints are transient
+            node._backward, node._parents = _consumed, ()
+            if node is not self:
+                node.grad = None  # interior adjoints are transient
 
     # operator sugar; all strict-shape
     def __add__(self, other):
@@ -181,6 +195,12 @@ class ParameterSet:
 
     def total_size(self) -> int:
         return sum(p.data.size for p in self)
+
+
+def _consumed(g) -> None:
+    """The closure of an op node whose graph `backward()` has swept."""
+    raise ConsumedGraphError("backward through a consumed graph: each graph "
+                             "backpropagates once; build the loss again")
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -9,12 +9,13 @@ epoch-boundary checkpoint reproduces the uninterrupted trace bitwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, check_config
 from .model import GridDims, SpectralCubeAutoencoder
 from .objective import LossBreakdown, ObjectiveConfig, total_loss
 from .optim import AdamW, Schedule, lr_at
@@ -34,6 +35,19 @@ class PretrainStage:
     min_lr: float = 0.0
     clip_norm: float | None = None
     band_stats: tuple | None = None  # (mean, std) per band, for standardized targets
+
+    def __post_init__(self):
+        check_config(
+            (self.epochs >= 0, f"stage epochs {self.epochs} must not be negative"),
+            (self.batch_size >= 1, f"stage batch_size {self.batch_size} must be positive"),
+            (0.0 <= self.mask_ratio < 1.0, f"stage mask_ratio {self.mask_ratio} outside [0, 1)"),
+            (0.0 <= self.base_lr < math.inf and 0.0 <= self.min_lr < math.inf,
+             f"stage base_lr {self.base_lr} and min_lr {self.min_lr} must be finite and >= 0"),
+            (0.0 <= self.weight_decay < math.inf,
+             f"stage weight_decay {self.weight_decay} must be finite and >= 0"),
+            (0.0 <= self.warmup_frac <= 1.0, f"stage warmup_frac {self.warmup_frac} outside [0, 1]"),
+            (self.clip_norm is None or self.clip_norm > 0.0,
+             f"stage clip_norm {self.clip_norm} must be positive or null"))
 
 
 @dataclass

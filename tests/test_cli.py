@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import io
-import itertools
 import json
 import os
 
@@ -347,6 +346,29 @@ def test_config_value_of_wrong_type_is_one_error_line(tmp_path, capsys, datasets
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,path,value,message", [
+    ("pretrain", ("stages", 0, "batch_size"), 0, "stage batch_size 0 must be positive"),
+    ("pretrain", ("stages", 0, "epochs"), -1, "stage epochs -1 must not be negative"),
+    ("pretrain", ("model", "p"), 0, "p 0 must be positive"),
+    ("pretrain", ("model", "max_grid"), [0, 2, 2],
+     "max_grid (0, 2, 2) must be three positive extents"),
+    ("finetune", ("finetune", "batch_size"), 0, "finetune batch_size 0 must be positive"),
+    ("finetune", ("finetune", "crop"), 0, "finetune crop 0 must be positive or null"),
+    ("finetune", ("finetune", "seed"), 3, "unknown config keys: finetune.seed"),
+], ids=["batch_size_0", "epochs_negative", "p_0", "max_grid_0", "finetune_batch_size_0",
+        "crop_0", "finetune_seed"])
+def test_config_value_out_of_range_is_one_error_line(tmp_path, capsys, datasets, command,
+                                                     path, value, message):
+    doc = _valid_docs(datasets)[command]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert _run(command, doc, tmp_path / "c.json", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _paths(node, prefix=()):
     """The path of every value under `node`, outermost first."""
     if isinstance(node, (dict, list)):
@@ -371,7 +393,7 @@ def _mutate(doc, data):
                          label="kind")
         if kind == "swap":
             parent[key] = data.draw(st.sampled_from(
-                ["1", 1, 1.5, True, None, [], [1, 2], {}, {"x": 1}]), label="value")
+                ["1", 1, 0, -1, 1.5, True, None, [], [1, 2], {}, {"x": 1}]), label="value")
         elif kind == "delete":
             del parent[key]
         elif kind == "nest":
@@ -396,16 +418,12 @@ def _tiny_models_only(cfg, rng, build=SpectralCubeAutoencoder):
     return build(cfg, rng)
 
 
-_runs = itertools.count()
-
-
 @pytest.mark.parametrize("command", ["pretrain", "finetune", "synth"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_mutated_config_runs_or_is_one_error_line(tmp_path_factory, datasets, command, data):
     doc = _mutate(_valid_docs(datasets)[command], data)
-    run = tmp_path_factory.getbasetemp() / f"fuzz{next(_runs)}"
-    run.mkdir()
+    run = tmp_path_factory.mktemp("config-fuzz")
     with pytest.MonkeyPatch.context() as patch, \
             contextlib.redirect_stderr(io.StringIO()) as stderr:
         patch.setattr(model_module, "SpectralCubeAutoencoder", _tiny_models_only)

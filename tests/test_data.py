@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,28 @@ def test_v1_layout_bytes_are_pinned(tmp_path, kind, write, rewrite):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_SHA256[kind]
     rewrite(path, again)  # the reader takes the pinned bytes back to the same bytes
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["spck", "spgr"])
+def test_load_copies_the_file_once_into_writable_arrays(tmp_path, kind):
+    path = tmp_path / f"big.{kind}"
+    if kind == "spck":
+        model = SpectralCubeAutoencoder(ModelConfig.tiny(embed_dim=64, decoder_dim=32),
+                                        CounterRng(0))
+        save_checkpoint(snapshot_model(model, None, (0, 0)), path)
+        load = lambda: list(load_checkpoint(path).params.values())
+    else:
+        write_raster(_image(64, 64, 12, seed=2), path)
+        load = lambda: [read_raster(path).values]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arrays = load()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * path.stat().st_size  # the file buffer, not also a copy of each payload
+    assert all(arr.flags.writeable for arr in arrays)
 
 
 # ---------------------------------------------------------------- normalize / resize

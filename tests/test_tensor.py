@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from spectralmae import tensor as T
-from spectralmae.errors import ShapeError
+from spectralmae.errors import ConsumedGraphError, ShapeError
 from spectralmae.gradcheck import grad_check
 from spectralmae.rng import CounterRng
 
@@ -601,6 +602,43 @@ def test_grad_accumulates_across_backwards():
     T.sum_all(T.mul(ps["x"], ps["x"])).backward()
     T.sum_all(T.mul(ps["x"], ps["x"])).backward()
     assert np.allclose(ps["x"].grad, [8.0])  # 2 * (2x)
+
+
+def test_backward_frees_activations_while_the_loss_is_held():
+    ps = _param_set(w=CounterRng(45).normal_array((4, 3)))
+    x = T.constant(CounterRng(46).normal_array((5, 4)))
+    h = T.gelu(T.matmul(x, ps["w"]))
+    loss = T.sum_all(T.mul(h, h))
+    activation = weakref.ref(h.data)  # Tensor has __slots__; its array takes a weakref
+    del h
+    ps.zero_grads()
+    loss.backward()
+    assert activation() is None
+    assert loss.item() > 0.0  # the loss keeps its value
+
+
+def test_second_backward_through_one_graph_raises():
+    ps = _param_set(x=np.array([2.0]))
+    ps.zero_grads()
+    loss = T.mul(ps["x"], ps["x"])
+    loss.backward()
+    with pytest.raises(ConsumedGraphError, match="consumed graph"):
+        loss.backward()
+    assert ps["x"].grad.tolist() == [4.0]  # not 12: the root's adjoint did not move
+
+
+def test_new_graph_on_a_consumed_node_raises_and_leaves_stay_usable():
+    ps = _param_set(x=np.array([2.0]))
+    ps.zero_grads()
+    h = T.mul(ps["x"], ps["x"])
+    T.sum_all(h).backward()
+    reuse = T.add(T.scale(h, 3.0), T.mul(ps["x"], ps["x"]))  # forward through h still works
+    assert reuse.data.tolist() == [16.0]
+    with pytest.raises(ConsumedGraphError):
+        reuse.backward()
+    assert ps["x"].grad.tolist() == [4.0]  # the failed sweep ran no closure
+    T.sum_all(T.mul(ps["x"], ps["x"])).backward()
+    assert ps["x"].grad.tolist() == [8.0]
 
 
 def test_mean_all_float64_accumulation():

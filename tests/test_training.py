@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from spectralmae.optim import AdamW, Schedule, lr_at
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Parameter, ParameterSet
 from spectralmae.tokenizer import SpectralImage, build_mask
-from spectralmae.training import (EpochRecord, PretrainStage, group_loss, pretrain_stage,
-                                  progressive_pretrain)
+from spectralmae.training import (EpochRecord, PretrainStage, group_loss, make_optimizer,
+                                  pretrain_stage, progressive_pretrain)
 
 
 def _smooth_images(count, h, w, d, seed=0):
@@ -609,6 +611,30 @@ def test_graphs_per_step_respect_the_row_cap(monkeypatch, side, bands, graphs_pe
     monkeypatch.setattr(T.Tensor, "backward", lambda self: calls.append(1) or backward(self))
     pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(1))
     assert len(calls) == graphs_per_step
+
+
+def test_pretrain_step_holds_one_group_graph_at_a_time(monkeypatch):
+    # one image per group, as pretrain-mid's 576-token images are: the first
+    # group's graph must be gone before the second group's forward
+    monkeypatch.setattr("spectralmae.model.MAX_GROUP_ROWS", 1)
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(8, 8, 2), p=4), CounterRng(0))
+    stage = _stage(_smooth_images(2, 32, 32, 6, seed=93), epochs=1, batch_size=2)
+    optimizer = make_optimizer(model, stage)
+    model.parameters().zero_grads()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss, _ = group_loss(model, stage.images[:1], ObjectiveConfig(), stage.mask_ratio,
+                             [CounterRng(1)])
+        graph = tracemalloc.get_traced_memory()[0] - before
+        del loss
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(2), optimizer=optimizer)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * graph
 
 
 def test_group_spans_split_on_size_and_cap():
