@@ -1,19 +1,20 @@
 """Bit-exact binary checkpoints.
 
 Layout (all little-endian): magic "SPCK", version u16, then four
-sections in fixed order — model config (tagged key/value pairs),
-named parameter tensors, optional optimizer state, RNG state and the
-training position. Tensors are a length-prefixed UTF-8 name, a dtype
-tag (4 = float32, 8 = float64), u8 rank, u64 extents, then the raw
-payload. Save -> load -> save reproduces identical bytes because every
-field has exactly one encoding.
+sections in fixed order — model config (ModelConfig's fields, each
+tagged with its annotation's kind), named parameter tensors, optional
+optimizer state, RNG state and the training position. Tensors are a
+length-prefixed UTF-8 name, a dtype tag (4 = float32, 8 = float64), u8
+rank, u64 extents, then the raw payload. Save -> load -> save reproduces
+identical bytes because every field has exactly one encoding.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,16 +27,14 @@ from .tensor import ParameterSet
 CKPT_MAGIC = b"SPCK"
 CKPT_VERSION = 1
 
-_CONFIG_FIELDS = (
-    ("embed_dim", "i"), ("encoder_depth", "i"), ("encoder_heads", "i"),
-    ("decoder_dim", "i"), ("decoder_depth", "i"), ("decoder_heads", "i"),
-    ("mlp_ratio", "f"), ("p", "i"), ("k", "i"), ("max_grid", "iii"),
-    ("drop_path", "f"), ("dtype", "s"),
-)
+_KINDS = {int: "i", float: "f", tuple[int, int, int]: "iii", str: "s"}
 _KIND_FORMATS = {"i": "q", "f": "d", "iii": "3q"}  # "s" is a u32-prefixed string
+_CONFIG_FIELDS = [(name, _KINDS[hint]) for name, hint in typing.get_type_hints(ModelConfig).items()]
+_CONFIG_FIELDS.insert(_CONFIG_FIELDS.index(("dtype", "s")), ("drop_path", "f"))  # a v1 slot
+_CONFIG_KINDS = dict(_CONFIG_FIELDS)
 
 _DTYPE_TAGS = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
-_OPT_HEADER = "Q5d"  # step count, base lr, beta1, beta2, eps, weight decay
+_OPT_HEADER = "Q5d"  # OptimizerSnapshot's hyper-parameters: an int, then five floats
 _TRAILER = "5Q"  # rng seed, rng counter, stage, epoch, step
 
 
@@ -51,6 +50,10 @@ class OptimizerSnapshot:
     v: dict[str, np.ndarray]
 
 
+# the fields an AdamW holds as attributes of the same names
+_OPT_HYPER = tuple(f.name for f in fields(OptimizerSnapshot) if f.name not in ("m", "v"))
+
+
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -60,7 +63,6 @@ class Checkpoint:
     stage: int = 0
     epoch: int = 0
     step: int = 0
-    version: int = CKPT_VERSION
 
 
 def _write_tensors(w: Writer, tensors: dict[str, np.ndarray]) -> None:
@@ -109,34 +111,36 @@ def _read_config(r: Reader) -> ModelConfig:
     kwargs = {}
     for _ in range(count):
         name = r.string("config key", "I")
+        expected = _CONFIG_KINDS.get(name)
+        if expected is None or name in kwargs:
+            raise FormatError(f"unknown or repeated checkpoint config field {name}")
         kind = r.string("config kind", "I")
+        if kind != expected:
+            raise FormatError(f"checkpoint config {name} has kind {kind!r}, not {expected!r}")
         if kind == "s":
             kwargs[name] = r.string(f"config {name}", "I")
-        elif kind in _KIND_FORMATS:
+        else:
             value = r.unpack(_KIND_FORMATS[kind], f"config {name}")
             kwargs[name] = value if kind == "iii" else value[0]
-        else:
-            raise FormatError(f"unknown config field kind {kind!r}")
     drop_path = kwargs.pop("drop_path", 0.0)
     if drop_path != 0.0:
         raise FormatError(f"checkpoint drop_path {drop_path} is unsupported: drop path "
                           "was removed, so only 0.0 loads")
     try:
         return ModelConfig(**kwargs)
-    except (TypeError, ConfigError) as exc:
+    except ConfigError as exc:
         raise FormatError(f"checkpoint config does not match ModelConfig: {exc}") from exc
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     w = Writer()
-    w.pack("4sH", CKPT_MAGIC, ckpt.version)
+    w.pack("4sH", CKPT_MAGIC, CKPT_VERSION)
     _write_config(w, ckpt.config)
     _write_tensors(w, ckpt.params)
     opt = ckpt.optimizer
     w.pack("B", opt is not None)
     if opt is not None:
-        w.pack(_OPT_HEADER, opt.step_count, opt.base_lr, opt.beta1, opt.beta2, opt.eps,
-               opt.weight_decay)
+        w.pack(_OPT_HEADER, *(getattr(opt, name) for name in _OPT_HYPER))
         _write_tensors(w, opt.m)
         _write_tensors(w, opt.v)
     w.pack(_TRAILER, *ckpt.rng_state, ckpt.stage, ckpt.epoch, ckpt.step)
@@ -170,7 +174,7 @@ def load_checkpoint(path) -> Checkpoint:
                                       _read_tensors(r, "second-moment count"))
     seed, counter, stage, epoch, step = r.unpack(_TRAILER, "rng state and position")
     r.end()
-    return Checkpoint(config, params, optimizer, (seed, counter), stage, epoch, step, version)
+    return Checkpoint(config, params, optimizer, (seed, counter), stage, epoch, step)
 
 
 def snapshot_model(model: SpectralCubeAutoencoder, optimizer: AdamW | None,
@@ -179,14 +183,10 @@ def snapshot_model(model: SpectralCubeAutoencoder, optimizer: AdamW | None,
     params = {name: p.data.copy() for name, p in model.parameters().items()}
     opt = None
     if optimizer is not None:
-        opt = OptimizerSnapshot(
-            optimizer.step_count, optimizer.base_lr, optimizer.beta1, optimizer.beta2,
-            optimizer.eps, optimizer.weight_decay,
-            {k: a.copy() for k, a in optimizer.m.items()},
-            {k: a.copy() for k, a in optimizer.v.items()})
-    return Checkpoint(config=ModelConfig(**vars(model.config)), params=params,
-                      optimizer=opt, rng_state=rng_state, stage=stage, epoch=epoch,
-                      step=step)
+        opt = OptimizerSnapshot(**{name: getattr(optimizer, name) for name in _OPT_HYPER},
+                                m={k: a.copy() for k, a in optimizer.m.items()},
+                                v={k: a.copy() for k, a in optimizer.v.items()})
+    return Checkpoint(replace(model.config), params, opt, rng_state, stage, epoch, step)
 
 
 def restore_into(tensors: dict[str, np.ndarray], params: ParameterSet) -> None:
@@ -220,12 +220,8 @@ def restore_optimizer(snapshot: OptimizerSnapshot, optimizer: AdamW) -> None:
             if name not in saved:
                 raise ShapeError(f"optimizer moment {kind} missing for parameter {name!r}")
             _check_shape(f"optimizer moment {kind} of {name!r}", saved[name], own[name])
-    optimizer.step_count = snapshot.step_count
-    optimizer.base_lr = snapshot.base_lr
-    optimizer.beta1 = snapshot.beta1
-    optimizer.beta2 = snapshot.beta2
-    optimizer.eps = snapshot.eps
-    optimizer.weight_decay = snapshot.weight_decay
+    for name in _OPT_HYPER:
+        setattr(optimizer, name, getattr(snapshot, name))
     for name in optimizer.m:
         optimizer.m[name][...] = snapshot.m[name]
         optimizer.v[name][...] = snapshot.v[name]

@@ -14,11 +14,10 @@ import ctypes
 import json
 import os
 import sys
-import types
-import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 
 from .errors import ConfigError
+from .schema import field_value, from_doc, read_doc, to_doc
 
 
 def _apply_thread_env() -> None:
@@ -73,71 +72,10 @@ class _Dataset:
     val_manifest: str | None = None
 
 
-def _convert(value, hint):
-    """`value` as the annotation `hint`; TypeError where the JSON type does not fit."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:  # X | None
-        return None if value is None else _convert(value, args[0])
-    # a list from JSON; a tuple from `model.PRESETS`
-    if origin is tuple and isinstance(value, (list, tuple)) and len(value) == len(args):
-        return tuple(map(_convert, value, args))
-    if origin is list and isinstance(value, list):
-        return [_convert(v, args[0]) for v in value]
-    if type(value) is hint or (hint is float and type(value) is int):
-        return hint(value)
-    raise TypeError(value)
-
-
-def _field_value(value, hint, key: str):
-    try:
-        return _convert(value, hint)
-    except (TypeError, OverflowError):  # OverflowError: an int too large for a float
-        name = hint.__name__ if isinstance(hint, type) else hint
-        raise ConfigError(f"config {key} must be {name}, not {value!r}") from None
-
-
-def from_doc(cls, doc, path: str, **fixed):
-    """The dataclass `cls` built from the config section `doc` at `path`.
-
-    Each value must have the JSON type of its field's annotation: int (not
-    bool); float, which also takes an int; str; null for `X | None`; a list
-    of the tuple's length for `tuple[...]`; a list for `list[...]`. Lists
-    become tuples where the field is a tuple. An absent field takes its
-    default. The `fixed` fields come from the caller, never from the doc.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path or 'file'} must be a JSON object, not {doc!r}")
-    prefix = f"{path}." if path else ""
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(doc.keys() - (hints.keys() - fixed.keys()))
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
-    values = {k: _field_value(v, hints[k], prefix + k) for k, v in doc.items()}
-    given = values.keys() | fixed.keys()
-    for f in fields(cls):
-        if f.name not in given and f.default is f.default_factory is MISSING:
-            raise ConfigError(f"config {prefix}{f.name} is required")
-    return cls(**values, **fixed)
-
-
-def to_doc(obj, omit=()) -> dict:
-    """The doc `from_doc` reads back into `obj`, less the fixed fields in `omit`."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
-
-
-def _load_config(path: str, cls=_Run):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return from_doc(cls, doc, "")
-
-
 def _build_model_config(doc: dict):
     from .model import PRESETS, ModelConfig
 
-    preset = _field_value(doc.get("preset", "base"), str, "model.preset")
+    preset = field_value(doc.get("preset", "base"), str, "model.preset")
     if preset not in PRESETS:
         raise ConfigError(f"unknown model.preset {preset!r}; expected one of {sorted(PRESETS)}")
     doc = {k: v for k, v in doc.items() if k != "preset"}
@@ -151,8 +89,7 @@ def _load_stage(doc: dict, base_dir: str):
 
     if "manifest" not in doc:
         raise ConfigError("config stages[].manifest is required")
-    manifest_path = os.path.join(base_dir, _field_value(doc["manifest"], str,
-                                                        "stages[].manifest"))
+    manifest_path = os.path.join(base_dir, field_value(doc["manifest"], str, "stages[].manifest"))
     manifest = load_manifest(manifest_path)
     fixed = dict(images=[normalize_bands(read_raster(s["raster"]), manifest.band_min,
                                          manifest.band_max) for s in manifest.samples],
@@ -165,6 +102,8 @@ def _load_stage(doc: dict, base_dir: str):
 
 
 def _emit_resolved(out_dir: str, **sections) -> None:
+    """Make `out_dir` and write the run's resolved config into it."""
+    os.makedirs(out_dir, exist_ok=True)
     doc = {name: to_doc(v) if is_dataclass(v) else v for name, v in sections.items()}
     with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -176,8 +115,7 @@ def _emit_resolved(out_dir: str, **sections) -> None:
 def cmd_synth(args) -> int:
     from .synthetic import SyntheticSpec, generate_synthetic
 
-    spec = _load_config(args.spec, SyntheticSpec)
-    os.makedirs(args.out, exist_ok=True)
+    spec = read_doc(SyntheticSpec, args.spec)
     manifest_path = generate_synthetic(spec, args.task, args.out)
     _emit_resolved(args.out, spec=spec, task=args.task)
     print(manifest_path)
@@ -194,7 +132,7 @@ def _run_pretraining(args, progressive: bool) -> int:
     from .rng import CounterRng
     from .training import make_optimizer, progressive_pretrain
 
-    config = _load_config(args.config)
+    config = read_doc(_Run, args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     seed = args.seed if args.seed is not None else config.seed
     model_cfg = _build_model_config(config.model)
@@ -204,7 +142,6 @@ def _run_pretraining(args, progressive: bool) -> int:
     stage_docs = config.stages if progressive else config.stages[:1]
     stages, stage_docs = zip(*(_load_stage(doc, base_dir) for doc in stage_docs))
 
-    os.makedirs(args.out, exist_ok=True)
     _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
                    stages=stage_docs)
     rng = CounterRng(seed)
@@ -260,7 +197,7 @@ def _downstream_setup(args):
     """Config, manifests and finetune settings shared by `finetune` and `eval`."""
     from .finetune import FinetuneConfig, resolve_splits
 
-    config = _load_config(args.config)
+    config = read_doc(_Run, args.config)
     seed = args.seed if args.seed is not None else config.seed
     ft_doc = config.finetune
     if getattr(args, "train_fraction", None) is not None:
@@ -296,7 +233,6 @@ def cmd_finetune(args) -> int:
         model = SpectralCubeAutoencoder(_build_model_config(config.model),
                                         CounterRng(cfg.seed))
 
-    os.makedirs(args.out, exist_ok=True)
     _emit_resolved(args.out, seed=cfg.seed, model=model.config,
                    finetune=to_doc(cfg, ("seed",)), dataset=dataset)
     head = finetune.make_head(args.task, model, train_man, cfg)
@@ -324,7 +260,6 @@ def cmd_eval(args) -> int:
     model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
     head = make_head(args.task, model, train_man, cfg)
     restore_into(ckpt.params, combine_params(model.parameters(), head.params))
-    os.makedirs(args.out, exist_ok=True)
     _emit_resolved(args.out, seed=cfg.seed, model=model.config,
                    finetune=to_doc(cfg, ("seed",)), dataset=dataset)
     val = TASKS[args.task].load(val_man, val_man.samples)
@@ -378,7 +313,6 @@ def cmd_reconstruct(args) -> int:
     dims = GridDims(grid.gh, grid.gw, grid.gs)
     _, stats = make_targets(grid, args.target_mode, band_mean=band_stats[0],
                             band_std=band_stats[1])
-    os.makedirs(args.out, exist_ok=True)
     _emit_resolved(args.out, checkpoint=args.checkpoint, raster=args.raster,
                    ratios=ratios, presets=presets, seed=args.seed or 0,
                    target_mode=args.target_mode)
@@ -424,11 +358,8 @@ def cmd_gradcheck(args) -> int:
 
     if not (1e-4 <= args.eps <= 1e-2):
         return _fail(f"--eps {args.eps} outside [1e-4, 1e-2]")
-    if args.config:
-        model_cfg = _build_model_config(_load_config(args.config).model)
-        model_cfg.dtype = "float64"
-    else:
-        model_cfg = ModelConfig.tiny(dtype="float64")
+    model_cfg = (replace(_build_model_config(read_doc(_Run, args.config).model), dtype="float64")
+                 if args.config else ModelConfig.tiny(dtype="float64"))
     model = SpectralCubeAutoencoder(model_cfg, CounterRng(0))
     vals = CounterRng(1).uniform_array(
         (model_cfg.max_grid[0] * model_cfg.p, model_cfg.max_grid[1] * model_cfg.p,

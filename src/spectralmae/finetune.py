@@ -20,7 +20,7 @@ from . import tensor as T
 from .errors import ConfigError, DataError, check_config
 from .heads import (ChangeHead, ClassifierHead, SegmentationHead, combine_params,
                     cross_entropy, multilabel_soft_margin, nll_from_log_probs)
-from .manifest import DatasetManifest, load_manifest, split
+from .manifest import DatasetManifest, load_manifest, split, valid_split_fractions
 from .metrics import (MetricsReport, confusion_matrix, iou_per_class, macro_map,
                       mean_iou, micro_map, overall_accuracy, prf_from_counts)
 from .model import GridDims, SpectralCubeAutoencoder
@@ -53,6 +53,8 @@ class FinetuneConfig:
             (self.hidden >= 1, f"finetune hidden {self.hidden} must be positive"),
             (0.0 < self.train_fraction <= 1.0,
              f"train fraction {self.train_fraction} outside (0, 1]"),
+            (valid_split_fractions(self.split_fractions),
+             f"finetune split_fractions {self.split_fractions} must be in (0, 1) and sum to 1"),
             (self.crop is None or self.crop >= 1,
              f"finetune crop {self.crop} must be positive or null"),
             (0.0 <= self.warmup_frac <= 1.0,
@@ -98,11 +100,7 @@ def _grid_dims(model: SpectralCubeAutoencoder, img: SpectralImage) -> GridDims:
 # ---------------------------------------------------------------- loaders
 
 def load_classify_samples(man: DatasetManifest, samples: list) -> list:
-    out = [(_load_image(man, s["raster"]), int(s["label"])) for s in samples]
-    for _, label in out:
-        if not 0 <= label < man.n_classes:
-            raise DataError(f"label {label} outside [0, {man.n_classes})")
-    return out
+    return [(_load_image(man, s["raster"]), s["label"]) for s in samples]
 
 
 def load_multilabel_samples(man: DatasetManifest, samples: list) -> list:

@@ -4,30 +4,30 @@ The manifest is the unit the trainers and evaluators consume. Raster
 paths are stored relative to the manifest file and resolved (and
 existence-checked) at load. Per-band min/max drive the [0, 1] input
 normalization; per-band mean/std (of the normalized values) serve the
-standardized reconstruction-target mode.
+standardized reconstruction-target mode. A load reads each key as the type
+of its `DatasetManifest` field (a sample's as in `_SAMPLE_KEYS`) and checks
+labels against `class_names`; a mismatch is a `FormatError` naming the key.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
+from .schema import field_value, read_doc
 
 MANIFEST_VERSION = 1
 TASKS = ("pretrain", "classify", "multilabel", "segment", "change")
 
 _SAMPLE_KEYS = {
-    "pretrain": {"raster"},
-    "classify": {"raster", "label"},
-    "multilabel": {"raster", "labels"},
-    "segment": {"raster", "mask"},
-    "change": {"raster_a", "raster_b", "mask"},
+    "pretrain": {"raster": str},
+    "classify": {"raster": str, "label": int},
+    "multilabel": {"raster": str, "labels": list[int]},
+    "segment": {"raster": str, "mask": str},
+    "change": {"raster_a": str, "raster_b": str, "mask": str},
 }
-
-_TOP_KEYS = {"schema_version", "task", "samples", "band_names", "band_min",
-             "band_max", "band_mean", "band_std", "class_names", "split_seed"}
 
 
 @dataclass
@@ -37,11 +37,11 @@ class DatasetManifest:
     band_names: list[str]
     band_min: list[float]
     band_max: list[float]
+    schema_version: int
     band_mean: list[float] = field(default_factory=list)
     band_std: list[float] = field(default_factory=list)
     class_names: list[str] = field(default_factory=list)
     split_seed: int = 0
-    schema_version: int = MANIFEST_VERSION
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -51,7 +51,7 @@ class DatasetManifest:
             raise DataError(f"band stats must cover all {d} bands")
         required = _SAMPLE_KEYS[self.task]
         for i, sample in enumerate(self.samples):
-            if set(sample) != required:
+            if sample.keys() != required.keys():
                 raise DataError(
                     f"sample {i} keys {sorted(sample)} do not match {sorted(required)}")
 
@@ -66,41 +66,39 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         fh.write("\n")
 
 
-def _resolve(sample: dict, base: str) -> dict:
-    out = dict(sample)
-    for key, value in sample.items():
-        if key.startswith("raster") or key == "mask":
-            if not isinstance(value, str):
-                raise FormatError(f"manifest sample {key} {value!r} is not a path string")
-            resolved = value if os.path.isabs(value) else os.path.join(base, value)
-            if not os.path.exists(resolved):
-                raise DataError(f"manifest references missing file {resolved}")
-            out[key] = resolved
+def _read_sample(i: int, sample: dict, base: str, man: DatasetManifest) -> dict:
+    """`sample` type-checked against its task's keys, with its paths resolved."""
+    out = {}
+    for key, hint in _SAMPLE_KEYS[man.task].items():
+        out[key] = field_value(sample[key], hint, f"samples[{i}].{key}", "manifest")
+        if hint is str:  # a path, relative to the manifest unless absolute
+            out[key] = os.path.join(base, out[key])
+            if not os.path.exists(out[key]):
+                raise DataError(f"manifest references missing file {out[key]}")
+    label, labels = out.get("label"), out.get("labels")
+    if label is not None and not 0 <= label < man.n_classes:
+        raise FormatError(f"manifest samples[{i}].label {label} outside [0, {man.n_classes})")
+    if labels is not None and (len(labels) != man.n_classes or not set(labels) <= {0, 1}):
+        raise FormatError(f"manifest samples[{i}].labels {labels} must hold one 0 or 1 per class")
     return out
 
 
 def load_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"manifest is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"manifest is a JSON {type(doc).__name__}, not an object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise FormatError(f"unknown manifest keys: {sorted(unknown)}")
-    if doc.get("schema_version") != MANIFEST_VERSION:
-        raise FormatError(f"unsupported manifest schema version {doc.get('schema_version')}")
-    samples = doc.get("samples", [])
-    if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
-        raise FormatError("manifest samples must be a list of objects")
     base = os.path.dirname(os.path.abspath(path))
-    doc["samples"] = [_resolve(s, base) for s in samples]
-    try:  # missing keys and mistyped fields
-        return DatasetManifest(**doc)
-    except TypeError as exc:
-        raise FormatError(f"manifest does not match DatasetManifest: {exc}") from exc
+    try:  # not JSON, or an unknown, missing or mistyped key, at the top or in a sample
+        manifest = read_doc(DatasetManifest, path, "manifest")
+        if manifest.schema_version != MANIFEST_VERSION:
+            raise FormatError(f"unsupported manifest schema version {manifest.schema_version}")
+        manifest.samples = [_read_sample(i, s, base, manifest)
+                            for i, s in enumerate(manifest.samples)]
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
+    return manifest
+
+
+def valid_split_fractions(fractions: tuple[float, float]) -> bool:
+    """Both fractions in (0, 1) and summing to 1."""
+    return min(fractions) > 0.0 and abs(sum(fractions) - 1.0) <= 1e-9
 
 
 def split(manifest: DatasetManifest, fractions: tuple[float, float],
@@ -108,19 +106,12 @@ def split(manifest: DatasetManifest, fractions: tuple[float, float],
     """Seeded permutation split into (train, val); both sides must be non-empty."""
     from .rng import CounterRng
 
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"split fractions {fractions} must sum to 1")
+    if not valid_split_fractions(fractions):
+        raise DataError(f"split fractions {fractions} must be in (0, 1) and sum to 1")
     n = len(manifest.samples)
     n_train = int(round(fractions[0] * n))
     if n_train == 0 or n_train == n:
         raise DataError(f"split of {n} samples at {fractions} leaves an empty side")
     perm = CounterRng(seed).child("split").permutation(n)
-    train_idx = sorted(perm[:n_train].tolist())
-    val_idx = sorted(perm[n_train:].tolist())
-
-    def subset(indices):
-        fields = asdict(manifest)
-        fields["samples"] = [manifest.samples[i] for i in indices]
-        return DatasetManifest(**fields)
-
-    return subset(train_idx), subset(val_idx)
+    return tuple(replace(manifest, samples=[manifest.samples[i] for i in sorted(part.tolist())])
+                 for part in (perm[:n_train], perm[n_train:]))

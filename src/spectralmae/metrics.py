@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .schema import to_doc
 
 
 @dataclass
@@ -24,10 +25,7 @@ class MetricsReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {"task": self.task, "values": self.values,
-                   "per_class": self.per_class, "counts": self.counts,
-                   "notes": self.notes}
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(to_doc(self, omit=("extras",)), sort_keys=True)
 
 
 def average_precision(scores, labels) -> float:

@@ -11,13 +11,14 @@ bytes on disk.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
-from .manifest import DatasetManifest, save_manifest
+from .errors import DataError, check_config
+from .manifest import MANIFEST_VERSION, DatasetManifest, save_manifest
 from .raster import resample_bilinear, write_raster
 from .rng import CounterRng
 from .tokenizer import SpectralImage
@@ -43,13 +44,18 @@ class SyntheticSpec:
     max_rects: int = 3  # changed rectangles per change pair
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise DataError(f"rho {self.rho} outside [0, 1]")
-        if self.signatures:
-            if len(self.signatures) != self.classes or any(
-                    len(s) != self.bands for s in self.signatures):
-                raise DataError("signatures must be (classes, bands)")
-        else:
+        check_config(
+            *((getattr(self, name) >= 1, f"synth {name} {getattr(self, name)} must be positive")
+              for name in ("height", "width", "bands", "classes", "n_images", "smoothness",
+                           "regions", "max_rects")),
+            *((0.0 <= getattr(self, name) < math.inf,
+               f"synth {name} {getattr(self, name)} must be finite and >= 0")
+              for name in ("noise_std", "field_amplitude")),
+            (0.0 <= self.rho <= 1.0, f"synth rho {self.rho} outside [0, 1]"),
+            (not self.signatures or len(self.signatures) == self.classes
+             and all(len(s) == self.bands for s in self.signatures),
+             "synth signatures must be (classes, bands)"))
+        if not self.signatures:
             rng = CounterRng(self.seed).child("signatures")
             self.signatures = (0.2 + 0.6 * rng.uniform_array(
                 (self.classes, self.bands))).tolist()
@@ -190,6 +196,7 @@ def generate_synthetic(spec: SyntheticSpec, task: str, out_dir) -> str:
         band_std=normalized.std(axis=0).astype(np.float64).tolist(),
         class_names=[f"class_{c}" for c in range(spec.classes)],
         split_seed=spec.seed,
+        schema_version=MANIFEST_VERSION,
     )
     manifest_path = os.path.join(out_dir, "manifest.json")
     save_manifest(manifest, manifest_path)

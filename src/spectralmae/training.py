@@ -20,6 +20,7 @@ from .model import GridDims, SpectralCubeAutoencoder
 from .objective import LossBreakdown, ObjectiveConfig, total_loss
 from .optim import AdamW, Schedule, lr_at
 from .rng import CounterRng
+from .schema import to_doc
 from .tokenizer import SpectralImage, build_group_mask, make_targets, patchify_group
 
 
@@ -60,9 +61,7 @@ class EpochRecord:
     lr: float
 
     def to_json(self) -> str:
-        return json.dumps({"stage": self.stage, "epoch": self.epoch,
-                           "token": self.token, "spectral": self.spectral,
-                           "total": self.total, "lr": self.lr}, sort_keys=True)
+        return json.dumps(to_doc(self), sort_keys=True)
 
 
 def stage_schedule(stage: PretrainStage) -> Schedule:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -346,6 +347,32 @@ def test_config_value_of_wrong_type_is_one_error_line(tmp_path, capsys, datasets
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,path", [
+    ("pretrain", ("model",)),
+    ("pretrain", ("stages", 0, "epochs")),
+    ("finetune", ("dataset", "manifest")),
+], ids=["section", "field", "manifest_doc"])
+def test_long_value_is_shortened_in_the_error_line(tmp_path, capsys, datasets, command, path):
+    long = list(range(10000))
+    doc = _valid_docs(datasets)[command]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    # the manifest case names a manifest file whose whole document is the long value
+    parent[path[-1]] = _write_json(tmp_path / "m.json", long) if path[-1] == "manifest" else long
+    assert _run(command, doc, tmp_path / "c.json", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+_SYNTH_RANGE_PROBES = (
+    [("synth", (key,), value, f"synth {key} {value} must be positive")
+     for key in ("height", "width", "bands", "classes", "n_images", "smoothness", "regions",
+                 "max_rects") for value in (0, -1)]
+    + [("synth", (key,), value, f"synth {key} {value} must be finite and >= 0")
+       for key in ("noise_std", "field_amplitude") for value in (-1.0, math.inf)])
+
+
 @pytest.mark.parametrize("command,path,value,message", [
     ("pretrain", ("stages", 0, "batch_size"), 0, "stage batch_size 0 must be positive"),
     ("pretrain", ("stages", 0, "epochs"), -1, "stage epochs -1 must not be negative"),
@@ -355,8 +382,14 @@ def test_config_value_of_wrong_type_is_one_error_line(tmp_path, capsys, datasets
     ("finetune", ("finetune", "batch_size"), 0, "finetune batch_size 0 must be positive"),
     ("finetune", ("finetune", "crop"), 0, "finetune crop 0 must be positive or null"),
     ("finetune", ("finetune", "seed"), 3, "unknown config keys: finetune.seed"),
-], ids=["batch_size_0", "epochs_negative", "p_0", "max_grid_0", "finetune_batch_size_0",
-        "crop_0", "finetune_seed"])
+    ("finetune", ("finetune", "split_fractions"), [-0.25, 1.25],
+     "finetune split_fractions (-0.25, 1.25) must be in (0, 1) and sum to 1"),
+    ("finetune", ("finetune", "split_fractions"), [1.25, -0.25],
+     "finetune split_fractions (1.25, -0.25) must be in (0, 1) and sum to 1"),
+] + _SYNTH_RANGE_PROBES, ids=[
+    "batch_size_0", "epochs_negative", "p_0", "max_grid_0", "finetune_batch_size_0", "crop_0",
+    "finetune_seed", "split_fractions_negative_first", "split_fractions_negative_second",
+] + [f"synth_{key}_{value}" for _, (key,), value, _ in _SYNTH_RANGE_PROBES])
 def test_config_value_out_of_range_is_one_error_line(tmp_path, capsys, datasets, command,
                                                      path, value, message):
     doc = _valid_docs(datasets)[command]
@@ -418,12 +451,25 @@ def _tiny_models_only(cfg, rng, build=SpectralCubeAutoencoder):
     return build(cfg, rng)
 
 
-@pytest.mark.parametrize("command", ["pretrain", "finetune", "synth"])
+def _portable_manifest(path):
+    """The manifest doc at `path` with raster paths that resolve from any directory."""
+    doc = json.loads(open(path).read())
+    doc["samples"] = [{k: str(path.parent / v) if k == "raster" else v for k, v in s.items()}
+                      for s in doc["samples"]]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "synth", "manifest"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_mutated_config_runs_or_is_one_error_line(tmp_path_factory, datasets, command, data):
-    doc = _mutate(_valid_docs(datasets)[command], data)
     run = tmp_path_factory.mktemp("config-fuzz")
+    if command == "manifest":  # the dataset manifest of a valid finetune config
+        manifest = _mutate(_portable_manifest(datasets["classify"]), data)
+        command, doc = "finetune", _valid_docs(datasets)["finetune"]
+        doc["dataset"]["manifest"] = _write_json(run / "manifest.json", manifest)
+    else:
+        doc = _mutate(_valid_docs(datasets)[command], data)
     with pytest.MonkeyPatch.context() as patch, \
             contextlib.redirect_stderr(io.StringIO()) as stderr:
         patch.setattr(model_module, "SpectralCubeAutoencoder", _tiny_models_only)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -255,17 +256,42 @@ def _manifest_with(doc, **changes):
     return json.dumps({k: v for k, v in doc.items() if v is not None}).encode("utf-8")
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda doc: _manifest_with(doc).replace(b'"B1"', b'"B\xff"'),
-    lambda doc: _manifest_with(doc, samples=5),
-    lambda doc: _manifest_with(doc, band_min=None),
-    lambda doc: _manifest_with(doc, samples=[{**doc["samples"][0], "raster": 5}]),
-], ids=["non_utf8", "samples_not_a_list", "missing_required_key", "non_string_raster_path"])
-def test_manifest_malformed_is_format_error(tmp_path, corrupt):
+def _sample_with(doc, task=None, **values):
+    """`doc` with one sample: its first raster plus `values`, for `task` if given."""
+    return _manifest_with(doc, task=task or doc["task"],
+                          samples=[{"raster": doc["samples"][0]["raster"], **values}])
+
+
+@pytest.mark.parametrize("corrupt,key", [
+    (lambda doc: _manifest_with(doc).replace(b'"B1"', b'"B\xff"'), "UTF-8"),
+    (lambda doc: _manifest_with(doc, samples=5), "samples"),
+    (lambda doc: _manifest_with(doc, band_min=None), "band_min"),
+    (lambda doc: _manifest_with(doc, samples=[{**doc["samples"][0], "raster": 5}]),
+     "samples[0].raster"),
+    (lambda doc: _manifest_with(doc, split_seed="x"), "split_seed"),
+    (lambda doc: _manifest_with(doc, split_seed=1.5), "split_seed"),
+    (lambda doc: _manifest_with(doc, class_names="abc"), "class_names"),
+    (lambda doc: _manifest_with(doc, band_mean=[1, "a"]), "band_mean"),
+    (lambda doc: _manifest_with(doc, schema_version="1"), "schema_version"),
+    (lambda doc: _sample_with(doc, label=1.7), "samples[0].label"),
+    (lambda doc: _sample_with(doc, label="x"), "samples[0].label"),
+    (lambda doc: _sample_with(doc, label=True), "samples[0].label"),
+    (lambda doc: _sample_with(doc, label=2), "samples[0].label"),
+    (lambda doc: _sample_with(doc, "multilabel", labels=[1, 2]), "samples[0].labels"),
+    (lambda doc: _sample_with(doc, "multilabel", labels=[1]), "samples[0].labels"),
+    (lambda doc: _sample_with(doc, "multilabel", labels=[1, 0.0]), "samples[0].labels"),
+    (lambda doc: _sample_with(doc, "multilabel", labels=[True, False]), "samples[0].labels"),
+    (lambda doc: _sample_with(doc, "multilabel", labels="10"), "samples[0].labels"),
+], ids=["non_utf8", "samples_not_a_list", "missing_required_key", "non_string_raster_path",
+        "split_seed_str", "split_seed_float", "class_names_str", "band_mean_str_item",
+        "schema_version_str", "label_float", "label_str", "label_bool", "label_out_of_range",
+        "labels_not_binary", "labels_short", "labels_float_item", "labels_bool",
+        "labels_str"])
+def test_manifest_malformed_is_format_error(tmp_path, corrupt, key):
     path = _tiny_manifest(tmp_path)
     bad = tmp_path / "ds" / "bad.json"
     bad.write_bytes(corrupt(json.loads(open(path).read())))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(key)):
         load_manifest(bad)
 
 
@@ -311,6 +337,13 @@ def test_split_empty_side_rejected(tmp_path):
     manifest = load_manifest(_tiny_manifest(tmp_path, n=3))
     with pytest.raises(DataError):
         split(manifest, (1.0, 0.0), seed=0)
+
+
+@pytest.mark.parametrize("fractions", [(-0.25, 1.25), (1.25, -0.25)])
+def test_split_fraction_outside_unit_interval_rejected(tmp_path, fractions):
+    manifest = load_manifest(_tiny_manifest(tmp_path, n=16))
+    with pytest.raises(DataError, match="must be in"):
+        split(manifest, fractions, seed=0)
 
 
 # ---------------------------------------------------------------- synthetic

@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -419,6 +421,35 @@ def test_checkpoint_invalid_config_is_format_error(tmp_path, field, value):
     bad = tmp_path / "bad.spck"
     bad.write_bytes(data[:slot] + struct.pack("<q", value) + data[slot + 8:])
     with pytest.raises(FormatError, match="config"):
+        load_checkpoint(bad)
+
+
+def _config_field(name, kind, fmt, *values):
+    """One SPCK config entry: length-prefixed name and kind, then the packed value."""
+    return (struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", len(kind))
+            + kind.encode() + struct.pack(fmt, *values))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    (_config_field("p", "i", "<q", 8), _config_field("p", "f", "<d", 8.0),
+     "config p has kind 'f', not 'i'"),
+    (_config_field("dtype", "s", "<I7s", 7, b"float32"), _config_field("dtype", "i", "<q", 7),
+     "config dtype has kind 'i', not 's'"),
+    (_config_field("k", "i", "<q", 3), _config_field("q", "i", "<q", 3),
+     "unknown or repeated checkpoint config field q"),
+    (_config_field("k", "i", "<q", 3), _config_field("p", "i", "<q", 3),
+     "unknown or repeated checkpoint config field p"),
+], ids=["p_as_float", "dtype_as_int", "unknown_name", "repeated_name"])
+def test_checkpoint_config_field_of_wrong_kind_or_name_is_format_error(tmp_path, old, new,
+                                                                       message):
+    model, _ = _model_and_opt()  # p=8, k=3, dtype float32
+    path = tmp_path / "c.spck"
+    save_checkpoint(snapshot_model(model, None, (0, 0)), path)
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    bad = tmp_path / "bad.spck"
+    bad.write_bytes(data.replace(old, new))
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_checkpoint(bad)
 
 
