@@ -149,7 +149,7 @@ def _run_pretraining(args, progressive: bool) -> int:
     optimizer = None
     if args.resume:
         ckpt = load_checkpoint(args.resume)
-        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(seed))
+        model = SpectralCubeAutoencoder(ckpt.config, rng=None)
         restore_model(ckpt, model)
         rng = CounterRng(*ckpt.rng_state)
         start_stage, start_epoch = ckpt.stage, ckpt.epoch
@@ -227,7 +227,7 @@ def cmd_finetune(args) -> int:
     config, cfg, train_man, val_man, dataset = _downstream_setup(args)
     if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint)
-        model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
+        model = SpectralCubeAutoencoder(ckpt.config, rng=None)
         restore_model(ckpt, model)
     else:
         model = SpectralCubeAutoencoder(_build_model_config(config.model),
@@ -253,12 +253,11 @@ def cmd_eval(args) -> int:
     from .finetune import TASKS, evaluate, make_head
     from .heads import combine_params
     from .model import SpectralCubeAutoencoder
-    from .rng import CounterRng
 
     _, cfg, train_man, val_man, dataset = _downstream_setup(args)
     ckpt = load_checkpoint(args.checkpoint)
-    model = SpectralCubeAutoencoder(ckpt.config, CounterRng(cfg.seed))
-    head = make_head(args.task, model, train_man, cfg)
+    model = SpectralCubeAutoencoder(ckpt.config, rng=None)
+    head = make_head(args.task, model, train_man, cfg, unfilled=True)
     restore_into(ckpt.params, combine_params(model.parameters(), head.params))
     _emit_resolved(args.out, seed=cfg.seed, model=model.config,
                    finetune=to_doc(cfg, ("seed",)), dataset=dataset)
@@ -291,7 +290,7 @@ def cmd_reconstruct(args) -> int:
                          f"{sorted(PRESETS)} or 'all'")
 
     ckpt = load_checkpoint(args.checkpoint)
-    model = SpectralCubeAutoencoder(ckpt.config, CounterRng(args.seed or 0))
+    model = SpectralCubeAutoencoder(ckpt.config, rng=None)
     restore_model(ckpt, model)
     raw = read_raster(args.raster)
     man = load_manifest(args.manifest) if args.manifest else None

@@ -328,10 +328,14 @@ TASKS = {
 
 
 def make_head(task: str, model: SpectralCubeAutoencoder, manifest: DatasetManifest,
-              cfg: FinetuneConfig):
-    """A freshly initialised head for `task`, sized from the model and the manifest."""
+              cfg: FinetuneConfig, unfilled: bool = False):
+    """A freshly initialised head for `task`, sized from the model and the manifest.
+
+    With `unfilled` its weights are allocated without values, for a
+    checkpoint restore to write.
+    """
     mc = model.config
-    rng = CounterRng(cfg.seed).child("head")
+    rng = None if unfilled else CounterRng(cfg.seed).child("head")
     if task in ("classify", "multilabel"):
         return ClassifierHead(mc.embed_dim, cfg.hidden, manifest.n_classes, rng, mc.np_dtype)
     gs = len(manifest.band_names) // mc.k

@@ -15,11 +15,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError, ShapeError
-from .model import GridDims
+from .model import GridDims, initial_weight
 from .rng import CounterRng
 from .tensor import Parameter, ParameterSet
-
-INIT_STD = 0.02
 
 
 def combine_params(*sets: ParameterSet) -> ParameterSet:
@@ -69,15 +67,15 @@ def multilabel_soft_margin(logits: T.Tensor, labels) -> T.Tensor:
 class ClassifierHead:
     """Average-pool over all tokens, then a two-layer MLP to class logits."""
 
-    def __init__(self, d: int, hidden: int, classes: int, rng: CounterRng,
+    def __init__(self, d: int, hidden: int, classes: int, rng: CounterRng | None,
                  dtype=np.float32, prefix: str = "head"):
         ps = ParameterSet()
         self.params = ps
         self.fc1_w = ps.add(f"{prefix}.fc1.weight", Parameter(
-            rng.child(prefix, "fc1").truncated_normal_array((d, hidden), INIT_STD).astype(dtype)))
+            initial_weight(rng, (prefix, "fc1"), (d, hidden), dtype)))
         self.fc1_b = ps.add(f"{prefix}.fc1.bias", Parameter(np.zeros(hidden, dtype)))
         self.fc2_w = ps.add(f"{prefix}.fc2.weight", Parameter(
-            rng.child(prefix, "fc2").truncated_normal_array((hidden, classes), INIT_STD).astype(dtype)))
+            initial_weight(rng, (prefix, "fc2"), (hidden, classes), dtype)))
         self.fc2_b = ps.add(f"{prefix}.fc2.bias", Parameter(np.zeros(classes, dtype)))
 
     def forward(self, latents: T.Tensor) -> T.Tensor:
@@ -132,7 +130,7 @@ def conv3x3(x: T.Tensor, h: int, w: int, weight: T.Tensor, bias: T.Tensor) -> T.
 class _FuseDecode:
     """Shared machinery: site fusion + 2 upsample/conv stages + 1x1 head."""
 
-    def __init__(self, d: int, gs: int, classes: int, rng: CounterRng,
+    def __init__(self, d: int, gs: int, classes: int, rng: CounterRng | None,
                  dtype=np.float32, prefix: str = "head"):
         ps = ParameterSet()
         self.params = ps
@@ -141,8 +139,8 @@ class _FuseDecode:
         self.classes = classes
 
         def w(name, shape):
-            data = rng.child(prefix, name).truncated_normal_array(shape, INIT_STD)
-            return ps.add(f"{prefix}.{name}", Parameter(data.astype(dtype)))
+            return ps.add(f"{prefix}.{name}",
+                          Parameter(initial_weight(rng, (prefix, name), shape, dtype)))
 
         def zeros(name, shape):
             return ps.add(f"{prefix}.{name}", Parameter(np.zeros(shape, dtype)))
@@ -183,7 +181,7 @@ class SegmentationHead(_FuseDecode):
 class ChangeHead(_FuseDecode):
     """Two-image head: per-site feature difference, two-class log-probs."""
 
-    def __init__(self, d: int, gs: int, rng: CounterRng, dtype=np.float32,
+    def __init__(self, d: int, gs: int, rng: CounterRng | None, dtype=np.float32,
                  signed_difference: bool = False, prefix: str = "head"):
         super().__init__(d, gs, 2, rng, dtype, prefix)
         self.signed_difference = signed_difference

@@ -49,6 +49,11 @@ class DatasetManifest:
         d = len(self.band_names)
         if len(self.band_min) != d or len(self.band_max) != d:
             raise DataError(f"band stats must cover all {d} bands")
+        for key in ("band_mean", "band_std"):
+            n = len(getattr(self, key))
+            if n not in (0, d):
+                raise DataError(f"manifest {key} has {n} entries for {d} bands; "
+                                "it must be empty or hold one per band")
         required = _SAMPLE_KEYS[self.task]
         for i, sample in enumerate(self.samples):
             if sample.keys() != required.keys():

@@ -106,6 +106,19 @@ PRESETS = {
 }
 
 
+def initial_weight(rng: CounterRng | None, tags: tuple, shape, dtype) -> np.ndarray:
+    """A weight's starting value: a truncated normal (std INIT_STD) drawn from
+    `rng.child(*tags)`, or, with no rng, an array allocated unfilled.
+
+    A model or head built with no rng is one a checkpoint restore fills
+    next: `restore_into` checks every name and shape before it writes
+    anything, so no unfilled value is ever read.
+    """
+    if rng is None:
+        return np.empty(shape, dtype)
+    return rng.child(*tags).truncated_normal_array(shape, std=INIT_STD).astype(dtype)
+
+
 def _block_param_count(d: int, mlp_ratio: float) -> int:
     md = int(mlp_ratio * d)
     attn = 4 * d * d  # W_Q, W_K, W_V, W_O, no biases
@@ -142,12 +155,12 @@ class TransformerBlock:
     """Pre-norm residual block: z + MHSA(LN(z)), then + MLP(LN(.))."""
 
     def __init__(self, params: T.ParameterSet, prefix: str, d: int, heads: int,
-                 mlp_ratio: float, rng: CounterRng, dtype):
+                 mlp_ratio: float, rng: CounterRng | None, dtype):
         self.heads = heads
         md = int(mlp_ratio * d)
 
-        def w(name, shape, std=INIT_STD):
-            data = rng.child(prefix, name).truncated_normal_array(shape, std=std).astype(dtype)
+        def w(name, shape):
+            data = initial_weight(rng, (prefix, name), shape, dtype)
             return params.add(f"{prefix}.{name}", T.Parameter(data))
 
         def zeros(name, shape):
@@ -195,11 +208,14 @@ class GridDims:
 
 
 class SpectralCubeAutoencoder:
-    """The full encoder/decoder pair plus the parameter registry."""
+    """The full encoder/decoder pair plus the parameter registry.
 
-    def __init__(self, config: ModelConfig, rng: CounterRng | None = None):
+    `rng` seeds a fresh model's weights; with `rng=None` they are allocated
+    unfilled for `checkpoint.restore_model` to fill (see `initial_weight`).
+    """
+
+    def __init__(self, config: ModelConfig, rng: CounterRng | None):
         self.config = config
-        rng = rng or CounterRng(0)
         dtype = config.np_dtype
         ps = T.ParameterSet()
         self.params = ps
@@ -207,8 +223,7 @@ class SpectralCubeAutoencoder:
         gh, gw, gs = config.max_grid
 
         def w(name, shape):
-            data = rng.child("init", name).truncated_normal_array(shape, std=INIT_STD)
-            return ps.add(name, T.Parameter(data.astype(dtype)))
+            return ps.add(name, T.Parameter(initial_weight(rng, ("init", name), shape, dtype)))
 
         def zeros(name, shape):
             return ps.add(name, T.Parameter(np.zeros(shape, dtype)))

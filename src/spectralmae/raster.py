@@ -164,10 +164,18 @@ def resample_bilinear(values: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    v00 = values[np.ix_(y0, x0)]
-    v01 = values[np.ix_(y0, x1)]
-    v10 = values[np.ix_(y1, x0)]
-    v11 = values[np.ix_(y1, x1)]
-    top = v00 * (1 - wx) + v01 * wx
-    bot = v10 * (1 - wx) + v11 * wx
-    return (top * (1 - wy) + bot * wy).astype(values.dtype)
+
+    def corner(rows, cols):  # a fresh float64 array, as the weights are
+        return values[np.ix_(rows, cols)].astype(np.float64, copy=False)
+
+    def lerp(a, b, t):  # a * (1 - t) + b * t, written into a and b
+        a *= 1 - t
+        b *= t
+        a += b
+        return a
+
+    # the plain expression's operations in its order, but in place: glibc
+    # hands a fresh large array back to the OS and page-faults it in again
+    top = lerp(corner(y0, x0), corner(y0, x1), wx)
+    bot = lerp(corner(y1, x0), corner(y1, x1), wx)
+    return lerp(top, bot, wy).astype(values.dtype, copy=False)

@@ -72,12 +72,7 @@ class CounterRng:
     def normal_array(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller; consumes 2 draws per value."""
         n = int(np.prod(shape)) if np.ndim(shape) else int(shape)
-        u1 = (self.next_u64_array(n) >> np.uint64(11)) + np.uint64(1)
-        u2 = self.next_u64_array(n) >> np.uint64(11)
-        u1 = u1 / float(1 << 53)  # in (0, 1]: log is finite
-        u2 = u2 / float(1 << 53)
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return z.reshape(shape)
+        return normal_arrays([self], n)[0].reshape(shape)
 
     def truncated_normal_array(self, shape, std: float = 1.0, bound: float = 2.0) -> np.ndarray:
         """Normals with |z| > bound resampled (per element, fixed retry order)."""
@@ -144,3 +139,26 @@ def permutations(rngs: list[CounterRng], n: int) -> np.ndarray:
             perm[i], perm[j] = perm[j], perm[i]
         rows.append(perm)
     return np.array(rows, dtype=np.int64).reshape(len(rngs), n)
+
+
+def normal_arrays(rngs: list[CounterRng], n: int) -> np.ndarray:
+    """Row i is n standard normals drawn from rngs[i] by Box-Muller.
+
+    A row's first n draws give u1 and its next n give u2, and each counter
+    advances by 2n, so row i and its final counter equal what one
+    `rngs[i].normal_array(n)` call gives. Each of u1 and u2 comes from one
+    vectorized mix over all rows.
+    """
+    seeds = np.array([r.seed for r in rngs], dtype=np.uint64)[:, None]
+    counters = np.array([r.counter for r in rngs], dtype=np.uint64)[:, None]
+
+    def draws(first: int) -> np.ndarray:  # the top 53 bits of draws first .. first+n-1
+        idx = counters + np.arange(first, first + n, dtype=np.uint64)
+        idx *= np.uint64(_GOLDEN)  # array arithmetic wraps mod 2^64 without a warning
+        return _mix64_array(seeds + idx) >> np.uint64(11)
+
+    u1 = (draws(1) + np.uint64(1)) / float(1 << 53)  # in (0, 1]: log is finite
+    u2 = draws(n + 1) / float(1 << 53)
+    for r in rngs:
+        r.counter += 2 * n
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -4,9 +4,13 @@ Images are built from smooth random fields: one shared field plus one
 independent field per band, mixed as sqrt(rho) * shared +
 sqrt(1 - rho) * independent so the expected inter-band Pearson
 correlation equals rho, then offset by a per-class spectral signature.
+Each field is a coarse lattice of standard normals (one cell per
+`smoothness` pixels) resampled bilinearly to the image size; an image's
+bands + 1 lattices are drawn in one pass and resampled as one array.
 Scenes for segmentation are seeded Voronoi partitions; change pairs
-differ inside seeded rectangles. Identical specs produce identical
-bytes on disk.
+differ inside seeded rectangles of at least 4 x 4 pixels, so a change
+image must be at least 5 pixels high and wide. Identical specs produce
+identical bytes on disk.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import DataError, check_config
 from .manifest import MANIFEST_VERSION, DatasetManifest, save_manifest
 from .raster import resample_bilinear, write_raster
-from .rng import CounterRng
+from .rng import CounterRng, normal_arrays
 from .tokenizer import SpectralImage
 
 DEFAULT_BAND_NAMES = ["B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B8A",
@@ -66,22 +70,14 @@ class SyntheticSpec:
         return DEFAULT_BAND_NAMES + [f"X{i}" for i in range(self.bands - len(DEFAULT_BAND_NAMES))]
 
 
-def _smooth_field(rng: CounterRng, h: int, w: int, cell: int) -> np.ndarray:
-    coarse = rng.normal_array((h // cell + 2, w // cell + 2, 1))
-    return resample_bilinear(coarse, h, w)[:, :, 0]
-
-
 def _band_fields(spec: SyntheticSpec, rng: CounterRng) -> np.ndarray:
     """(H, W, D) correlated fields with inter-band Pearson correlation rho."""
-    shared = _smooth_field(rng.child("shared"), spec.height, spec.width, spec.smoothness)
-    a = np.sqrt(spec.rho)
-    b = np.sqrt(1.0 - spec.rho)
-    out = np.empty((spec.height, spec.width, spec.bands), np.float32)
-    for band in range(spec.bands):
-        indep = _smooth_field(rng.child("indep", band), spec.height, spec.width,
-                              spec.smoothness)
-        out[:, :, band] = a * shared + b * indep
-    return out
+    lh, lw = spec.height // spec.smoothness + 2, spec.width // spec.smoothness + 2
+    rngs = [rng.child("shared")] + [rng.child("indep", band) for band in range(spec.bands)]
+    lattices = normal_arrays(rngs, lh * lw).T.reshape(lh, lw, spec.bands + 1)
+    fields = resample_bilinear(lattices, spec.height, spec.width)
+    return (np.sqrt(spec.rho) * fields[:, :, :1]
+            + np.sqrt(1.0 - spec.rho) * fields[:, :, 1:]).astype(np.float32)
 
 
 def _white_noise(spec: SyntheticSpec, rng: CounterRng) -> np.ndarray:
@@ -109,6 +105,10 @@ def _voronoi_labels(spec: SyntheticSpec, rng: CounterRng) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec, task: str, out_dir) -> str:
     """Write a dataset plus its manifest under out_dir; returns the manifest path."""
+    if task == "change":  # a changed rectangle spans rh >= 4 rows at randbelow(height - rh)
+        check_config(*((getattr(spec, name) >= 5, f"synth {name} {getattr(spec, name)} "
+                        "must be at least 5 for the change task")
+                       for name in ("height", "width")))
     os.makedirs(out_dir, exist_ok=True)
     root = CounterRng(spec.seed)
     names = spec.band_names()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralmae.cli import main
-from spectralmae.checkpoint import save_checkpoint, snapshot_model
+from spectralmae.checkpoint import load_checkpoint, save_checkpoint, snapshot_model
 import spectralmae.model as model_module
 from spectralmae.model import ModelConfig, SpectralCubeAutoencoder, parameter_count
 from spectralmae.preview import PRESETS, read_ppm
@@ -102,7 +102,9 @@ def test_pretrain_unknown_config_key_named(tmp_path, capsys):
     assert "typo_section" in capsys.readouterr().err
 
 
-def test_pretrain_resume_reproduces_trace(tmp_path):
+def _interrupted_pretraining(tmp_path):
+    """A 4-epoch pretraining config, and the checkpoint and train log that a
+    run of it stopped after epoch 2 leaves in its out dir."""
     from spectralmae.manifest import load_manifest
     from spectralmae.objective import ObjectiveConfig
     from spectralmae.raster import normalize_bands, read_raster
@@ -113,13 +115,8 @@ def test_pretrain_resume_reproduces_trace(tmp_path):
     doc["stages"][0]["epochs"] = 4
     config = _write_json(tmp_path / "c4.json", doc)
 
-    full = tmp_path / "full"
-    assert main(["pretrain", "--config", config, "--out", str(full)]) == 0
-    full_lines = (full / "train_log.jsonl").read_text().strip().splitlines()
-    assert len(full_lines) == 4
-
     # replay the first 2 epochs with the training API under the CLI's keys,
-    # snapshot (the state an interrupted run would have left), then resume
+    # snapshot (the state an interrupted run would have left)
     man = load_manifest(manifest)
     images = [normalize_bands(read_raster(s["raster"]), man.band_min, man.band_max)
               for s in man.samples]
@@ -135,10 +132,22 @@ def test_pretrain_resume_reproduces_trace(tmp_path):
     os.makedirs(part)
     (part / "train_log.jsonl").write_text(
         "\n".join(r.to_json() for r in records) + "\n")
+    return config, mid, part
+
+
+def test_pretrain_resume_reproduces_trace(tmp_path):
+    config, mid, part = _interrupted_pretraining(tmp_path)
+    full = tmp_path / "full"
+    assert main(["pretrain", "--config", config, "--out", str(full)]) == 0
+    full_lines = (full / "train_log.jsonl").read_text().strip().splitlines()
+    assert len(full_lines) == 4
+
     assert main(["pretrain", "--config", config, "--out", str(part),
                  "--resume", str(mid)]) == 0
     part_lines = (part / "train_log.jsonl").read_text().strip().splitlines()
     assert part_lines == full_lines
+    final = "checkpoint_final.spck"
+    assert (part / final).read_bytes() == (full / final).read_bytes()
 
 
 def test_progressive_two_stages(tmp_path):
@@ -304,6 +313,8 @@ def _valid_docs(datasets):
                      "dataset": {"manifest": str(datasets["classify"])}},
         "synth": {"height": 8, "width": 8, "bands": 3, "classes": 2, "n_images": 2,
                   "seed": 3, "rho": 0.5, "signatures": [[0.2, 0.4, 0.6], [0.6, 0.4, 0.2]]},
+        "synth-change": {"height": 8, "width": 8, "bands": 3, "classes": 2, "n_images": 2,
+                         "seed": 3},
     }
 
 
@@ -311,7 +322,8 @@ def _run(command, doc, path, out):
     config = _write_json(path, doc)
     argv = {"pretrain": ["pretrain", "--config", config],
             "finetune": ["finetune", "--task", "classify", "--config", config],
-            "synth": ["synth", "--task", "classify", "--spec", config]}[command]
+            "synth": ["synth", "--task", "classify", "--spec", config],
+            "synth-change": ["synth", "--task", "change", "--spec", config]}[command]
     return main(argv + ["--out", str(out)])
 
 
@@ -370,7 +382,9 @@ _SYNTH_RANGE_PROBES = (
      for key in ("height", "width", "bands", "classes", "n_images", "smoothness", "regions",
                  "max_rects") for value in (0, -1)]
     + [("synth", (key,), value, f"synth {key} {value} must be finite and >= 0")
-       for key in ("noise_std", "field_amplitude") for value in (-1.0, math.inf)])
+       for key in ("noise_std", "field_amplitude") for value in (-1.0, math.inf)]
+    + [("synth-change", (key,), 4, f"synth {key} 4 must be at least 5 for the change task")
+       for key in ("height", "width")])
 
 
 @pytest.mark.parametrize("command,path,value,message", [
@@ -389,7 +403,8 @@ _SYNTH_RANGE_PROBES = (
 ] + _SYNTH_RANGE_PROBES, ids=[
     "batch_size_0", "epochs_negative", "p_0", "max_grid_0", "finetune_batch_size_0", "crop_0",
     "finetune_seed", "split_fractions_negative_first", "split_fractions_negative_second",
-] + [f"synth_{key}_{value}" for _, (key,), value, _ in _SYNTH_RANGE_PROBES])
+] + [f"{command.replace('-', '_')}_{key}_{value}"
+      for command, (key,), value, _ in _SYNTH_RANGE_PROBES])
 def test_config_value_out_of_range_is_one_error_line(tmp_path, capsys, datasets, command,
                                                      path, value, message):
     doc = _valid_docs(datasets)[command]
@@ -601,6 +616,79 @@ def test_reconstruct_missing_input_file_is_one_error_line(tmp_path, capsys, miss
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nope" in err and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------- restoring
+
+RESTORING = ["resume", "finetune", "eval", "reconstruct"]
+
+
+def _restoring_command(tmp_path, site):
+    """argv of a command that builds its model from a checkpoint, and that checkpoint."""
+    if site == "resume":
+        config, mid, part = _interrupted_pretraining(tmp_path)
+        return ["pretrain", "--config", config, "--out", str(part), "--resume", str(mid)], mid
+    if site == "reconstruct":
+        ckpt, raster = _twelve_band_setup(tmp_path)
+        return ["reconstruct", "--checkpoint", str(ckpt), "--raster", str(raster),
+                "--ratios", "0.5", "--preset", "ndvi", "--out", str(tmp_path / "rec")], ckpt
+    task = ["--task", "classify", "--config",
+            _finetune_config(tmp_path, _synth(tmp_path, task="classify", n_images=8))]
+    if site == "finetune":
+        ckpt = tmp_path / "m.spck"
+        model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+        save_checkpoint(snapshot_model(model, None, (0, 0)), ckpt)
+        return ["finetune", *task, "--checkpoint", str(ckpt), "--out", str(tmp_path / "ft")], ckpt
+    assert main(["finetune", *task, "--out", str(tmp_path / "ft")]) == 0
+    ckpt = tmp_path / "ft" / "checkpoint_finetuned.spck"  # the encoder and the head
+    return ["eval", *task, "--checkpoint", str(ckpt), "--out", str(tmp_path / "ev")], ckpt
+
+
+@pytest.mark.parametrize("site", RESTORING)
+def test_restored_model_draws_no_init_and_holds_the_checkpoint(tmp_path, monkeypatch, site):
+    import spectralmae.checkpoint as checkpoint
+
+    argv, ckpt_path = _restoring_command(tmp_path, site)
+    draw, restore = CounterRng.truncated_normal_array, checkpoint.restore_into
+    restored = {}
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a model built to be restored drew an init")
+
+    def restore_then_allow_draws(tensors, params):
+        restore(tensors, params)
+        restored.update((name, p.data.copy()) for name, p in params.items())
+        monkeypatch.setattr(CounterRng, "truncated_normal_array", draw)
+
+    # no draw until the restore: building the model (and eval's head) draws
+    # nothing; the fresh head a finetune makes afterwards still does
+    monkeypatch.setattr(CounterRng, "truncated_normal_array", no_draw)
+    monkeypatch.setattr(checkpoint, "restore_into", restore_then_allow_draws)
+    assert main(argv) == 0
+    saved = load_checkpoint(ckpt_path).params
+    assert restored.keys() == saved.keys()
+    for name, arr in saved.items():
+        assert restored[name].dtype == arr.dtype, name
+        assert restored[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+@pytest.mark.parametrize("site", RESTORING)
+def test_checkpoint_parameter_mismatch_is_one_error_line(tmp_path, capsys, site, change):
+    argv, ckpt_path = _restoring_command(tmp_path, site)
+    ckpt = load_checkpoint(ckpt_path)
+    if change == "missing":
+        name = list(ckpt.params)[-1]  # for eval, a head parameter
+        del ckpt.params[name]
+    else:
+        name = "extra.weight"
+        ckpt.params[name] = np.zeros(3, np.float32)
+    save_checkpoint(ckpt, ckpt_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter name mismatch: ") and err.count("\n") == 1
+    assert repr(name) in err
 
 
 # ---------------------------------------------------------------- gradcheck

@@ -216,6 +216,22 @@ def test_resample_bilinear_constant_and_ramp():
     assert np.allclose(up[:, 0, 0], np.linspace(0, 3, 7))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_resample_bilinear_keeps_the_bits_of_the_formula(dtype):
+    values = CounterRng(3).normal_array((5, 7, 3)).astype(dtype)
+    before = values.copy()
+    ys, xs = np.linspace(0, 4, 11), np.linspace(0, 6, 4)
+    y0, x0 = np.floor(ys).astype(np.int64), np.floor(xs).astype(np.int64)
+    y1, x1 = np.minimum(y0 + 1, 4), np.minimum(x0 + 1, 6)
+    wy, wx = (ys - y0)[:, None, None], (xs - x0)[None, :, None]
+    top = values[np.ix_(y0, x0)] * (1 - wx) + values[np.ix_(y0, x1)] * wx
+    bot = values[np.ix_(y1, x0)] * (1 - wx) + values[np.ix_(y1, x1)] * wx
+    want = (top * (1 - wy) + bot * wy).astype(dtype)
+    got = resample_bilinear(values, 11, 4)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert values.tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------- manifest
 
 def _tiny_manifest(tmp_path, n=10):
@@ -346,7 +362,38 @@ def test_split_fraction_outside_unit_interval_rejected(tmp_path, fractions):
         split(manifest, fractions, seed=0)
 
 
+@pytest.mark.parametrize("key", ["band_mean", "band_std"])
+def test_manifest_band_stats_hold_none_or_one_per_band(tmp_path, key):
+    path = _tiny_manifest(tmp_path)
+    doc = json.loads(open(path).read())
+    bad = tmp_path / "ds" / "bad.json"
+    for entries, ok in ((0, True), (3, True), (1, False), (4, False)):
+        bad.write_bytes(_manifest_with(doc, **{key: [0.5] * entries}))
+        if ok:
+            assert getattr(load_manifest(bad), key) == [0.5] * entries
+        else:
+            with pytest.raises(DataError, match=f"manifest {key} has {entries} entries for 3"):
+                load_manifest(bad)
+
+
 # ---------------------------------------------------------------- synthetic
+
+# sha256 over every file `generate_synthetic` writes for the five tasks of
+# one small spec, fed as "<task>/<file name>" then the file's bytes, in
+# task and then file name order
+SYNTHETIC_SHA256 = "72052fdcf258083a13049e048b723282ae92dd81c8b3ba176ed5e18e699c3efc"
+
+
+def test_synthetic_bytes_are_pinned(tmp_path):
+    spec = dict(height=20, width=28, bands=5, n_images=7, seed=9)
+    digest = hashlib.sha256()
+    for task in ("pretrain", "classify", "multilabel", "segment", "change"):
+        generate_synthetic(SyntheticSpec(**spec), task, tmp_path / task)
+        for name in sorted(os.listdir(tmp_path / task)):
+            digest.update(f"{task}/{name}".encode())
+            digest.update((tmp_path / task / name).read_bytes())
+    assert digest.hexdigest() == SYNTHETIC_SHA256
+
 
 def test_synthetic_deterministic_bytes(tmp_path):
     spec = SyntheticSpec(height=16, width=16, bands=4, classes=2, n_images=4, seed=9)
@@ -356,6 +403,14 @@ def test_synthetic_deterministic_bytes(tmp_path):
         b1 = (tmp_path / "a" / name).read_bytes()
         b2 = (tmp_path / "b" / name).read_bytes()
         assert b1 == b2, name
+
+
+@pytest.mark.parametrize("height,width", [(5, 16), (16, 5)])
+def test_synthetic_change_smallest_image(tmp_path, height, width):
+    # a changed rectangle is at least 4 x 4 and must start inside the image
+    spec = SyntheticSpec(height=height, width=width, bands=2, n_images=3, seed=4)
+    manifest = load_manifest(generate_synthetic(spec, "change", tmp_path / "ch"))
+    assert len(manifest.samples) == 3
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])

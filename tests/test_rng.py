@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectralmae.rng import CounterRng, permutations
+from spectralmae.rng import CounterRng, normal_arrays, permutations
 
 
 def test_same_seed_same_stream():
@@ -157,3 +157,28 @@ def test_permutations_match_the_swap_loop_for_each_rng(n):
     assert rows.dtype == np.int64 and rows.shape == (5, n)
     assert rows.tolist() == [_loop_permutation(t, n) for t in twins]
     assert [r.state() for r in rngs] == [t.state() for t in twins]
+
+
+def _loop_normals(rng, n):
+    """Reference Box-Muller: n draws for u1, then n for u2."""
+    u1 = ((rng.next_u64_array(n) >> np.uint64(11)) + np.uint64(1)) / float(1 << 53)
+    u2 = (rng.next_u64_array(n) >> np.uint64(11)) / float(1 << 53)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 33, 130])
+def test_normal_arrays_match_normal_array_for_each_rng(n):
+    def streams():
+        out = [CounterRng(11).child(n, i) for i in range(4)]
+        for i, r in enumerate(out):  # each starts at its own counter
+            r.next_u64_array(5 * i)
+        return out
+
+    rngs, twins, loops = streams(), streams(), streams()
+    rows = normal_arrays(rngs, n)
+    assert rows.dtype == np.float64 and rows.shape == (4, n)
+    for row, twin, loop in zip(rows, twins, loops):
+        assert row.tobytes() == twin.normal_array(n).tobytes()
+        assert row.tobytes() == _loop_normals(loop, n).tobytes()
+    assert [r.state() for r in rngs] == [t.state() for t in twins] \
+        == [t.state() for t in loops]
