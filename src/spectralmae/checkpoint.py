@@ -192,8 +192,8 @@ def snapshot_model(model: SpectralCubeAutoencoder, optimizer: AdamW | None,
 def restore_into(tensors: dict[str, np.ndarray], params: ParameterSet) -> None:
     """Copy named tensors into a parameter set, name and shape checked.
 
-    Values are written into the existing arrays and gradients zeroed in
-    place, so parameters stay views into an optimizer's arena.
+    Values are written into the existing arrays, so parameters stay views
+    into an optimizer's arena. Gradients are not touched.
     """
     names = set(params.names())
     missing = names - set(tensors)
@@ -204,9 +204,7 @@ def restore_into(tensors: dict[str, np.ndarray], params: ParameterSet) -> None:
     for name, arr in tensors.items():
         _check_shape(f"parameter {name!r}", arr, params[name].data)
     for name, arr in tensors.items():
-        p = params[name]
-        p.data[...] = arr
-        p.grad.fill(0.0)
+        params[name].data[...] = arr
 
 
 def restore_model(ckpt: Checkpoint, model: SpectralCubeAutoencoder) -> None:

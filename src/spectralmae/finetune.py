@@ -274,16 +274,13 @@ def eval_segment(model, head, val: list, crop: int, n_classes: int,
 
 
 def eval_change(model, head, val: list) -> MetricsReport:
-    tp = fp = fn = tn = 0
+    cm = np.zeros((2, 2), np.int64)
     for a, bimg, mask in val:
         dims = _grid_dims(model, a)
         logp = head.forward(model.forward_full(a), model.forward_full(bimg),
                             dims, (a.height, a.width)).data
-        pred = logp.argmax(axis=1).reshape(mask.shape)
-        tp += int(np.sum((pred == 1) & (mask == 1)))
-        fp += int(np.sum((pred == 1) & (mask == 0)))
-        fn += int(np.sum((pred == 0) & (mask == 1)))
-        tn += int(np.sum((pred == 0) & (mask == 0)))
+        cm += confusion_matrix(logp.argmax(axis=1), mask.reshape(-1), 2)
+    tp, fp, fn, tn = (int(n) for n in (cm[1, 1], cm[0, 1], cm[1, 0], cm[0, 0]))
     precision, recall, f1, notes = prf_from_counts(tp, fp, fn)
     return MetricsReport(
         task="change",
@@ -367,7 +364,6 @@ def finetune(task: str, model: SpectralCubeAutoencoder, manifest, cfg: FinetuneC
     head = head or make_head(task, model, train_man, cfg)
     # the decoder gets no gradient here, and decay must not shrink it
     params = combine_params(model.encoder_parameters(), head.params)
-    params.zero_grads()  # from here on each step zeroes what it consumed
     order_rng = CounterRng(cfg.seed).child("order")
     batches = max(1, len(pool) // cfg.batch_size)
     total = cfg.epochs * batches

@@ -119,38 +119,6 @@ def initial_weight(rng: CounterRng | None, tags: tuple, shape, dtype) -> np.ndar
     return rng.child(*tags).truncated_normal_array(shape, std=INIT_STD).astype(dtype)
 
 
-def _block_param_count(d: int, mlp_ratio: float) -> int:
-    md = int(mlp_ratio * d)
-    attn = 4 * d * d  # W_Q, W_K, W_V, W_O, no biases
-    mlp = d * md + md + md * d + d
-    norms = 4 * d
-    return attn + mlp + norms
-
-
-def encoder_parameter_count(cfg: ModelConfig) -> int:
-    """Closed-form encoder size: embedding + positional tables + blocks + norm."""
-    gh, gw, gs = cfg.max_grid
-    d, length = cfg.embed_dim, cfg.token_len
-    total = length * d + d  # token embedding
-    total += gh * gw * d + gs * d  # positional tables
-    total += cfg.encoder_depth * _block_param_count(d, cfg.mlp_ratio)
-    total += 2 * d  # final norm
-    return total
-
-
-def parameter_count(cfg: ModelConfig) -> int:
-    gh, gw, gs = cfg.max_grid
-    dd, length = cfg.decoder_dim, cfg.token_len
-    total = encoder_parameter_count(cfg)
-    total += cfg.embed_dim * dd + dd  # decoder embedding
-    total += dd  # mask token
-    total += gh * gw * dd + gs * dd  # decoder positional tables
-    total += cfg.decoder_depth * _block_param_count(dd, cfg.mlp_ratio)
-    total += 2 * dd  # decoder norm
-    total += dd * length + length  # reconstruction head
-    return total
-
-
 class TransformerBlock:
     """Pre-norm residual block: z + MHSA(LN(z)), then + MLP(LN(.))."""
 
@@ -412,7 +380,7 @@ class SpectralCubeAutoencoder:
             resized = resample_bilinear(table.astype(np.float64), nh, nw)
             param.data = np.ascontiguousarray(
                 resized.reshape(nh * nw, width).astype(param.data.dtype))
-            param.grad = np.zeros_like(param.data)
+            param.grad = None  # the old gradient has the old shape
         self.config.max_grid = (nh, nw, ns)
 
 

@@ -3,10 +3,12 @@
 The optimizer owns its parameters' memory: every value lives in one
 contiguous buffer and every gradient in another (the arena), with each
 `Parameter.data` and `.grad` a view into them, and the moments `m` and
-`v` are views into two more flat buffers. A step is then a handful of
-whole-arena passes instead of a loop over parameters. The update runs in
-chunks that stay in L2, with the same elementwise operations in the same
-order as a per-parameter update, so every value keeps its bits.
+`v` are views into two more flat buffers. The gradient arena starts
+zeroed, whatever the parameters held before, and each step zeroes it
+again, so no training loop zeroes a gradient itself. A step is a handful
+of whole-arena passes instead of a loop over parameters. The update runs
+in chunks that stay in L2, with the same elementwise operations in the
+same order as a per-parameter update, so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ def lr_at(sched: Schedule, step: int) -> float:
 class AdamW:
     """Standard AdamW; weight decay multiplies the weight, never the gradient.
 
-    Building one moves every parameter's value and gradient into the
-    optimizer's arena. A parameter rebound to a new array afterwards (a
-    resized positional table, say) would fall out of it, so `step` raises
-    instead of training a stale copy; build a new optimizer after rebinding.
+    Building one moves every parameter's value into the optimizer's arena
+    and binds its gradient to a zeroed slot there, dropping any it held.
+    A parameter rebound to a new array afterwards (a resized positional
+    table, say) would fall out of it, so `step` raises instead of
+    training a stale copy; build a new optimizer after rebinding.
     """
 
     def __init__(self, params: ParameterSet, base_lr: float = 1e-4,
@@ -75,7 +78,7 @@ class AdamW:
         dtype = np.dtype(dtypes[0] if dtypes else np.float32)
         total = params.total_size()
         self._data = np.empty(total, dtype)
-        self._grad = np.empty(total, dtype)
+        self._grad = np.zeros(total, dtype)
         self._m = np.zeros(total, dtype)
         self._v = np.zeros(total, dtype)
         self.m: dict[str, np.ndarray] = {}
@@ -87,7 +90,6 @@ class AdamW:
             data = self._data[lo:hi].reshape(p.data.shape)
             grad = self._grad[lo:hi].reshape(p.data.shape)
             data[...] = p.data
-            grad[...] = p.grad
             p.data, p.grad = data, grad
             self.m[name] = self._m[lo:hi].reshape(p.data.shape)
             self.v[name] = self._v[lo:hi].reshape(p.data.shape)

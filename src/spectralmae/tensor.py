@@ -3,8 +3,9 @@
 A `Tensor` wraps a C-contiguous numpy array (float32 by default,
 float64 available for high-precision gradient verification) plus the
 bookkeeping needed to backpropagate: parent links and a closure that
-routes the output adjoint to the parents. `Parameter` is a leaf tensor
-with a persistent, zero-initialized gradient buffer.
+routes the output adjoint to the parents. `Parameter` is a named leaf
+tensor; like any leaf its gradient stays `None` until a backward sweep
+first reaches it, and an optimizer binds it to its arena after that.
 
 `backward()` consumes its graph. As the sweep passes an op node it drops
 the node's closure and parent links, so the activations only closures
@@ -148,13 +149,12 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Learnable leaf: value plus a persistent same-shape gradient slot."""
+    """Learnable named leaf; its gradient stays `None` until something trains it."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, dtype=None, name: str = ""):
         super().__init__(data, dtype=dtype, requires_grad=True)
-        self.grad = np.zeros_like(self.data)
         self.name = name
 
 

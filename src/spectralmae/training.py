@@ -119,7 +119,6 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
         raise ConfigError(f"batch size {stage.batch_size} exceeds dataset size {n}")
     sched = stage_schedule(stage)
     optimizer = optimizer or make_optimizer(model, stage)
-    model.parameters().zero_grads()  # from here on each step zeroes what it consumed
     records: list[EpochRecord] = []
     for epoch in range(start_epoch, stage.epochs if end_epoch is None else end_epoch):
         order = rng.child("order", stage_index, epoch).permutation(n)

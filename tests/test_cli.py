@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from spectralmae.cli import main
 from spectralmae.checkpoint import load_checkpoint, save_checkpoint, snapshot_model
 import spectralmae.model as model_module
-from spectralmae.model import ModelConfig, SpectralCubeAutoencoder, parameter_count
+from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
 from spectralmae.preview import PRESETS, read_ppm
 from spectralmae.rng import CounterRng
 
@@ -460,8 +460,9 @@ class _FullSizeModel(Exception):
 
 def _tiny_models_only(cfg, rng, build=SpectralCubeAutoencoder):
     # a mutant that drops the tiny preset selects `base`: a valid config, but
-    # 86M parameters would cost seconds and a gigabyte to build and train
-    if parameter_count(cfg) > 10 ** 6:
+    # 86M parameters would cost seconds and a gigabyte to fill and train; an
+    # unfilled build writes no weight, so it sizes the config for free
+    if SpectralCubeAutoencoder(cfg, None).parameters().total_size() > 10 ** 6:
         raise _FullSizeModel
     return build(cfg, rng)
 

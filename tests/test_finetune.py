@@ -55,6 +55,61 @@ def test_finetune_leaves_the_decoder_alone_under_weight_decay(tmp_path):
         assert unchanged == (name not in encoder), name
 
 
+def test_stray_backward_before_finetune_leaves_the_run_unchanged(tmp_path):
+    from spectralmae import tensor as T
+    from spectralmae.finetune import _load_image
+    from spectralmae.manifest import load_manifest
+
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=12, seed=3)
+    manifest_path = generate_synthetic(spec, "classify", tmp_path / "ds")
+    manifest = load_manifest(manifest_path)
+    image = _load_image(manifest, manifest.samples[0]["raster"])
+
+    def run(stray):
+        model = _model(max_grid=(2, 2, 2))
+        if stray:  # leaves a gradient on every encoder parameter
+            T.sum_all(model.forward_full(image)).backward()
+            assert model.parameters()["patch_embed.weight"].grad.any()
+        report = finetune_classify(model, manifest_path,
+                                   FinetuneConfig(epochs=2, batch_size=4, seed=4))
+        return report.to_json(), {name: p.data.tobytes()
+                                  for name, p in model.parameters().items()}
+
+    assert run(stray=True) == run(stray=False)
+
+
+def test_finetune_of_a_restored_model_leaves_the_decoder_without_gradients(tmp_path):
+    from spectralmae.checkpoint import (load_checkpoint, restore_model, save_checkpoint,
+                                        snapshot_model)
+
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=12, seed=3)
+    manifest_path = generate_synthetic(spec, "classify", tmp_path / "ds")
+    path = tmp_path / "m.spck"
+    save_checkpoint(snapshot_model(_model(max_grid=(2, 2, 2)), None, (0, 0)), path)
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), rng=None)
+    restore_model(load_checkpoint(path), model)
+    assert all(p.grad is None for p in model.parameters())
+    finetune_classify(model, manifest_path, FinetuneConfig(epochs=1, batch_size=4, seed=4))
+    encoder = set(model.encoder_parameters().names())
+    for name, p in model.parameters().items():
+        assert (p.grad is None) == (name not in encoder), name
+
+
+def test_change_mask_outside_zero_one_is_data_error(tmp_path):
+    from spectralmae.finetune import TASKS, eval_change, make_head
+    from spectralmae.manifest import load_manifest
+
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=4, seed=20)
+    manifest = load_manifest(generate_synthetic(spec, "change", tmp_path / "ds"))
+    val = TASKS["change"].load(manifest, manifest.samples[:2])
+    model = _model(max_grid=(2, 2, 2))
+    head = make_head("change", model, manifest, FinetuneConfig(seed=21))
+    eval_change(model, head, val)
+    val[1][2][0, 0] = 2
+    with pytest.raises(DataError, match="ground truth"):
+        eval_change(model, head, val)
+
+
 def test_finetune_classify_train_fraction_honored(tmp_path):
     spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=30, seed=3)
     manifest_path = generate_synthetic(spec, "classify", tmp_path / "ds")

@@ -5,8 +5,7 @@ from spectralmae import tensor as T
 from spectralmae.errors import ConfigError
 from spectralmae.gradcheck import grad_check
 from spectralmae.model import (PRESETS, GridDims, ModelConfig, SpectralCubeAutoencoder,
-                               empty_mask_plan, encoder_parameter_count,
-                               parameter_count)
+                               empty_mask_plan)
 from spectralmae.rng import CounterRng
 from spectralmae.tokenizer import MaskPlan, SpectralImage, build_mask, patchify
 
@@ -43,16 +42,9 @@ def test_config_validation():
             ModelConfig(**heads)
 
 
-def test_parameter_count_formula_matches_instantiation():
-    for cfg in (ModelConfig.tiny(), ModelConfig.tiny(max_grid=(4, 4, 2), embed_dim=32,
-                                                     encoder_heads=4, decoder_dim=16,
-                                                     decoder_heads=2)):
-        model = SpectralCubeAutoencoder(cfg, CounterRng(1))
-        assert model.parameters().total_size() == parameter_count(cfg)
-
-
 def test_base_preset_encoder_is_86m_scale():
-    count = encoder_parameter_count(ModelConfig(**PRESETS["base"]))
+    model = SpectralCubeAutoencoder(ModelConfig(**PRESETS["base"]), rng=None)
+    count = model.encoder_parameters().total_size()
     assert abs(count - 86e6) / 86e6 <= 0.05
 
 

@@ -346,7 +346,9 @@ def test_attention_graph_holds_one_score_buffer():
 
 def test_attention_backward_transient_stays_below_one_slice():
     # the pretrain-mid decoder block: one 576-token image, 6 heads; dS is one row tile
-    q, k, v = (_qkv(64, 576, 48, dtype=np.float32)[n] for n in "qkv")
+    ps = _qkv(64, 576, 48, dtype=np.float32)
+    ps.zero_grads()  # the adjoints q, k and v accumulate into are not the transient
+    q, k, v = (ps[n] for n in "qkv")
     out = T.attention(q, k, v, 1, 6)
     g = CounterRng(65).normal_array((576, 48)).astype(np.float32)
     tracemalloc.start()

@@ -51,8 +51,9 @@ def test_adamw_zero_grad_no_decay_is_identity():
 def test_adamw_hand_stepped_first_update():
     ps = ParameterSet()
     w = ps.add("w", Parameter(np.array([1.0], np.float64)))
+    opt = AdamW(ps, base_lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     w.grad[:] = 1.0
-    AdamW(ps, base_lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8).step()
+    opt.step()
     # m_hat = 1, v_hat = 1 -> w = 1 - 0.1 * 1/(1 + 1e-8)
     assert abs(w.data[0] - (1.0 - 0.1 / (1.0 + 1e-8))) < 1e-12
     assert np.all(w.grad == 0.0)  # grads zeroed after the step
@@ -69,17 +70,18 @@ def test_adamw_decoupled_decay_with_zero_grad():
 def test_adamw_aborts_on_nonfinite_grad_naming_param():
     ps = ParameterSet()
     w = ps.add("bad.weight", Parameter(np.array([1.0], np.float32)))
+    opt = AdamW(ps)
     w.grad[:] = np.nan
     with pytest.raises(EvaluationError) as exc:
-        AdamW(ps).step()
+        opt.step()
     assert "bad.weight" in str(exc.value)
 
 
 def test_adamw_clip_norm():
     ps = ParameterSet()
     w = ps.add("w", Parameter(np.array([0.0, 0.0], np.float64)))
-    w.grad[:] = [3.0, 4.0]  # norm 5
     opt = AdamW(ps, base_lr=1e-3, clip_norm=1.0)
+    w.grad[:] = [3.0, 4.0]  # norm 5
     opt.step()
     # after clip the direction is preserved; first-step AdamW moves ~lr per coord
     assert np.all(np.isfinite(w.data))
@@ -181,6 +183,18 @@ def test_adamw_step_raises_after_positional_tables_resize():
     with pytest.raises(ShapeError, match="pos.spatial"):
         opt.step()
     AdamW(model.parameters()).step()  # a fresh optimizer adopts the new tables
+
+
+def test_backward_after_resize_still_fails_the_stale_optimizer():
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    opt = AdamW(model.parameters())
+    model.resize_pos_tables((4, 4, 2))
+    images = _smooth_images(1, 32, 32, 6, seed=3)
+    loss, _ = group_loss(model, images, ObjectiveConfig(), 0.5, [CounterRng(4)])
+    loss.backward()  # the resized tables take fresh gradients of their new shape
+    assert model.parameters()["pos.spatial"].grad.shape == (16, model.config.embed_dim)
+    with pytest.raises(ShapeError, match="pos.spatial"):
+        opt.step()
 
 
 # ---------------------------------------------------------------- schedule
@@ -307,6 +321,17 @@ def test_checkpoint_restore_into_model(tmp_path):
     restore_model(load_checkpoint(path), clone)
     for name, p in model.parameters().items():
         assert np.array_equal(p.data, clone.parameters()[name].data)
+
+
+def test_restore_into_an_unfilled_model_allocates_no_gradient(tmp_path):
+    model, opt = _model_and_opt(seed=3)
+    path = tmp_path / "r.spck"
+    save_checkpoint(snapshot_model(model, opt, (9, 9)), path)
+    clone = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), rng=None)
+    restore_model(load_checkpoint(path), clone)
+    for name, p in clone.parameters().items():
+        assert p.grad is None, name
+        assert np.array_equal(p.data, model.parameters()[name].data), name
 
 
 def test_restores_write_in_place_and_the_next_step_uses_them(tmp_path):
@@ -532,6 +557,22 @@ def test_resume_equivalence_bitwise(tmp_path):
     assert resumed == uninterrupted
     for name, p in model_a.parameters().items():
         assert np.array_equal(p.data, model_c.parameters()[name].data), name
+
+
+def test_stray_backward_before_pretraining_leaves_the_run_unchanged():
+    def run(stray):
+        model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(0))
+        images = _smooth_images(4, 32, 32, 6, seed=41)
+        if stray:  # leaves a gradient on every parameter the loss reaches
+            loss, _ = group_loss(model, images[:2], ObjectiveConfig(), 0.5,
+                                 [CounterRng(42), CounterRng(43)])
+            loss.backward()
+            assert model.parameters()["patch_embed.weight"].grad.any()
+        records, _ = pretrain_stage(model, ObjectiveConfig(),
+                                    _stage(images, epochs=2, batch_size=2), CounterRng(44))
+        return records, {name: p.data.tobytes() for name, p in model.parameters().items()}
+
+    assert run(stray=True) == run(stray=False)
 
 
 def test_progressive_two_stage_resizes_and_carries_weights():
