@@ -208,7 +208,7 @@ def _downstream_setup(args):
     dataset.manifest = os.path.join(base_dir, dataset.manifest)
     if dataset.val_manifest is not None:
         dataset.val_manifest = os.path.join(base_dir, dataset.val_manifest)
-    train_man, val_man = resolve_splits(dataset.manifest, dataset.val_manifest, cfg)
+    train_man, val_man = resolve_splits(args.task, dataset.manifest, dataset.val_manifest, cfg)
     return config, cfg, train_man, val_man, dataset
 
 

@@ -1,15 +1,16 @@
 """End-to-end fine-tuning and evaluation for the four downstream tasks.
 
-`TASKS` holds one record per task with only what differs between them.
-One `finetune` loop normalizes bands to [0, 1] with the manifest's
-dataset-level min/max, trains encoder + head jointly under AdamW with the
-warmup/cosine schedule, and reports task metrics on the held-out split
-through `evaluate`. Raw prediction scores ride along in `extras` so
-metric values can be re-derived by independent oracles.
+`TASKS` holds one record per task with only what differs between them,
+such as one forward from samples to head outputs for training and
+evaluation alike. One `finetune` loop normalizes bands to [0, 1] with the
+manifest's dataset-level min/max, trains encoder + head jointly under AdamW
+with the warmup/cosine schedule, and reports held-out task metrics through
+`evaluate`. Raw prediction scores ride along in `extras` for oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -65,21 +66,25 @@ def _load_image(manifest: DatasetManifest, path: str) -> SpectralImage:
     return normalize_bands(read_raster(path), manifest.band_min, manifest.band_max)
 
 
-def _load_mask(path: str) -> np.ndarray:
-    return read_raster(path).values[:, :, 0].astype(np.int64)
+def _load_mask(path: str, img: SpectralImage) -> np.ndarray:
+    mask = read_raster(path).values[:, :, 0].astype(np.int64)
+    if mask.shape != (img.height, img.width):
+        raise DataError(f"mask {path} is {mask.shape[0]}x{mask.shape[1]} pixels, "
+                        f"its image {img.height}x{img.width}")
+    return mask
 
 
-def resolve_splits(manifest, val_manifest, cfg: FinetuneConfig):
-    """(train, val) manifests: a seeded split of `manifest` unless a val manifest is given."""
-    if isinstance(manifest, str):
-        manifest = load_manifest(manifest)
-    if val_manifest is None:
-        return split(manifest, cfg.split_fractions, manifest.split_seed)
-    if isinstance(val_manifest, str):
-        val_manifest = load_manifest(val_manifest)
-    if not val_manifest.samples:
+def resolve_splits(task: str, manifest, val_manifest, cfg: FinetuneConfig):
+    """(train, val) manifests of `task`: a seeded split of `manifest` unless val is given."""
+    train, val = (load_manifest(m) if isinstance(m, str) else m for m in (manifest, val_manifest))
+    for which, man in (("manifest", train), ("validation manifest", val)):
+        if man is not None and man.task != task:
+            raise DataError(f"{which} task is {man.task!r}, not the requested {task!r}")
+    if val is None:
+        return split(train, cfg.split_fractions, train.split_seed)
+    if not val.samples:
         raise DataError("validation manifest has no samples")
-    return manifest, val_manifest
+    return train, val
 
 
 def _subset(samples: list, fraction: float, seed: int) -> list:
@@ -112,7 +117,7 @@ def load_segment_samples(man: DatasetManifest, samples: list) -> list:
     out = []
     for s in samples:
         img = _load_image(man, s["raster"])
-        mask = _load_mask(s["mask"])
+        mask = _load_mask(s["mask"], img)
         if mask.max() >= man.n_classes:
             raise DataError(f"mask class id {mask.max()} >= {man.n_classes}")
         out.append((img, mask))
@@ -126,14 +131,14 @@ def load_change_samples(man: DatasetManifest, samples: list) -> list:
         b = _load_image(man, s["raster_b"])
         if a.values.shape != b.values.shape:
             raise DataError(f"pair size mismatch {a.values.shape} vs {b.values.shape}")
-        out.append((a, b, _load_mask(s["mask"])))
+        out.append((a, b, _load_mask(s["mask"], a)))
     return out
 
 
-# ---------------------------------------------------------------- minibatch steps
-# One encoder graph per group of same-size images (`model.group_spans`), the
-# head per sample on that sample's latent rows, and one backward of the
-# minibatch's mean loss.
+# ---------------------------------------------------------------- forward and loss
+# One encoder graph per group of same-size images (`model.group_spans`) and
+# the head per sample on that sample's latent rows. A sample's target is its
+# last item.
 
 def _encode_batch(model, images: list) -> list[T.Tensor]:
     """Each image's latents, in order; a group of images shares one encoder graph."""
@@ -149,47 +154,45 @@ def _encode_batch(model, images: list) -> list[T.Tensor]:
     return out
 
 
-def _mean(losses: list[T.Tensor]) -> T.Tensor:
-    total = losses[0]
-    for loss in losses[1:]:
-        total = T.add(total, loss)
-    return T.scale(total, 1.0 / len(losses))
+def _image_forward(model, head, batch: list) -> list[T.Tensor]:
+    return [head.forward(z) for z in _encode_batch(model, [img for img, _ in batch])]
 
 
-def _batch_logits(model, head, batch: list) -> T.Tensor:
-    latents = _encode_batch(model, [sample[0] for sample in batch])
-    return T.concat_rows([head.forward(z) for z in latents])
+def _segment_forward(model, head, batch: list) -> list[T.Tensor]:
+    images = [img for img, _ in batch]
+    return [head.forward(z, _grid_dims(model, img), (img.height, img.width))
+            for z, img in zip(_encode_batch(model, images), images)]
 
 
-def _classify_step(model, head, batch: list) -> None:
-    cross_entropy(_batch_logits(model, head, batch), [label for _, label in batch]).backward()
-
-
-def _multilabel_step(model, head, batch: list) -> None:
-    targets = np.stack([labels for _, labels in batch])
-    multilabel_soft_margin(_batch_logits(model, head, batch), targets).backward()
-
-
-def _segment_step(model, head, batch: list) -> None:
-    latents = _encode_batch(model, [sub for sub, _ in batch])
-    _mean([cross_entropy(head.forward(z, _grid_dims(model, sub), (sub.height, sub.width)),
-                         mask.reshape(-1))
-           for z, (sub, mask) in zip(latents, batch)]).backward()
-
-
-def _change_step(model, head, batch: list) -> None:
+def _change_forward(model, head, batch: list) -> list[T.Tensor]:
     latents = _encode_batch(model, [img for a, b, _ in batch for img in (a, b)])
-    _mean([nll_from_log_probs(head.forward(latents[2 * i], latents[2 * i + 1],
-                                           _grid_dims(model, a), (a.height, a.width)),
-                              mask.reshape(-1))
-           for i, (a, _, mask) in enumerate(batch)]).backward()
+    return [head.forward(za, zb, _grid_dims(model, a), (a.height, a.width))
+            for za, zb, (a, _, _) in zip(latents[::2], latents[1::2], batch)]
+
+
+def _row_loss(loss: Callable) -> Callable:
+    """`loss` of the minibatch's output rows, stacked, against its targets."""
+    return lambda outputs, batch: loss(T.concat_rows(outputs), [s[-1] for s in batch])
+
+
+def _pixel_loss(nll: Callable) -> Callable:
+    """The minibatch mean of each sample's mean pixel loss `nll(output, mask)`."""
+    def loss(outputs: list, batch: list) -> T.Tensor:
+        terms = [nll(out, s[-1].reshape(-1)) for out, s in zip(outputs, batch)]
+        return T.scale(functools.reduce(T.add, terms), 1.0 / len(terms))
+    return loss
+
+
+def _each_output(forward: Callable, model, head, samples):
+    """Each sample's head output values, with one sample's graph alive at a time."""
+    for sample in samples:
+        yield forward(model, head, [sample])[0].data
 
 
 # ---------------------------------------------------------------- evaluation
 
 def eval_classify(model, head, val: list) -> MetricsReport:
-    scores = np.asarray([head.forward(model.forward_full(img)).data[0]
-                         for img, _ in val])
+    scores = np.concatenate(list(_each_output(_image_forward, model, head, val)))
     labels = np.asarray([label for _, label in val])
     accuracy = float((scores.argmax(axis=1) == labels).mean())
     return MetricsReport(
@@ -199,7 +202,7 @@ def eval_classify(model, head, val: list) -> MetricsReport:
 
 
 def eval_multilabel(model, head, val: list) -> MetricsReport:
-    scores = np.concatenate([head.forward(model.forward_full(img)).data for img, _ in val])
+    scores = np.concatenate(list(_each_output(_image_forward, model, head, val)))
     labels = np.stack([lab for _, lab in val])
     macro, skipped = macro_map(scores, labels)
     micro = micro_map(scores, labels)
@@ -225,9 +228,8 @@ def tile_starts(extent: int, crop: int) -> list[int]:
 def _crops(img: SpectralImage, mask: np.ndarray, crop: int):
     for y in tile_starts(img.height, crop):
         for x in tile_starts(img.width, crop):
-            yield (y, x,
-                   SpectralImage(img.values[y:y + crop, x:x + crop], img.band_names),
-                   mask[y:y + crop, x:x + crop] if mask is not None else None)
+            yield y, x, (SpectralImage(img.values[y:y + crop, x:x + crop], img.band_names),
+                         mask[y:y + crop, x:x + crop] if mask is not None else None)
 
 
 def _crop_size(model, cfg: FinetuneConfig, samples: list) -> int:
@@ -239,28 +241,22 @@ def _crop_size(model, cfg: FinetuneConfig, samples: list) -> int:
 
 
 def _crop_pool(train: list, crop: int) -> list:
-    return [(sub, sub_mask) for img, mask in train
-            for _, _, sub, sub_mask in _crops(img, mask, crop)]
-
-
-def _stitched_logits(model, head, img: SpectralImage, crop: int, classes: int) -> np.ndarray:
-    """Average overlapping crop logits in logit space, then the caller argmaxes."""
-    acc = np.zeros((img.height, img.width, classes), np.float64)
-    hits = np.zeros((img.height, img.width, 1), np.float64)
-    for y, x, sub, _ in _crops(img, None, crop):
-        dims = _grid_dims(model, sub)
-        logits = head.forward(model.forward_full(sub), dims, (crop, crop)).data
-        acc[y:y + crop, x:x + crop] += logits.reshape(crop, crop, classes)
-        hits[y:y + crop, x:x + crop] += 1.0
-    return acc / hits
+    return [sample for img, mask in train for _, _, sample in _crops(img, mask, crop)]
 
 
 def eval_segment(model, head, val: list, crop: int, n_classes: int,
                  class_names: list[str] | None = None) -> MetricsReport:
     cm = np.zeros((n_classes, n_classes), np.int64)
     for img, mask in val:
-        logits = _stitched_logits(model, head, img, crop, n_classes)
-        pred = logits.argmax(axis=2)
+        # average overlapping crop logits in logit space, then argmax
+        acc = np.zeros((img.height, img.width, n_classes), np.float64)
+        hits = np.zeros((img.height, img.width, 1), np.float64)
+        tiles = list(_crops(img, None, crop))
+        outputs = _each_output(_segment_forward, model, head, [s for _, _, s in tiles])
+        for (y, x, _), logits in zip(tiles, outputs):
+            acc[y:y + crop, x:x + crop] += logits.reshape(crop, crop, n_classes)
+            hits[y:y + crop, x:x + crop] += 1.0
+        pred = (acc / hits).argmax(axis=2)
         cm += confusion_matrix(pred.reshape(-1), mask.reshape(-1), n_classes)
     per_class = {class_names[c] if class_names else str(c):
                  {"iou": float("nan") if v is None else v}
@@ -275,10 +271,7 @@ def eval_segment(model, head, val: list, crop: int, n_classes: int,
 
 def eval_change(model, head, val: list) -> MetricsReport:
     cm = np.zeros((2, 2), np.int64)
-    for a, bimg, mask in val:
-        dims = _grid_dims(model, a)
-        logp = head.forward(model.forward_full(a), model.forward_full(bimg),
-                            dims, (a.height, a.width)).data
+    for (_, _, mask), logp in zip(val, _each_output(_change_forward, model, head, val)):
         cm += confusion_matrix(logp.argmax(axis=1), mask.reshape(-1), 2)
     tp, fp, fn, tn = (int(n) for n in (cm[1, 1], cm[0, 1], cm[1, 0], cm[0, 0]))
     precision, recall, f1, notes = prf_from_counts(tp, fp, fn)
@@ -295,13 +288,15 @@ def eval_change(model, head, val: list) -> MetricsReport:
 class Task:
     """What one downstream task does differently from the others.
 
-    load(manifest, samples) -> samples; step(model, head, batch) runs one
-    minibatch forward and backward; evaluate(model, head, val, train manifest,
+    load(manifest, samples) -> samples; forward(model, head, batch) -> one head
+    output per sample, for training and evaluation alike; loss(outputs, batch)
+    -> the minibatch's scalar loss; evaluate(model, head, val, train manifest,
     cfg) -> report; pool(train, model, cfg) -> what each epoch's batches come from.
     """
 
     load: Callable
-    step: Callable
+    forward: Callable
+    loss: Callable
     evaluate: Callable
     pool: Callable = lambda train, model, cfg: train
 
@@ -309,17 +304,18 @@ class Task:
 # Evaluation goes through the module-level eval_* names at call time, so a
 # wrapper rebound onto one of them sees every call.
 TASKS = {
-    "classify": Task(load_classify_samples, _classify_step,
+    "classify": Task(load_classify_samples, _image_forward, _row_loss(cross_entropy),
                      lambda model, head, val, man, cfg: eval_classify(model, head, val)),
-    "multilabel": Task(load_multilabel_samples, _multilabel_step,
+    "multilabel": Task(load_multilabel_samples, _image_forward,
+                       _row_loss(multilabel_soft_margin),
                        lambda model, head, val, man, cfg: eval_multilabel(model, head, val)),
-    "segment": Task(load_segment_samples, _segment_step,
+    "segment": Task(load_segment_samples, _segment_forward, _pixel_loss(cross_entropy),
                     lambda model, head, val, man, cfg: eval_segment(
                         model, head, val, _crop_size(model, cfg, val), man.n_classes,
                         man.class_names),
                     pool=lambda train, model, cfg: _crop_pool(
                         train, _crop_size(model, cfg, train))),
-    "change": Task(load_change_samples, _change_step,
+    "change": Task(load_change_samples, _change_forward, _pixel_loss(nll_from_log_probs),
                    lambda model, head, val, man, cfg: eval_change(model, head, val)),
 }
 
@@ -354,7 +350,7 @@ def finetune(task: str, model: SpectralCubeAutoencoder, manifest, cfg: FinetuneC
     Manifests may be paths; without a val manifest, `manifest` is split.
     """
     spec = TASKS[task]
-    train_man, val_man = resolve_splits(manifest, val_manifest, cfg)
+    train_man, val_man = resolve_splits(task, manifest, val_manifest, cfg)
     samples = _subset(train_man.samples, cfg.train_fraction, cfg.seed)
     if not samples:
         raise DataError(f"{task} training split is empty")
@@ -373,7 +369,8 @@ def finetune(task: str, model: SpectralCubeAutoencoder, manifest, cfg: FinetuneC
         order = order_rng.child(epoch).permutation(len(pool))
         for b in range(batches):
             chosen = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            spec.step(model, head, [pool[int(i)] for i in chosen])
+            batch = [pool[int(i)] for i in chosen]
+            spec.loss(spec.forward(model, head, batch), batch).backward()
             opt.step(lr_at(sched, epoch * batches + b))
     report = evaluate(task, model, head, train_man, val, cfg)
     report.counts["train_used"] = len(train)

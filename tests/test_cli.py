@@ -266,6 +266,24 @@ def test_eval_without_manifest_names_the_key(tmp_path, capsys):
         assert "config dataset.manifest is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["finetune", "eval"])
+@pytest.mark.parametrize("key", ["manifest", "val_manifest"])
+def test_manifest_of_another_task_is_one_error_line(tmp_path, capsys, command, key):
+    dataset = {"manifest": str(_synth(tmp_path, "cls", task="classify", n_images=4)),
+               key: str(_synth(tmp_path, "seg", task="segment", n_images=4))}
+    config = _write_json(tmp_path / "ft.json", {
+        "seed": 11, "model": {"preset": "tiny", "max_grid": [2, 2, 2]},
+        "finetune": {"epochs": 1, "batch_size": 2}, "dataset": dataset})
+    ckpt = tmp_path / "m.spck"
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(0))
+    save_checkpoint(snapshot_model(model, None, (0, 0)), ckpt)
+    argv = {"finetune": ["finetune"], "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
+    assert main(argv + ["--task", "classify", "--config", config,
+                        "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {key.replace('val_', 'validation ')} task is 'segment', not the requested 'classify'\n"
+
+
 def test_model_drop_path_key_rejected(tmp_path, capsys):
     manifest = _synth(tmp_path, task="pretrain")
     config = _pretrain_config(tmp_path, manifest,

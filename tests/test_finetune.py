@@ -259,9 +259,88 @@ def test_batched_step_matches_per_sample_backward(tmp_path, task):
     _per_sample_step(task, model, head, batch)
     expected = {name: p.grad.copy() for name, p in params.items()}
     params.zero_grads()
-    TASKS[task].step(model, head, batch)
+    TASKS[task].loss(TASKS[task].forward(model, head, batch), batch).backward()
     for name, p in params.items():
         # change's encoder norm bias cancels between a and b: exactly 0 per sample,
         # rounding-size in the batch, hence the absolute floor
         want = expected[name]
         assert np.linalg.norm(p.grad - want) <= 1e-6 * max(np.linalg.norm(want), 1e-12), name
+
+
+def _per_image_report(task, model, head, val, crop, n_classes):
+    """Reference: the values, counts and extras `evaluate` must report, from an
+    encoder graph and a head forward per image (per crop, for segment)."""
+    from spectralmae.metrics import (confusion_matrix, mean_iou, overall_accuracy,
+                                     prf_from_counts)
+    from spectralmae.model import GridDims
+    from spectralmae.tokenizer import SpectralImage
+
+    def dims(img):
+        return GridDims(img.height // 8, img.width // 8, img.bands // 3)
+
+    if task in ("classify", "multilabel"):
+        scores = np.concatenate([head.forward(model.forward_full(img)).data for img, _ in val])
+        labels = np.asarray([label for _, label in val])
+        if task == "classify":
+            values = {"accuracy": float((scores.argmax(axis=1) == labels).mean())}
+        else:
+            values = {"macro_map": macro_map(scores, labels)[0],
+                      "micro_map": micro_map(scores, labels)}
+        return values, {"val": len(val)}, {"scores": scores, "labels": labels}
+    if task == "segment":
+        cm = np.zeros((n_classes, n_classes), np.int64)
+        for img, mask in val:
+            acc = np.zeros((img.height, img.width, n_classes))
+            hits = np.zeros((img.height, img.width, 1))
+            for y in tile_starts(img.height, crop):
+                for x in tile_starts(img.width, crop):
+                    sub = SpectralImage(img.values[y:y + crop, x:x + crop], img.band_names)
+                    logits = head.forward(model.forward_full(sub), dims(sub), (crop, crop))
+                    acc[y:y + crop, x:x + crop] += logits.data.reshape(crop, crop, n_classes)
+                    hits[y:y + crop, x:x + crop] += 1.0
+            cm += confusion_matrix((acc / hits).argmax(axis=2).reshape(-1), mask.reshape(-1),
+                                   n_classes)
+        return ({"overall_accuracy": overall_accuracy(cm), "mean_iou": mean_iou(cm)},
+                {"val": len(val), "val_pixels": int(cm.sum())}, {"confusion": cm})
+    cm = np.zeros((2, 2), np.int64)
+    for a, b, mask in val:
+        logp = head.forward(model.forward_full(a), model.forward_full(b), dims(a),
+                            (a.height, a.width))
+        cm += confusion_matrix(logp.data.argmax(axis=1), mask.reshape(-1), 2)
+    tp, fp, fn, tn = (int(n) for n in (cm[1, 1], cm[0, 1], cm[1, 0], cm[0, 0]))
+    precision, recall, f1, _ = prf_from_counts(tp, fp, fn)
+    return ({"precision": precision, "recall": recall, "f1": f1},
+            {"val": len(val), "tp": tp, "fp": fp, "fn": fn, "tn": tn}, {})
+
+
+@pytest.mark.parametrize("task", sorted(ENTRIES))
+def test_evaluate_matches_per_image_reference_bit_for_bit(tmp_path, task):
+    from spectralmae.finetune import TASKS, evaluate, make_head
+    from spectralmae.manifest import load_manifest
+
+    spec = SyntheticSpec(height=24, width=24, bands=6, classes=3, n_images=5,
+                         noise_std=0.01, seed=22, regions=3)
+    manifest = load_manifest(generate_synthetic(spec, task, tmp_path / "ds"))
+    val = TASKS[task].load(manifest, manifest.samples)
+    model = _model(seed=23, max_grid=(3, 3, 2))
+    cfg = FinetuneConfig(seed=24, crop=16)  # segment stitches four overlapping crops
+    head = make_head(task, model, manifest, cfg)
+    report = evaluate(task, model, head, manifest, val, cfg)
+    expected = _per_image_report(task, model, head, val, 16, manifest.n_classes)
+    np.testing.assert_equal((report.values, report.counts, report.extras), expected)
+
+
+@pytest.mark.parametrize("task", ["segment", "change"])
+@pytest.mark.parametrize("side", [24, 8])
+def test_mask_of_another_size_than_its_image_is_data_error(tmp_path, task, side):
+    from spectralmae.finetune import TASKS
+    from spectralmae.manifest import load_manifest
+    from spectralmae.raster import write_raster
+    from spectralmae.tokenizer import SpectralImage
+
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=3, seed=25)
+    manifest = load_manifest(generate_synthetic(spec, task, tmp_path / "ds"))
+    bad = manifest.samples[1]["mask"]
+    write_raster(SpectralImage(np.zeros((side, side, 1), np.float32), ["mask"]), bad)
+    with pytest.raises(DataError, match=f"mask {bad} is {side}x{side} pixels, its image 16x16"):
+        TASKS[task].load(manifest, manifest.samples)
