@@ -66,12 +66,17 @@ def _load_image(manifest: DatasetManifest, path: str) -> SpectralImage:
     return normalize_bands(read_raster(path), manifest.band_min, manifest.band_max)
 
 
-def _load_mask(path: str, img: SpectralImage) -> np.ndarray:
-    mask = read_raster(path).values[:, :, 0].astype(np.int64)
-    if mask.shape != (img.height, img.width):
-        raise DataError(f"mask {path} is {mask.shape[0]}x{mask.shape[1]} pixels, "
+def _load_mask(path: str, img: SpectralImage, n_classes: int) -> np.ndarray:
+    """Class ids of mask `path`: every value an integer in [0, n_classes)."""
+    values = read_raster(path).values[:, :, 0]
+    if values.shape != (img.height, img.width):
+        raise DataError(f"mask {path} is {values.shape[0]}x{values.shape[1]} pixels, "
                         f"its image {img.height}x{img.width}")
-    return mask
+    bad = (values != np.floor(values)) | (values < 0) | (values >= n_classes)  # NaN too
+    if bad.any():
+        raise DataError(f"mask {path} holds {values[bad][0]:g}, "
+                        f"not a class id in [0, {n_classes})")
+    return values.astype(np.int64)
 
 
 def resolve_splits(task: str, manifest, val_manifest, cfg: FinetuneConfig):
@@ -117,10 +122,7 @@ def load_segment_samples(man: DatasetManifest, samples: list) -> list:
     out = []
     for s in samples:
         img = _load_image(man, s["raster"])
-        mask = _load_mask(s["mask"], img)
-        if mask.max() >= man.n_classes:
-            raise DataError(f"mask class id {mask.max()} >= {man.n_classes}")
-        out.append((img, mask))
+        out.append((img, _load_mask(s["mask"], img, man.n_classes)))
     return out
 
 
@@ -131,7 +133,7 @@ def load_change_samples(man: DatasetManifest, samples: list) -> list:
         b = _load_image(man, s["raster_b"])
         if a.values.shape != b.values.shape:
             raise DataError(f"pair size mismatch {a.values.shape} vs {b.values.shape}")
-        out.append((a, b, _load_mask(s["mask"], a)))
+        out.append((a, b, _load_mask(s["mask"], a, 2)))
     return out
 
 

@@ -8,6 +8,11 @@ row-major as (row, col, band). Both orderings are load-bearing: they
 make patchify/unpatchify bit-exact inverses, let the per-site spectral
 rows be a plain reshape, and fix the layout that checkpoints and raster
 files rely on.
+
+Reconstruction targets are an affine map of the tokens, (x - shift) / scale,
+set by the target mode. `make_targets` applies it and `invert_targets`
+undoes it; both take the map from one helper that recomputes it from the
+grid and the band stats, so the two agree on every mode's rule.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, TokenizationError
+from .errors import ConfigError, ShapeError, TokenizationError
 from .rng import CounterRng, permutations
 
 TARGET_MODES = ("raw", "per_token_normalized", "standardized")
+EPS = 1e-6  # added to every target scale: a constant token (sigma 0) stays finite
 
 
 @dataclass
@@ -88,15 +94,6 @@ class MaskPlan:
     @property
     def n_visible(self) -> int:
         return int(self.visible.size)
-
-
-@dataclass
-class NormalizationStats:
-    """Per-token mean/std used to normalize targets (arrays over tokens)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    eps: float
 
 
 def _grid_shape(h: int, w: int, d: int, p: int, k: int) -> tuple[int, int, int]:
@@ -167,67 +164,59 @@ def build_group_mask(total_tokens: int, ratio: float, rngs: list[CounterRng]) ->
     return MaskPlan(ratio, masked.ravel(), visible.ravel(), n * b)
 
 
-def _band_of(grid: TokenGrid) -> np.ndarray:
-    """Band index of every token element, shape (n_tokens, token_len)."""
-    return (np.arange(grid.n_tokens) % grid.gs)[:, None] * grid.k \
-        + (np.arange(grid.token_len) % grid.k)[None, :]
+def _affine(grid: TokenGrid, mode: str, band_stats, dtype) -> tuple | None:
+    """(shift, scale) with targets = (tokens - shift) / scale; None for raw.
 
-
-def make_targets(grid: TokenGrid, mode: str, eps: float = 1e-6,
-                 band_mean: np.ndarray | None = None,
-                 band_std: np.ndarray | None = None) -> tuple[np.ndarray, NormalizationStats]:
-    """Reconstruction targets for one of the three target modes.
-
-    raw: the tokens themselves. per_token_normalized: (x - u_i) / (sigma_i + eps)
-    with per-token mean/std. standardized: per-band dataset-level mean/std
-    (from the manifest) applied to every element; equals standardizing the
-    image before tokenization because tokenization only permutes elements.
+    Every target-mode and band-stats rule lives here. Per-token moments
+    take np.mean and np.std's float64 arithmetic (the mean once) and are
+    rounded to float32. Band stats, (mean, std) per band, are read at
+    `dtype`: float32 for the targets, float64 for their inverse.
     """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
-    tokens = grid.tokens
-    n = tokens.shape[0]
     if mode == "raw":
-        stats = NormalizationStats(np.zeros(n, np.float32), np.ones(n, np.float32), eps)
-        return tokens.copy(), stats
-    if eps <= 0:
-        raise ValueError("eps must be positive for normalizing target modes")
+        return None
     if mode == "per_token_normalized":
-        # np.mean and np.std's float64 arithmetic, with the mean taken once
+        tokens = grid.tokens
         length = tokens.shape[1]
         mean = tokens.sum(axis=1, dtype=np.float64) / length
         centred = tokens - mean[:, None]
         centred *= centred
-        u = mean.astype(np.float32)
         sigma = np.sqrt(centred.sum(axis=1) / length).astype(np.float32)
-        targets = (tokens - u[:, None]) / (sigma + np.float32(eps))[:, None]
-        return targets.astype(np.float32, copy=False), NormalizationStats(u, sigma, eps)
-    if band_mean is None or band_std is None:
-        raise ValueError("standardized mode requires per-band mean and std")
-    band_mean = np.asarray(band_mean, dtype=np.float32)
-    band_std = np.asarray(band_std, dtype=np.float32)
+        return mean.astype(np.float32)[:, None], (sigma + np.float32(EPS))[:, None]
+    mean, std = ((), ()) if band_stats is None else band_stats
+    if not (len(mean) and len(std)):
+        raise ConfigError("standardized target mode needs per-band mean/std stats")
+    mean, std = np.asarray(mean, dtype), np.asarray(std, dtype)
     d = grid.gs * grid.k
-    if band_mean.shape != (d,) or band_std.shape != (d,):
+    if mean.shape != (d,) or std.shape != (d,):
         raise ShapeError(f"band stats must have shape ({d},)")
-    band_of = _band_of(grid)
-    targets = (tokens - band_mean[band_of]) / (band_std[band_of] + np.float32(eps))
-    stats = NormalizationStats(np.zeros(n, np.float32), np.ones(n, np.float32), eps)
-    return targets.astype(np.float32, copy=False), stats
+    band_of = (np.arange(grid.n_tokens) % grid.gs)[:, None] * grid.k \
+        + (np.arange(grid.token_len) % grid.k)[None, :]  # of every token element
+    return mean[band_of], std[band_of] + dtype(EPS)
+
+
+def make_targets(grid: TokenGrid, mode: str, band_stats=None) -> np.ndarray:
+    """Float32 reconstruction targets of `grid`'s tokens in one of TARGET_MODES.
+
+    raw: the tokens themselves. per_token_normalized: (x - u_i) / (sigma_i + EPS)
+    with per-token mean/std. standardized: `band_stats`, the dataset-level
+    (mean, std) per band from the manifest, applied to every element; equals
+    standardizing the image before tokenization because tokenization only
+    permutes elements.
+    """
+    affine = _affine(grid, mode, band_stats, np.float32)
+    if affine is None:
+        return grid.tokens.copy()
+    shift, scale = affine
+    return ((grid.tokens - shift) / scale).astype(np.float32, copy=False)
 
 
 def invert_targets(recon: np.ndarray, grid: TokenGrid, mode: str,
-                   stats: NormalizationStats, band_stats=None) -> np.ndarray:
-    """Undo make_targets: `stats` as it returned, `band_stats` its (mean, std) per band."""
-    if mode not in TARGET_MODES:
-        raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
-    if mode == "per_token_normalized":
-        pixels = recon * (stats.std + np.float32(stats.eps))[:, None] + stats.mean[:, None]
-    elif mode == "standardized":
-        if band_stats is None:
-            raise ValueError("standardized mode requires per-band mean and std")
-        mean, std = (np.asarray(a) for a in band_stats)
-        band_of = _band_of(grid)
-        pixels = recon * (std[band_of] + stats.eps) + mean[band_of]
-    else:
-        pixels = recon
-    return pixels.astype(np.float32)
+                   band_stats=None) -> np.ndarray:
+    """Float32 pixels of targets `recon`: make_targets undone with `grid`'s own moments."""
+    affine = _affine(grid, mode, band_stats, np.float64)
+    if affine is None:
+        return recon.astype(np.float32)
+    shift, scale = affine
+    return (recon * scale + shift).astype(np.float32)

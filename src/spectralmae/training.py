@@ -35,7 +35,7 @@ class PretrainStage:
     warmup_frac: float = 0.1
     min_lr: float = 0.0
     clip_norm: float | None = None
-    band_stats: tuple | None = None  # (mean, std) per band, for standardized targets
+    band_stats: tuple | None = None  # (mean, std) per band for standardized targets, or empty
 
     def __post_init__(self):
         check_config(
@@ -75,15 +75,6 @@ def make_optimizer(model: SpectralCubeAutoencoder, stage: PretrainStage) -> Adam
                  weight_decay=stage.weight_decay, clip_norm=stage.clip_norm)
 
 
-def _targets(grid, objective: ObjectiveConfig, band_stats) -> np.ndarray:
-    if objective.target_mode == "standardized":
-        if band_stats is None:
-            raise ConfigError("standardized target mode needs per-band mean/std stats")
-        return make_targets(grid, "standardized", band_mean=band_stats[0],
-                            band_std=band_stats[1])[0]
-    return make_targets(grid, objective.target_mode)[0]
-
-
 def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
                objective: ObjectiveConfig, ratio: float, mask_rngs: list[CounterRng],
                band_stats=None) -> tuple[T.Tensor, LossBreakdown]:
@@ -98,7 +89,7 @@ def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
     grid = patchify_group(images, cfg.p, cfg.k)
     dims = GridDims(grid.gh // len(images), grid.gw, grid.gs)
     plan = build_group_mask(dims.n_tokens, ratio, mask_rngs)
-    targets = _targets(grid, objective, band_stats)
+    targets = make_targets(grid, objective.target_mode, band_stats)
     recon = model.reconstruct(grid.tokens, plan, dims)
     return total_loss(recon, targets, plan, grid, objective)
 

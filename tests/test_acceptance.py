@@ -62,7 +62,7 @@ def test_criterion_1_gradient_suite():
     grid.tokens = grid.tokens.astype(np.float64)
     dims = GridDims(2, 2, 2)
     plan = build_mask(grid.n_tokens, 0.5, CounterRng(2))
-    targets, _ = make_targets(grid, "per_token_normalized")
+    targets = make_targets(grid, "per_token_normalized")
     objective = ObjectiveConfig(lam=1.0)
 
     def f():
@@ -424,8 +424,7 @@ def test_criterion_9_reconstruction_sweep(sweep_model, tmp_path):
                 plan = build_mask(grid.n_tokens, ratio,
                                   CounterRng(6000).child(i, rep, repr(ratio)))
                 recon = model.reconstruct(grid.tokens, plan, dims).data
-                _, st = make_targets(grid, "per_token_normalized")
-                pixels = invert_targets(recon, grid, "per_token_normalized", st)
+                pixels = invert_targets(recon, grid, "per_token_normalized")
                 errs.append(float(np.mean(
                     (pixels[plan.masked] - grid.tokens[plan.masked]) ** 2)))
         curve.append(float(np.mean(errs)))

@@ -183,9 +183,9 @@ def test_progressive_standardized_uses_each_stages_band_stats(tmp_path, monkeypa
     seen = []
     make_targets = training.make_targets
 
-    def recording(grid, mode, band_mean=None, band_std=None):
-        seen.append(list(band_mean))
-        return make_targets(grid, mode, band_mean=band_mean, band_std=band_std)
+    def recording(grid, mode, band_stats=None):
+        seen.append(list(band_stats[0]))
+        return make_targets(grid, mode, band_stats)
 
     monkeypatch.setattr(training, "make_targets", recording)
     stage = {"epochs": 1, "base_lr": 1e-3, "batch_size": 2, "mask_ratio": 0.5}
@@ -624,6 +624,24 @@ def test_reconstruct_missing_band_rejected(tmp_path):
     raster = manifest.parent / json.loads(open(manifest).read())["samples"][0]["raster"]
     assert main(["reconstruct", "--checkpoint", str(ckpt), "--raster", str(raster),
                  "--preset", "ndvi", "--out", str(tmp_path / "x")]) != 0
+
+
+def test_manifest_without_band_stats_is_one_error_for_pretrain_and_reconstruct(tmp_path, capsys):
+    ckpt, raster = _twelve_band_setup(tmp_path)
+    manifest = tmp_path / "bands12" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    _write_json(manifest, {**doc, "band_mean": [], "band_std": []})
+    config = _pretrain_config(tmp_path, manifest, objective={"target_mode": "standardized"},
+                              model={"preset": "tiny", "max_grid": [2, 2, 4]})
+    errors = []
+    for argv in (["pretrain", "--config", config, "--out", str(tmp_path / "pre")],
+                 ["reconstruct", "--checkpoint", str(ckpt), "--raster", str(raster),
+                  "--target-mode", "standardized", "--manifest", str(manifest),
+                  "--ratios", "0.5", "--preset", "ndvi", "--out", str(tmp_path / "rec")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: standardized target mode needs per-band mean/std stats\n"] * 2
 
 
 @pytest.mark.parametrize("missing", ["--checkpoint", "--raster"])

@@ -344,3 +344,23 @@ def test_mask_of_another_size_than_its_image_is_data_error(tmp_path, task, side)
     write_raster(SpectralImage(np.zeros((side, side, 1), np.float32), ["mask"]), bad)
     with pytest.raises(DataError, match=f"mask {bad} is {side}x{side} pixels, its image 16x16"):
         TASKS[task].load(manifest, manifest.samples)
+
+
+@pytest.mark.parametrize("task", ["segment", "change"])
+@pytest.mark.parametrize("value", [-1.0, 2.0, 0.5, float("nan")])
+def test_mask_value_not_a_class_id_is_data_error(tmp_path, task, value):
+    # both tasks have two classes; change masks are 0/1 whatever the manifest says
+    from spectralmae.finetune import TASKS
+    from spectralmae.manifest import load_manifest
+    from spectralmae.raster import read_raster, write_raster
+
+    spec = SyntheticSpec(height=16, width=16, bands=6, classes=2, n_images=3, seed=26)
+    manifest = load_manifest(generate_synthetic(spec, task, tmp_path / "ds"))
+    TASKS[task].load(manifest, manifest.samples)
+    bad = manifest.samples[1]["mask"]
+    mask = read_raster(bad)
+    mask.values[5, 3, 0] = value
+    write_raster(mask, bad)
+    with pytest.raises(DataError) as err:
+        TASKS[task].load(manifest, manifest.samples)
+    assert str(err.value) == f"mask {bad} holds {value:g}, not a class id in [0, 2)"

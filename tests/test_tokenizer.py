@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralmae.errors import ShapeError, TokenizationError
+from spectralmae.errors import ConfigError, ShapeError, TokenizationError
 from spectralmae.model import GridDims, ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import spectral_loss
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Tensor
-from spectralmae.tokenizer import (TARGET_MODES, MaskPlan, SpectralImage, TokenGrid,
+from spectralmae.tokenizer import (EPS, TARGET_MODES, MaskPlan, SpectralImage, TokenGrid,
                                    build_group_mask, build_mask, invert_targets, make_targets,
                                    patchify, patchify_group, unpatchify)
 
@@ -122,20 +122,20 @@ def test_mask_uniformity_three_sigma():
 def test_group_tokens_and_targets_equal_per_image_bytes(mode):
     images = [_random_image(16, 24, 6, seed=40 + i) for i in range(3)]
     band_stats = (np.linspace(0.2, 0.7, 6), np.linspace(0.1, 0.3, 6))
-    kwargs = {"band_mean": band_stats[0], "band_std": band_stats[1]} \
-        if mode == "standardized" else {}
     grid = patchify_group(images, 8, 3)
     assert (grid.gh, grid.gw, grid.gs) == (3 * 2, 3, 2)
     singles = [patchify(img, 8, 3) for img in images]
     tokens = np.concatenate([g.tokens for g in singles])
     assert grid.tokens.dtype == tokens.dtype and grid.tokens.tobytes() == tokens.tobytes()
-    targets, stats = make_targets(grid, mode, **kwargs)
-    per_image = [make_targets(g, mode, **kwargs) for g in singles]
-    want = np.concatenate([t for t, _ in per_image])
+    targets = make_targets(grid, mode, band_stats)
+    want = np.concatenate([make_targets(g, mode, band_stats) for g in singles])
     assert targets.dtype == want.dtype and targets.tobytes() == want.tobytes()
-    for got, parts in ((stats.mean, [st.mean for _, st in per_image]),
-                       (stats.std, [st.std for _, st in per_image])):
-        assert got.tobytes() == np.concatenate(parts).tobytes()
+    # the inverse's moments too: per row, so the group's are the images' stacked
+    recon = CounterRng(45).normal_array(targets.shape).astype(np.float32)
+    rows = np.split(recon, len(images))
+    pixels = invert_targets(recon, grid, mode, band_stats)
+    want = np.concatenate([invert_targets(r, g, mode, band_stats) for r, g in zip(rows, singles)])
+    assert pixels.tobytes() == want.tobytes()
 
 
 def test_group_of_one_image_is_its_own_patchify():
@@ -223,24 +223,31 @@ def test_split_visible_size_mismatch():
 
 def test_targets_raw_bit_identical():
     grid = patchify(_random_image(16, 16, 6, seed=4), 8, 3)
-    targets, _ = make_targets(grid, "raw")
-    assert np.array_equal(targets, grid.tokens)
+    targets = make_targets(grid, "raw")
+    assert np.array_equal(targets, grid.tokens) and targets is not grid.tokens
 
 
 def test_targets_constant_token_normalizes_to_zero():
     img = SpectralImage(np.full((8, 8, 3), 2.5, np.float32), ["B1", "B2", "B3"])
-    targets, stats = make_targets(patchify(img, 8, 3), "per_token_normalized")
-    assert np.allclose(targets, 0.0)
-    assert stats.std[0] == 0.0
+    grid = patchify(img, 8, 3)
+    targets = make_targets(grid, "per_token_normalized")
+    assert not targets.any()
+    # u = 2.5 and sigma = 0: the inverse maps 0 to u and 1 to u + (0 + EPS)
+    ones = invert_targets(np.ones_like(targets), grid, "per_token_normalized")
+    assert (invert_targets(targets, grid, "per_token_normalized") == np.float32(2.5)).all()
+    assert (ones == np.float32(2.5) + np.float32(EPS)).all()
 
 
 def test_targets_hand_computed_two_element_token():
-    # u = 2, sigma = 1 (population) => targets (-1, 1) as eps -> 0
+    # u = 2, sigma = 1 (population) => targets (-1, 1) / (1 + EPS)
     img = SpectralImage(np.array([[[1.0, 3.0]]], np.float32), ["B1", "B2"])
     grid = patchify(img, 1, 2)
-    targets, stats = make_targets(grid, "per_token_normalized", eps=1e-12)
-    assert np.allclose(targets, [[-1.0, 1.0]], atol=1e-5)
-    assert stats.mean[0] == 2.0 and stats.std[0] == 1.0
+    targets = make_targets(grid, "per_token_normalized")
+    scale = np.float32(1.0) + np.float32(EPS)
+    assert targets.tobytes() == (np.float32([[-1.0, 1.0]]) / scale).tobytes()
+    zeros, ones = (invert_targets(np.full((1, 2), v, np.float32), grid, "per_token_normalized")
+                   for v in (0.0, 1.0))
+    assert (zeros == 2.0).all() and (ones == np.float32(2.0) + scale).all()
 
 
 @pytest.mark.parametrize("geometry", [(2, 2, 2, 8, 3), (24, 24, 1, 8, 3), (33, 1, 1, 1, 7)])
@@ -250,20 +257,25 @@ def test_targets_normalized_bytes_match_numpy_mean_std(geometry):
     tokens = (3.0 * CounterRng(n).normal_array((n, length)) + 1.5).astype(np.float32)
     tokens[n // 2] = 0.7  # a constant token: sigma 0
     grid = TokenGrid(p, k, gh, gw, gs, tokens)
-    targets, stats = make_targets(grid, "per_token_normalized")
-    u = tokens.mean(axis=1, dtype=np.float64).astype(np.float32)
-    sigma = tokens.std(axis=1, dtype=np.float64).astype(np.float32)
-    expected = ((tokens - u[:, None]) / (sigma + np.float32(1e-6))[:, None]).astype(np.float32)
-    assert stats.std[n // 2] == 0.0
+    targets = make_targets(grid, "per_token_normalized")
+    u = tokens.mean(axis=1, dtype=np.float64).astype(np.float32)[:, None]
+    sigma = tokens.std(axis=1, dtype=np.float64).astype(np.float32)[:, None]
+    assert sigma[n // 2] == 0.0
+    scale = sigma + np.float32(EPS)
+    expected = ((tokens - u) / scale).astype(np.float32)
     assert targets.dtype == np.float32 and targets.tobytes() == expected.tobytes()
-    assert stats.mean.tobytes() == u.tobytes() and stats.std.tobytes() == sigma.tobytes()
+    # the inverse takes the same u and sigma: 0 -> u, 1 -> u + (sigma + EPS)
+    zeros, ones = (invert_targets(np.full(tokens.shape, v, np.float32), grid,
+                                  "per_token_normalized") for v in (0.0, 1.0))
+    assert zeros.tobytes() == np.broadcast_to(u, tokens.shape).tobytes()
+    assert ones.tobytes() == np.broadcast_to(scale + u, tokens.shape).tobytes()
 
 
 def test_targets_normalized_moments_property():
     grid = patchify(_random_image(32, 32, 6, seed=6), 8, 3)
-    targets, stats = make_targets(grid, "per_token_normalized")
+    targets = make_targets(grid, "per_token_normalized")
     assert np.abs(targets.mean(axis=1)).max() <= 1e-5
-    big = stats.std > 1e-3  # sigma >> eps
+    big = grid.tokens.std(axis=1) > 1e-3  # sigma >> EPS
     assert np.abs(targets[big].std(axis=1) - 1.0).max() <= 1e-3
 
 
@@ -272,21 +284,32 @@ def test_targets_standardized_equals_standardize_then_patchify():
     mean = img.values.reshape(-1, 6).mean(axis=0)
     std = img.values.reshape(-1, 6).std(axis=0)
     grid = patchify(img, 8, 3)
-    targets, _ = make_targets(grid, "standardized", eps=1e-6, band_mean=mean, band_std=std)
-    pre = SpectralImage((img.values - mean) / (std + 1e-6), img.band_names)
+    targets = make_targets(grid, "standardized", (mean, std))
+    pre = SpectralImage((img.values - mean) / (std + EPS), img.band_names)
     assert np.allclose(targets, patchify(pre, 8, 3).tokens, atol=1e-6)
 
 
 def test_targets_standardized_requires_stats():
     grid = patchify(_random_image(16, 16, 6), 8, 3)
-    with pytest.raises(ValueError):
-        make_targets(grid, "standardized")
+    for band_stats in (None, ([], [])):  # a manifest without band mean/std holds empty lists
+        for call in (lambda: make_targets(grid, "standardized", band_stats),
+                     lambda: invert_targets(grid.tokens, grid, "standardized", band_stats)):
+            with pytest.raises(ConfigError, match="needs per-band mean/std stats"):
+                call()
+
+
+def test_targets_standardized_band_stats_cover_every_band():
+    grid = patchify(_random_image(16, 16, 6), 8, 3)
+    with pytest.raises(ShapeError, match=r"shape \(6,\)"):
+        make_targets(grid, "standardized", ([0.5] * 6, [0.2] * 5))
 
 
 def test_targets_unknown_mode():
     grid = patchify(_random_image(16, 16, 6), 8, 3)
-    with pytest.raises(ValueError):
-        make_targets(grid, "minmax")
+    for call in (lambda: make_targets(grid, "minmax"),
+                 lambda: invert_targets(grid.tokens, grid, "minmax")):
+        with pytest.raises(ValueError, match="unknown target mode 'minmax'"):
+            call()
 
 
 # ---------------------------------------------------------------- spectral rows
@@ -328,7 +351,7 @@ def test_spectral_site_targets_gs1_degenerate():
 
 def test_spectral_site_targets_matches_gather_oracle():
     grid = patchify(_random_image(16, 16, 6, seed=12), 8, 3)
-    targets, _ = make_targets(grid, "per_token_normalized")
+    targets = make_targets(grid, "per_token_normalized")
     recon = CounterRng(2).normal_array(targets.shape).astype(np.float32)
     loss = float(spectral_loss(Tensor(recon), targets, grid).data)
     assert loss == pytest.approx(_oracle_spectral_mse(grid, recon, targets), rel=1e-5)
@@ -350,8 +373,66 @@ def test_spectral_site_targets_preserves_multiset():
 def test_invert_targets_round_trip(mode):
     grid = patchify(_random_image(16, 16, 6, seed=14), 8, 3)
     band_stats = (np.linspace(0.3, 0.6, 6), np.linspace(0.1, 0.2, 6))
-    targets, stats = make_targets(grid, mode, band_mean=band_stats[0],
-                                  band_std=band_stats[1])
-    pixels = invert_targets(targets, grid, mode, stats, band_stats)
+    targets = make_targets(grid, mode, band_stats)
+    pixels = invert_targets(targets, grid, mode, band_stats)
     assert pixels.dtype == np.float32
     assert np.allclose(pixels, grid.tokens, atol=1e-5)
+
+
+# Reference arithmetic for both target functions, written out per mode:
+# float64 per-token moments rounded to float32, float32 band stats for the
+# targets and float64 band stats (as a manifest's lists read) for the inverse.
+
+def _band_index(grid):
+    t, j = np.indices((grid.n_tokens, grid.token_len))
+    return (t % grid.gs) * grid.k + j % grid.k
+
+
+def _token_moments(tokens):
+    length = tokens.shape[1]
+    mean = tokens.sum(axis=1, dtype=np.float64) / length
+    centred = tokens - mean[:, None]
+    centred *= centred
+    return mean.astype(np.float32), np.sqrt(centred.sum(axis=1) / length).astype(np.float32)
+
+
+def _targets_oracle(grid, mode, band_stats):
+    tokens, eps = grid.tokens, 1e-6
+    if mode == "raw":
+        return tokens.copy()
+    if mode == "per_token_normalized":
+        u, sigma = _token_moments(tokens)
+        return ((tokens - u[:, None]) / (sigma + np.float32(eps))[:, None]).astype(np.float32)
+    band_mean, band_std = (np.asarray(a, dtype=np.float32) for a in band_stats)
+    band = _band_index(grid)
+    return ((tokens - band_mean[band]) / (band_std[band] + np.float32(eps))).astype(np.float32)
+
+
+def _invert_oracle(recon, grid, mode, band_stats):
+    eps = 1e-6
+    if mode == "per_token_normalized":
+        u, sigma = _token_moments(grid.tokens)
+        pixels = recon * (sigma + np.float32(eps))[:, None] + u[:, None]
+    elif mode == "standardized":
+        mean, std = (np.asarray(a) for a in band_stats)
+        band = _band_index(grid)
+        pixels = recon * (std[band] + eps) + mean[band]
+    else:
+        pixels = recon
+    return pixels.astype(np.float32)
+
+
+@pytest.mark.parametrize("n_images", [1, 3])
+@pytest.mark.parametrize("mode", TARGET_MODES)
+def test_targets_and_inverse_bytes_match_reference_arithmetic(mode, n_images):
+    images = [_random_image(16, 24, 6, seed=50 + i) for i in range(n_images)]
+    images[0].values[:8, :8, :3] = 0.3  # a constant token: sigma 0
+    band_stats = (np.linspace(0.21, 0.63, 6).tolist(), np.linspace(0.07, 0.29, 6).tolist())
+    grid = patchify_group(images, 8, 3)
+    targets = make_targets(grid, mode, band_stats)
+    want = _targets_oracle(grid, mode, band_stats)
+    assert targets.dtype == np.float32 and targets.tobytes() == want.tobytes()
+    recon = (2.0 * CounterRng(51).normal_array(targets.shape)).astype(np.float32)
+    pixels = invert_targets(recon, grid, mode, band_stats)
+    want = _invert_oracle(recon, grid, mode, band_stats)
+    assert pixels.dtype == np.float32 and pixels.tobytes() == want.tobytes()
