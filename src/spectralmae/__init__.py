@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "CounterRng": "rng",
-    "GridDims": "model",
     "LossBreakdown": "objective",
     "MaskPlan": "tokenizer",
     "ModelConfig": "model",

@@ -271,25 +271,23 @@ def cmd_reconstruct(args) -> int:
 
     from .checkpoint import load_checkpoint, restore_model
     from .manifest import load_manifest
-    from .model import GridDims, SpectralCubeAutoencoder
-    from .preview import PRESETS, render_preset, to_display, write_ppm
+    from .model import SpectralCubeAutoencoder
+    from .preview import PRESETS, preset_bands, render_preset, to_display, write_ppm
     from .raster import normalize_bands, read_raster
     from .rng import CounterRng
-    from .tokenizer import TokenGrid, build_mask, invert_targets, patchify, unpatchify
+    from .tokenizer import build_mask, invert_targets, patchify, unpatchify
 
     ratios = [float(r) for r in args.ratios.split(",") if r]
     if not ratios or any(not 0.0 <= r < 1.0 for r in ratios):
         return _fail(f"ratios {args.ratios!r} must lie in [0, 1)")
+    raw = read_raster(args.raster)
     presets = sorted(PRESETS) if args.preset == "all" else [args.preset]
-    for preset in presets:
-        if preset not in PRESETS:
-            return _fail(f"unknown preset {preset!r}; expected one of "
-                         f"{sorted(PRESETS)} or 'all'")
+    for preset in presets:  # every preset renders from this raster's bands
+        preset_bands(preset, raw.band_names)
 
     ckpt = load_checkpoint(args.checkpoint)
     model = SpectralCubeAutoencoder(ckpt.config, rng=None)
     restore_model(ckpt, model)
-    raw = read_raster(args.raster)
     man = load_manifest(args.manifest) if args.manifest else None
     if man is not None:  # the dataset-level scaling and band stats the model was trained with
         band_min, band_max = man.band_min, man.band_max
@@ -304,7 +302,6 @@ def cmd_reconstruct(args) -> int:
 
     cfg = model.config
     grid = patchify(img, cfg.p, cfg.k)
-    dims = GridDims(grid.gh, grid.gw, grid.gs)
     _emit_resolved(args.out, checkpoint=args.checkpoint, raster=args.raster,
                    ratios=ratios, presets=presets, seed=args.seed or 0,
                    target_mode=args.target_mode)
@@ -313,7 +310,7 @@ def cmd_reconstruct(args) -> int:
     with open(records_path, "w", encoding="utf-8") as records:
         for ratio in ratios:
             plan = build_mask(grid.n_tokens, ratio, rng.child("mask", repr(ratio)))
-            recon = model.reconstruct(grid.tokens, plan, dims).data
+            recon = model.reconstruct(grid, plan).data
             pixels = invert_targets(recon, grid, args.target_mode, band_stats)
             composite = pixels.copy()
             composite[plan.visible] = grid.tokens[plan.visible]
@@ -325,8 +322,7 @@ def cmd_reconstruct(args) -> int:
                 "ratio": ratio, "masked_mse": masked_mse, "full_mse": full_mse,
                 "composite_mse": composite_mse}, sort_keys=True) + "\n")
             for kind, tokens in (("composite", composite), ("pure", pixels)):
-                out_img = unpatchify(TokenGrid(grid.p, grid.k, grid.gh, grid.gw,
-                                               grid.gs, tokens, grid.band_names))
+                out_img = unpatchify(replace(grid, tokens=tokens))
                 for preset in presets:
                     rgb = to_display(render_preset(out_img, preset))
                     name = f"recon_r{int(round(ratio * 100)):02d}_{preset}_{kind}.ppm"

@@ -24,7 +24,7 @@ from .heads import (ChangeHead, ClassifierHead, SegmentationHead, combine_params
 from .manifest import DatasetManifest, load_manifest, split, valid_split_fractions
 from .metrics import (MetricsReport, confusion_matrix, iou_per_class, macro_map,
                       mean_iou, micro_map, overall_accuracy, prf_from_counts)
-from .model import GridDims, SpectralCubeAutoencoder
+from .model import SpectralCubeAutoencoder
 from .optim import AdamW, Schedule, lr_at
 from .raster import normalize_bands, read_raster
 from .rng import CounterRng
@@ -102,11 +102,6 @@ def _subset(samples: list, fraction: float, seed: int) -> list:
     return [samples[i] for i in keep]
 
 
-def _grid_dims(model: SpectralCubeAutoencoder, img: SpectralImage) -> GridDims:
-    cfg = model.config
-    return GridDims(img.height // cfg.p, img.width // cfg.p, img.bands // cfg.k)
-
-
 # ---------------------------------------------------------------- loaders
 
 def load_classify_samples(man: DatasetManifest, samples: list) -> list:
@@ -162,13 +157,13 @@ def _image_forward(model, head, batch: list) -> list[T.Tensor]:
 
 def _segment_forward(model, head, batch: list) -> list[T.Tensor]:
     images = [img for img, _ in batch]
-    return [head.forward(z, _grid_dims(model, img), (img.height, img.width))
+    return [head.forward(z, (img.height, img.width))
             for z, img in zip(_encode_batch(model, images), images)]
 
 
 def _change_forward(model, head, batch: list) -> list[T.Tensor]:
     latents = _encode_batch(model, [img for a, b, _ in batch for img in (a, b)])
-    return [head.forward(za, zb, _grid_dims(model, a), (a.height, a.width))
+    return [head.forward(za, zb, (a.height, a.width))
             for za, zb, (a, _, _) in zip(latents[::2], latents[1::2], batch)]
 
 
@@ -335,8 +330,8 @@ def make_head(task: str, model: SpectralCubeAutoencoder, manifest: DatasetManife
         return ClassifierHead(mc.embed_dim, cfg.hidden, manifest.n_classes, rng, mc.np_dtype)
     gs = len(manifest.band_names) // mc.k
     if task == "segment":
-        return SegmentationHead(mc.embed_dim, gs, manifest.n_classes, rng, mc.np_dtype)
-    return ChangeHead(mc.embed_dim, gs, rng, mc.np_dtype)
+        return SegmentationHead(mc.embed_dim, gs, mc.p, manifest.n_classes, rng, mc.np_dtype)
+    return ChangeHead(mc.embed_dim, gs, mc.p, rng, mc.np_dtype)
 
 
 def evaluate(task: str, model: SpectralCubeAutoencoder, head, manifest: DatasetManifest,

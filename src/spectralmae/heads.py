@@ -3,19 +3,22 @@
 The segmentation/change heads first fuse the gs spectral-group tokens of
 each spatial site into one vector, then decode with two rounds of
 (nearest x2 upsample, 3x3 conv, GELU) and a 1x1 projection to class
-logits. When the token side p exceeds 4, a final non-learned nearest
-resize closes the remaining gap to pixel resolution. Convolutions are
-built from gather + matmul: out-of-bounds neighbors index one appended
-zero row, which is exactly zero padding.
+logits. Each is built with the token side p and reads its site grid off
+the output size, (H/p) x (W/p). When p exceeds 4, a final non-learned
+nearest resize closes the remaining gap to pixel resolution.
+Convolutions are built from gather + matmul: out-of-bounds neighbors
+index one appended zero row, which is exactly zero padding.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import tensor as T
 from .errors import DataError, ShapeError
-from .model import GridDims, initial_weight
+from .model import initial_weight
 from .rng import CounterRng
 from .tensor import Parameter, ParameterSet
 
@@ -84,33 +87,25 @@ class ClassifierHead:
         return T.matmul(hidden, self.fc2_w, self.fc2_b)
 
 
-_NEIGHBOR_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_UPSAMPLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _neighbor_indices(h: int, w: int) -> np.ndarray:
     """3x3 neighborhood row indices into an (h*w + 1)-row array; h*w = zero pad."""
-    key = (h, w)
-    if key not in _NEIGHBOR_CACHE:
-        ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        rows = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                ny, nx = ys + dy, xs + dx
-                idx = ny * w + nx
-                idx[(ny < 0) | (ny >= h) | (nx < 0) | (nx >= w)] = h * w
-                rows.append(idx.reshape(-1))
-        _NEIGHBOR_CACHE[key] = np.stack(rows, axis=1).reshape(-1)  # (h*w*9,)
-    return _NEIGHBOR_CACHE[key]
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rows = []
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            ny, nx = ys + dy, xs + dx
+            idx = ny * w + nx
+            idx[(ny < 0) | (ny >= h) | (nx < 0) | (nx >= w)] = h * w
+            rows.append(idx.reshape(-1))
+    return np.stack(rows, axis=1).reshape(-1)  # (h*w*9,)
 
 
+@functools.cache
 def _upsample2_indices(h: int, w: int) -> np.ndarray:
-    key = (h, w)
-    if key not in _UPSAMPLE_CACHE:
-        ys = np.repeat(np.arange(h), 2)
-        xs = np.repeat(np.arange(w), 2)
-        _UPSAMPLE_CACHE[key] = (ys[:, None] * w + xs[None, :]).reshape(-1)
-    return _UPSAMPLE_CACHE[key]
+    ys = np.repeat(np.arange(h), 2)
+    xs = np.repeat(np.arange(w), 2)
+    return (ys[:, None] * w + xs[None, :]).reshape(-1)
 
 
 def _resize_nearest_rows(x: T.Tensor, h: int, w: int, new_h: int, new_w: int) -> T.Tensor:
@@ -130,13 +125,13 @@ def conv3x3(x: T.Tensor, h: int, w: int, weight: T.Tensor, bias: T.Tensor) -> T.
 class _FuseDecode:
     """Shared machinery: site fusion + 2 upsample/conv stages + 1x1 head."""
 
-    def __init__(self, d: int, gs: int, classes: int, rng: CounterRng | None,
+    def __init__(self, d: int, gs: int, p: int, classes: int, rng: CounterRng | None,
                  dtype=np.float32, prefix: str = "head"):
         ps = ParameterSet()
         self.params = ps
         self.d = d
         self.gs = gs
-        self.classes = classes
+        self.p = p
 
         def w(name, shape):
             return ps.add(f"{prefix}.{name}",
@@ -150,17 +145,17 @@ class _FuseDecode:
         self.conv2_w, self.conv2_b = w("conv2.weight", (9 * d, d)), zeros("conv2.bias", d)
         self.out_w, self.out_b = w("out.weight", (d, classes)), zeros("out.bias", classes)
 
-    def fuse(self, latents: T.Tensor, dims: GridDims) -> T.Tensor:
-        if latents.shape != (dims.n_tokens, self.d):
-            raise ShapeError(f"latents {latents.shape} do not match grid "
-                             f"({dims.n_tokens}, {self.d})")
-        if dims.gs != self.gs:
-            raise ShapeError(f"head fuses {self.gs} spectral groups, grid has {dims.gs}")
-        sites = T.reshape(latents, (dims.n_sites, self.gs * self.d))
-        return T.matmul(sites, self.fuse_w, self.fuse_b)
+    def fuse(self, latents: T.Tensor, out_hw: tuple[int, int]) -> T.Tensor:
+        """One fused row per token site of an out_hw image, in site order."""
+        sites = (out_hw[0] // self.p) * (out_hw[1] // self.p)
+        if out_hw[0] % self.p or out_hw[1] % self.p or latents.shape != (sites * self.gs, self.d):
+            raise ShapeError(f"latents {latents.shape} are not the ({self.gs} groups x "
+                             f"{self.d}) rows of a {out_hw} image's {self.p}x{self.p} sites")
+        rows = T.reshape(latents, (sites, self.gs * self.d))
+        return T.matmul(rows, self.fuse_w, self.fuse_b)
 
-    def decode(self, fused: T.Tensor, dims: GridDims, out_hw: tuple[int, int]) -> T.Tensor:
-        h, w = dims.gh, dims.gw
+    def decode(self, fused: T.Tensor, out_hw: tuple[int, int]) -> T.Tensor:
+        h, w = out_hw[0] // self.p, out_hw[1] // self.p
         z = fused
         for cw, cb in ((self.conv1_w, self.conv1_b), (self.conv2_w, self.conv2_b)):
             z = T.gather_rows(z, _upsample2_indices(h, w))
@@ -173,22 +168,21 @@ class _FuseDecode:
 
 
 class SegmentationHead(_FuseDecode):
-    def forward(self, latents: T.Tensor, dims: GridDims,
-                out_hw: tuple[int, int]) -> T.Tensor:
-        return self.decode(self.fuse(latents, dims), dims, out_hw)
+    def forward(self, latents: T.Tensor, out_hw: tuple[int, int]) -> T.Tensor:
+        return self.decode(self.fuse(latents, out_hw), out_hw)
 
 
 class ChangeHead(_FuseDecode):
     """Two-image head: per-site feature difference, two-class log-probs."""
 
-    def __init__(self, d: int, gs: int, rng: CounterRng | None, dtype=np.float32,
+    def __init__(self, d: int, gs: int, p: int, rng: CounterRng | None, dtype=np.float32,
                  signed_difference: bool = False, prefix: str = "head"):
-        super().__init__(d, gs, 2, rng, dtype, prefix)
+        super().__init__(d, gs, p, 2, rng, dtype, prefix)
         self.signed_difference = signed_difference
 
-    def forward(self, latents_a: T.Tensor, latents_b: T.Tensor, dims: GridDims,
+    def forward(self, latents_a: T.Tensor, latents_b: T.Tensor,
                 out_hw: tuple[int, int]) -> T.Tensor:
-        diff = T.sub(self.fuse(latents_a, dims), self.fuse(latents_b, dims))
+        diff = T.sub(self.fuse(latents_a, out_hw), self.fuse(latents_b, out_hw))
         if not self.signed_difference:
             diff = T.abs_val(diff)
-        return T.log_softmax_lastaxis(self.decode(diff, dims, out_hw))
+        return T.log_softmax_lastaxis(self.decode(diff, out_hw))

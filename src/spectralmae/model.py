@@ -7,6 +7,10 @@ linear projection to a narrower width, a shared mask-token vector
 scattered into every masked slot (unshuffled back to grid order),
 decoder positional tables, a shallower block stack, and a linear head
 back to pixel space covering all tokens.
+
+`encode` and `decode` take the token geometry from one `TokenGrid`,
+which may stand for a group of same-size images (`patchify_group`);
+only attention splits a group's rows per image.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError, check_config
 from .rng import CounterRng
-from .tokenizer import MaskPlan, SpectralImage, patchify_group
+from .tokenizer import MaskPlan, SpectralImage, TokenGrid, grid_shape, patchify_group
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
@@ -160,21 +164,6 @@ class TransformerBlock:
         return T.add(z, self._mlp(T.layer_norm(z, self.ln2_g, self.ln2_b, LN_EPS)))
 
 
-@dataclass
-class GridDims:
-    gh: int
-    gw: int
-    gs: int
-
-    @property
-    def n_sites(self):
-        return self.gh * self.gw
-
-    @property
-    def n_tokens(self):
-        return self.gh * self.gw * self.gs
-
-
 class SpectralCubeAutoencoder:
     """The full encoder/decoder pair plus the parameter registry.
 
@@ -239,31 +228,24 @@ class SpectralCubeAutoencoder:
             encoder.add(name, p)
         return encoder
 
-    def _check_grid(self, dims: GridDims) -> None:
+    def _check_grid(self, plan: MaskPlan, grid: TokenGrid) -> None:
+        """The plan must cover every token of the grid's images, which the tables fit."""
+        n = grid.images * grid.n_tokens
+        if plan.total != n:
+            raise ShapeError(f"mask plan covers {plan.total} tokens, grid has {n} "
+                             f"({grid.images} images of {grid.n_tokens})")
         gh, gw, gs = self.config.max_grid
-        if dims.gh > gh or dims.gw > gw or dims.gs > gs:
+        if grid.gh > gh or grid.gw > gw or grid.gs > gs:
             raise ConfigError(
-                f"grid {(dims.gh, dims.gw, dims.gs)} exceeds positional tables "
+                f"grid {(grid.gh, grid.gw, grid.gs)} exceeds positional tables "
                 f"{(gh, gw, gs)}; resize the tables at a stage boundary first")
 
-    def _positions(self, indices: np.ndarray, dims: GridDims):
+    def _positions(self, indices: np.ndarray, grid: TokenGrid):
         """(site, spectral group) of token rows; a group's rows repeat per image."""
-        indices = np.asarray(indices, dtype=np.int64) % dims.n_tokens
-        s = indices % dims.gs
-        site = indices // dims.gs  # equals r*gw + c for the active grid
+        indices = np.asarray(indices, dtype=np.int64) % grid.n_tokens
+        s = indices % grid.gs
+        site = indices // grid.gs  # equals r*gw + c for the active grid
         return site, s
-
-    @staticmethod
-    def _image_count(plan: MaskPlan, dims: GridDims) -> int:
-        """Images a plan covers; a group's images must have equal visible counts."""
-        n = dims.n_tokens
-        if plan.total == 0 or plan.total % n:
-            raise ShapeError(f"mask plan covers {plan.total} tokens, grid has {n} per image")
-        images = plan.total // n
-        per_image = np.bincount(plan.visible // n, minlength=images)
-        if np.any(per_image != plan.n_visible // images):
-            raise ShapeError(f"visible counts {per_image.tolist()} differ between images")
-        return images
 
     def group_spans(self, images: list[SpectralImage]) -> list[range]:
         """Runs of consecutive same-size images, each within MAX_GROUP_ROWS tokens.
@@ -274,42 +256,44 @@ class SpectralCubeAutoencoder:
         spans: list[range] = []
         start = 0
         for i in range(1, len(images) + 1):
-            h, w, d = images[start].values.shape
-            cap = max(1, MAX_GROUP_ROWS // max(1, (h // p) * (w // p) * (d // k)))
-            if i == len(images) or images[i].values.shape != (h, w, d) or i - start == cap:
+            shape = images[start].values.shape
+            cap = max(1, MAX_GROUP_ROWS // max(1, math.prod(grid_shape(*shape, p, k))))
+            if i == len(images) or images[i].values.shape != shape or i - start == cap:
                 spans.append(range(start, i))
                 start = i
         return spans
 
     # ------------------------------------------------------------- forward
 
-    def embed(self, visible_tokens, indices, dims: GridDims) -> T.Tensor:
+    def embed(self, visible_tokens, indices, grid: TokenGrid) -> T.Tensor:
         """token * E + bias + spatial[r*gw + c] + spectral[s], one row per token."""
-        self._check_grid(dims)
         tokens = visible_tokens if isinstance(visible_tokens, T.Tensor) else \
             T.Tensor(np.asarray(visible_tokens, dtype=self.config.np_dtype))
         if tokens.shape[1] != self.config.token_len:
             raise ShapeError(
                 f"token length {tokens.shape[1]} does not match p*p*k = {self.config.token_len}")
-        site, s = self._positions(indices, dims)
+        site, s = self._positions(indices, grid)
         x = T.matmul(tokens, self.embed_w, self.embed_b)
         pos = T.add(T.gather_rows(self.pos_spatial, site),
                     T.gather_rows(self.pos_spectral, s))
         return T.add(x, pos)
 
-    def encode(self, visible_tokens, plan: MaskPlan, dims: GridDims) -> T.Tensor:
+    def encode(self, visible_tokens, plan: MaskPlan, grid: TokenGrid) -> T.Tensor:
         """Encoder over visible tokens only; cost scales with the visible count.
 
-        The plan may cover a group of images of one grid (`build_group_mask`);
-        the rows are then each image's visible tokens in turn.
+        The plan may cover a group of images (`build_group_mask`); the rows
+        are then each image's visible tokens in turn, equally many per image.
         """
-        images = self._image_count(plan, dims)
-        z = self.embed(visible_tokens, plan.visible, dims)
+        self._check_grid(plan, grid)
+        per_image = np.bincount(plan.visible // grid.n_tokens, minlength=grid.images)
+        if np.any(per_image != plan.n_visible // grid.images):
+            raise ShapeError(f"visible counts {per_image.tolist()} differ between images")
+        z = self.embed(visible_tokens, plan.visible, grid)
         for block in self.enc_blocks:
-            z = block.forward(z, images)
+            z = block.forward(z, grid.images)
         return T.layer_norm(z, self.enc_norm_g, self.enc_norm_b, LN_EPS)
 
-    def decoder_input(self, latents: T.Tensor, plan: MaskPlan, dims: GridDims) -> T.Tensor:
+    def decoder_input(self, latents: T.Tensor, plan: MaskPlan) -> T.Tensor:
         """Projected latents unshuffled to grid order, mask token in masked slots.
 
         A group plan's indices already run through its images in turn, so one
@@ -319,7 +303,6 @@ class SpectralCubeAutoencoder:
         v = plan.n_visible
         if latents.shape[0] != v:
             raise ShapeError(f"{latents.shape[0]} latent rows for {v} visible tokens")
-        self._check_grid(dims)
         z = T.matmul(latents, self.dec_embed_w, self.dec_embed_b)
         if plan.m:
             stacked = T.concat_rows([z, T.tile_rows(self.mask_token, plan.m)])
@@ -330,23 +313,23 @@ class SpectralCubeAutoencoder:
         src[plan.masked] = v + np.arange(plan.m)
         return T.gather_rows(stacked, src)
 
-    def decode(self, latents: T.Tensor, plan: MaskPlan, dims: GridDims) -> T.Tensor:
+    def decode(self, latents: T.Tensor, plan: MaskPlan, grid: TokenGrid) -> T.Tensor:
         """Reassemble the full token sequence and reconstruct every token."""
-        full = self.decoder_input(latents, plan, dims)
-        images = self._image_count(plan, dims)
-        site, s = self._positions(np.arange(plan.total), dims)
+        self._check_grid(plan, grid)
+        full = self.decoder_input(latents, plan)
+        site, s = self._positions(np.arange(plan.total), grid)
         pos = T.add(T.gather_rows(self.dec_pos_spatial, site),
                     T.gather_rows(self.dec_pos_spectral, s))
         z = T.add(full, pos)
         for block in self.dec_blocks:
-            z = block.forward(z, images)
+            z = block.forward(z, grid.images)
         z = T.layer_norm(z, self.dec_norm_g, self.dec_norm_b, LN_EPS)
         return T.matmul(z, self.head_w, self.head_b)
 
-    def reconstruct(self, grid_tokens: np.ndarray, plan: MaskPlan, dims: GridDims) -> T.Tensor:
-        visible = np.ascontiguousarray(grid_tokens[plan.visible])
-        latents = self.encode(visible, plan, dims)
-        return self.decode(latents, plan, dims)
+    def reconstruct(self, grid: TokenGrid, plan: MaskPlan) -> T.Tensor:
+        """Every token of `grid` reconstructed from the ones `plan` leaves visible."""
+        visible = np.ascontiguousarray(grid.tokens[plan.visible])
+        return self.decode(self.encode(visible, plan, grid), plan, grid)
 
     def forward_full(self, *images: SpectralImage) -> T.Tensor:
         """Latents for every token of unmasked same-size images, in grid order.
@@ -354,9 +337,7 @@ class SpectralCubeAutoencoder:
         Several images share one graph; image i owns rows [i*n, (i+1)*n).
         """
         grid = patchify_group(images, self.config.p, self.config.k)
-        dims = GridDims(grid.gh // len(images), grid.gw, grid.gs)
-        plan = empty_mask_plan(grid.n_tokens)
-        return self.encode(grid.tokens, plan, dims)
+        return self.encode(grid.tokens, empty_mask_plan(len(grid.tokens)), grid)
 
     # ------------------------------------------------------------- resizing
 

@@ -10,12 +10,13 @@ on the same scale whatever the token geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import ShapeError, check_config
 from .tokenizer import TARGET_MODES, MaskPlan, TokenGrid
 
 TOKEN_SCOPES = ("all_tokens", "masked_only")
@@ -28,12 +29,12 @@ class ObjectiveConfig:
     target_mode: str = "per_token_normalized"
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.token_loss_scope not in TOKEN_SCOPES:
-            raise ValueError(f"token_loss_scope must be one of {TOKEN_SCOPES}")
-        if self.target_mode not in TARGET_MODES:
-            raise ValueError(f"target_mode must be one of {TARGET_MODES}")
+        check_config(
+            (0.0 <= self.lam < math.inf, f"objective lam {self.lam} must be finite and >= 0"),
+            (self.token_loss_scope in TOKEN_SCOPES, f"objective token_loss_scope "
+             f"{self.token_loss_scope!r} must be one of {TOKEN_SCOPES}"),
+            (self.target_mode in TARGET_MODES,
+             f"objective target_mode {self.target_mode!r} must be one of {TARGET_MODES}"))
 
 
 @dataclass
@@ -67,11 +68,10 @@ def token_loss(recon: T.Tensor, targets, plan: MaskPlan, scope: str = "all_token
 
 
 def _check_covers_grid(recon: T.Tensor, grid: TokenGrid) -> None:
-    """recon must hold every token of one or more images of `grid`'s geometry."""
-    rows, length = recon.shape
-    if length != grid.token_len or rows == 0 or rows % grid.n_tokens:
-        raise ShapeError(f"recon {recon.shape} does not cover all "
-                         f"{grid.n_tokens} tokens of length {grid.token_len} per image")
+    """recon must hold every token of each of `grid`'s images."""
+    if recon.shape != (grid.images * grid.n_tokens, grid.token_len):
+        raise ShapeError(f"recon {recon.shape} does not cover the {grid.n_tokens} tokens "
+                         f"of length {grid.token_len} of each of {grid.images} images")
 
 
 def spectral_loss(recon: T.Tensor, targets, grid: TokenGrid) -> T.Tensor:

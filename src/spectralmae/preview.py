@@ -27,22 +27,24 @@ PRESETS: dict[str, tuple[str, ...]] = {
 ND_EPS = 1e-6
 
 
-def _band(img: SpectralImage, name: str) -> np.ndarray:
-    try:
-        return img.values[:, :, img.band_names.index(name)].astype(np.float64)
-    except ValueError:
-        raise DataError(f"band {name!r} not present in raster "
-                        f"(has {img.band_names})") from None
+def preset_bands(preset: str, band_names: list[str]) -> list[int]:
+    """Positions in `band_names` of `preset`'s bands, in the preset's order."""
+    if preset not in PRESETS:
+        raise DataError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
+    for name in PRESETS[preset]:
+        if name not in band_names:
+            raise DataError(f"band {name!r} of preset {preset!r} not present in raster "
+                            f"(has {band_names})")
+    return [band_names.index(name) for name in PRESETS[preset]]
 
 
 def render_preset(img: SpectralImage, preset: str) -> np.ndarray:
     """(H, W, 3) float image for a preset; not yet display-scaled."""
-    if preset not in PRESETS:
-        raise DataError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-    bands = PRESETS[preset]
+    bands = [img.values[:, :, i].astype(np.float64)
+             for i in preset_bands(preset, img.band_names)]
     if len(bands) == 3:
-        return np.stack([_band(img, b) for b in bands], axis=2)
-    b1, b2 = (_band(img, b) for b in bands)
+        return np.stack(bands, axis=2)
+    b1, b2 = bands
     index = (b1 - b2) / (b1 + b2 + ND_EPS)
     return np.repeat(index[:, :, None], 3, axis=2)
 

@@ -9,6 +9,11 @@ make patchify/unpatchify bit-exact inverses, let the per-site spectral
 rows be a plain reshape, and fix the layout that checkpoints and raster
 files rely on.
 
+A `TokenGrid` is the one record of token geometry. Its gh, gw, gs,
+n_tokens and n_sites describe one image; `patchify_group` alone sets
+`images` above 1, for same-size images stacked along rows, so image i's
+tokens are rows [i*n_tokens, (i+1)*n_tokens) of `tokens`.
+
 Reconstruction targets are an affine map of the tokens, (x - shift) / scale,
 set by the target mode. `make_targets` applies it and `invert_targets`
 undoes it; both take the map from one helper that recomputes it from the
@@ -18,7 +23,7 @@ grid and the band stats, so the two agree on every mode's rule.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,13 +64,16 @@ class SpectralImage:
 
 @dataclass
 class TokenGrid:
+    """`images` same-size images' tokens; gh x gw x gs and n_tokens are one image's."""
+
     p: int
     k: int
     gh: int
     gw: int
     gs: int
-    tokens: np.ndarray  # (gh*gw*gs, p*p*k) float32
+    tokens: np.ndarray  # (images*gh*gw*gs, p*p*k) float32
     band_names: list[str] = field(default_factory=list)
+    images: int = 1
 
     @property
     def n_tokens(self) -> int:
@@ -96,7 +104,8 @@ class MaskPlan:
         return int(self.visible.size)
 
 
-def _grid_shape(h: int, w: int, d: int, p: int, k: int) -> tuple[int, int, int]:
+def grid_shape(h: int, w: int, d: int, p: int, k: int) -> tuple[int, int, int]:
+    """(gh, gw, gs) of an h x w x d image cut into p x p x k tokens."""
     if p <= 0 or k <= 0 or h % p or w % p or d % k:
         raise TokenizationError(
             f"image {h}x{w}x{d} not divisible by token size p={p}, k={k}")
@@ -104,7 +113,7 @@ def _grid_shape(h: int, w: int, d: int, p: int, k: int) -> tuple[int, int, int]:
 
 
 def patchify(img: SpectralImage, p: int, k: int) -> TokenGrid:
-    gh, gw, gs = _grid_shape(*img.values.shape, p, k)
+    gh, gw, gs = grid_shape(*img.values.shape, p, k)
     blocks = img.values.reshape(gh, p, gw, p, gs, k)
     tokens = np.ascontiguousarray(blocks.transpose(0, 2, 4, 1, 3, 5)).reshape(
         gh * gw * gs, p * p * k)
@@ -115,22 +124,27 @@ def patchify_group(images: Sequence[SpectralImage], p: int, k: int) -> TokenGrid
     """One patchify over same-size images stacked along rows, (B*H, W, D).
 
     Token order is site-major, so image i's tokens are rows [i*n, (i+1)*n)
-    of the result, each row as `patchify(images[i])` gives it; the grid's
-    gh is B times one image's. A single image is patchified as it is.
+    of the result, each row as `patchify(images[i])` gives it; the grid
+    holds one image's geometry and `images` = B. A single image is
+    patchified as it is.
     """
     if len(images) == 1:
         return patchify(images[0], p, k)
     shape = images[0].values.shape
-    _grid_shape(*shape, p, k)  # each image must split alone, not only the stack
+    gh = grid_shape(*shape, p, k)[0]  # each image must split alone, not only the stack
     if any(img.values.shape != shape for img in images):
         raise ShapeError(f"images of one group must share the size {shape}")
     stacked = np.concatenate([img.values for img in images])
-    return patchify(SpectralImage(stacked, images[0].band_names), p, k)
+    grid = patchify(SpectralImage(stacked, images[0].band_names), p, k)
+    return replace(grid, gh=gh, images=len(images))
 
 
 def unpatchify(grid: TokenGrid) -> SpectralImage:
-    """Exact inverse of patchify (pure index permutation, bit-identical)."""
-    p, k, gh, gw, gs = grid.p, grid.k, grid.gh, grid.gw, grid.gs
+    """Exact inverse of patchify (pure index permutation, bit-identical).
+
+    A group's images come back stacked along rows, (images*H, W, D).
+    """
+    p, k, gh, gw, gs = grid.p, grid.k, grid.images * grid.gh, grid.gw, grid.gs
     blocks = grid.tokens.reshape(gh, gw, gs, p, p, k).transpose(0, 3, 1, 4, 2, 5)
     values = np.ascontiguousarray(blocks).reshape(gh * p, gw * p, gs * k)
     names = grid.band_names or [f"B{i + 1}" for i in range(gs * k)]
@@ -191,7 +205,7 @@ def _affine(grid: TokenGrid, mode: str, band_stats, dtype) -> tuple | None:
     d = grid.gs * grid.k
     if mean.shape != (d,) or std.shape != (d,):
         raise ShapeError(f"band stats must have shape ({d},)")
-    band_of = (np.arange(grid.n_tokens) % grid.gs)[:, None] * grid.k \
+    band_of = (np.arange(len(grid.tokens)) % grid.gs)[:, None] * grid.k \
         + (np.arange(grid.token_len) % grid.k)[None, :]  # of every token element
     return mean[band_of], std[band_of] + dtype(EPS)
 

@@ -16,12 +16,13 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, EvaluationError, check_config
-from .model import GridDims, SpectralCubeAutoencoder
+from .model import SpectralCubeAutoencoder
 from .objective import LossBreakdown, ObjectiveConfig, total_loss
 from .optim import AdamW, Schedule, lr_at
 from .rng import CounterRng
 from .schema import to_doc
-from .tokenizer import SpectralImage, build_group_mask, make_targets, patchify_group
+from .tokenizer import (SpectralImage, build_group_mask, grid_shape, make_targets,
+                        patchify_group)
 
 
 @dataclass
@@ -87,10 +88,9 @@ def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
     """
     cfg = model.config
     grid = patchify_group(images, cfg.p, cfg.k)
-    dims = GridDims(grid.gh // len(images), grid.gw, grid.gs)
-    plan = build_group_mask(dims.n_tokens, ratio, mask_rngs)
+    plan = build_group_mask(grid.n_tokens, ratio, mask_rngs)
     targets = make_targets(grid, objective.target_mode, band_stats)
-    recon = model.reconstruct(grid.tokens, plan, dims)
+    recon = model.reconstruct(grid, plan)
     return total_loss(recon, targets, plan, grid, objective)
 
 
@@ -140,14 +140,11 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
 
 
 def stage_grid(stage: PretrainStage, model: SpectralCubeAutoencoder) -> tuple[int, int, int]:
-    h, w, d = stage.images[0].values.shape
-    p, k = model.config.p, model.config.k
-    if h % p or w % p or d % k:
-        raise ConfigError(f"stage images {h}x{w}x{d} not divisible by p={p}, k={k}")
+    shape = stage.images[0].values.shape
     for img in stage.images:
-        if img.values.shape != (h, w, d):
+        if img.values.shape != shape:
             raise ConfigError("all images within a stage must share one size")
-    return (h // p, w // p, d // k)
+    return grid_shape(*shape, model.config.p, model.config.k)
 
 
 def progressive_pretrain(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,

@@ -21,7 +21,7 @@ from spectralmae.manifest import load_manifest, split
 from spectralmae.metrics import (average_precision, confusion_matrix, macro_map,
                                  mean_iou, micro_map, overall_accuracy,
                                  precision_recall_f1)
-from spectralmae.model import (GridDims, ModelConfig, SpectralCubeAutoencoder)
+from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import ObjectiveConfig, spectral_loss, token_loss, total_loss
 from spectralmae.preview import PRESETS, read_ppm
 from spectralmae.raster import normalize_bands, read_raster, write_raster
@@ -60,13 +60,12 @@ def test_criterion_1_gradient_suite():
     img = _random_image(16, 16, 6, seed=1)
     grid = patchify(img, 8, 3)
     grid.tokens = grid.tokens.astype(np.float64)
-    dims = GridDims(2, 2, 2)
     plan = build_mask(grid.n_tokens, 0.5, CounterRng(2))
     targets = make_targets(grid, "per_token_normalized")
     objective = ObjectiveConfig(lam=1.0)
 
     def f():
-        recon = model.reconstruct(grid.tokens, plan, dims)
+        recon = model.reconstruct(grid, plan)
         return total_loss(recon, targets, plan, grid, objective)[0]
 
     result = grad_check(f, model.parameters(), eps=3e-4, sample_per_param=16)
@@ -419,11 +418,10 @@ def test_criterion_9_reconstruction_sweep(sweep_model, tmp_path):
         errs = []
         for i, img in enumerate(held):
             grid = patchify(img, 8, 3)
-            dims = GridDims(grid.gh, grid.gw, grid.gs)
             for rep in range(16):
                 plan = build_mask(grid.n_tokens, ratio,
                                   CounterRng(6000).child(i, rep, repr(ratio)))
-                recon = model.reconstruct(grid.tokens, plan, dims).data
+                recon = model.reconstruct(grid, plan).data
                 pixels = invert_targets(recon, grid, "per_token_normalized")
                 errs.append(float(np.mean(
                     (pixels[plan.masked] - grid.tokens[plan.masked]) ** 2)))
@@ -501,14 +499,13 @@ def test_criterion_11_encoder_efficiency():
     model = SpectralCubeAutoencoder(cfg, CounterRng(2))
     img = _random_image(96, 96, 12, seed=3)
     grid = patchify(img, 8, 3)
-    dims = GridDims(12, 12, 4)
 
     def best_time(ratio):
         times = []
         for rep in range(3):
             plan = build_mask(grid.n_tokens, ratio, CounterRng(10 + rep))
             start = time.time()
-            model.encode(grid.tokens[plan.visible], plan, dims)
+            model.encode(grid.tokens[plan.visible], plan, grid)
             times.append(time.time() - start)
         return min(times)
 

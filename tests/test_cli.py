@@ -615,15 +615,20 @@ def test_reconstruct_unknown_preset_rejected(tmp_path):
                  "--preset", "sepia", "--out", str(tmp_path / "x")]) != 0
 
 
-def test_reconstruct_missing_band_rejected(tmp_path):
+def test_reconstruct_missing_band_rejected(tmp_path, capsys):
     manifest = _synth(tmp_path, "b6", task="pretrain", bands=6, n_images=2)
     cfg = ModelConfig.tiny(max_grid=(2, 2, 2))
     model = SpectralCubeAutoencoder(cfg, CounterRng(0))
     ckpt = tmp_path / "m6.spck"
     save_checkpoint(snapshot_model(model, None, (0, 0)), ckpt)
     raster = manifest.parent / json.loads(open(manifest).read())["samples"][0]["raster"]
-    assert main(["reconstruct", "--checkpoint", str(ckpt), "--raster", str(raster),
-                 "--preset", "ndvi", "--out", str(tmp_path / "x")]) != 0
+    # "all" is the default; its run names no checkpoint file, which is never opened
+    for preset, checkpoint in (("ndvi", ckpt), ("all", tmp_path / "absent.spck")):
+        out = tmp_path / f"x_{preset}"
+        assert main(["reconstruct", "--checkpoint", str(checkpoint), "--raster", str(raster),
+                     "--preset", preset, "--out", str(out)]) == 2
+        assert "not present in raster" in capsys.readouterr().err
+        assert not out.exists()  # rejected before --out, config.resolved.json or a record
 
 
 def test_manifest_without_band_stats_is_one_error_for_pretrain_and_reconstruct(tmp_path, capsys):

@@ -219,10 +219,6 @@ def _per_sample_step(task, model, head, batch):
     from spectralmae import tensor as T
     from spectralmae.heads import (cross_entropy, multilabel_soft_margin,
                                    nll_from_log_probs)
-    from spectralmae.model import GridDims
-
-    def dims(img):
-        return GridDims(img.height // 8, img.width // 8, img.bands // 3)
 
     if task in ("classify", "multilabel"):
         logits = T.concat_rows([head.forward(model.forward_full(s[0])) for s in batch])
@@ -232,12 +228,11 @@ def _per_sample_step(task, model, head, batch):
             multilabel_soft_margin(logits, np.stack([lab for _, lab in batch])).backward()
     elif task == "segment":
         for sub, mask in batch:
-            logits = head.forward(model.forward_full(sub), dims(sub), (sub.height, sub.width))
+            logits = head.forward(model.forward_full(sub), (sub.height, sub.width))
             T.scale(cross_entropy(logits, mask.reshape(-1)), 1.0 / len(batch)).backward()
     else:
         for a, b, mask in batch:
-            logp = head.forward(model.forward_full(a), model.forward_full(b), dims(a),
-                                (a.height, a.width))
+            logp = head.forward(model.forward_full(a), model.forward_full(b), (a.height, a.width))
             T.scale(nll_from_log_probs(logp, mask.reshape(-1)), 1.0 / len(batch)).backward()
 
 
@@ -272,11 +267,7 @@ def _per_image_report(task, model, head, val, crop, n_classes):
     encoder graph and a head forward per image (per crop, for segment)."""
     from spectralmae.metrics import (confusion_matrix, mean_iou, overall_accuracy,
                                      prf_from_counts)
-    from spectralmae.model import GridDims
     from spectralmae.tokenizer import SpectralImage
-
-    def dims(img):
-        return GridDims(img.height // 8, img.width // 8, img.bands // 3)
 
     if task in ("classify", "multilabel"):
         scores = np.concatenate([head.forward(model.forward_full(img)).data for img, _ in val])
@@ -295,7 +286,7 @@ def _per_image_report(task, model, head, val, crop, n_classes):
             for y in tile_starts(img.height, crop):
                 for x in tile_starts(img.width, crop):
                     sub = SpectralImage(img.values[y:y + crop, x:x + crop], img.band_names)
-                    logits = head.forward(model.forward_full(sub), dims(sub), (crop, crop))
+                    logits = head.forward(model.forward_full(sub), (crop, crop))
                     acc[y:y + crop, x:x + crop] += logits.data.reshape(crop, crop, n_classes)
                     hits[y:y + crop, x:x + crop] += 1.0
             cm += confusion_matrix((acc / hits).argmax(axis=2).reshape(-1), mask.reshape(-1),
@@ -304,8 +295,7 @@ def _per_image_report(task, model, head, val, crop, n_classes):
                 {"val": len(val), "val_pixels": int(cm.sum())}, {"confusion": cm})
     cm = np.zeros((2, 2), np.int64)
     for a, b, mask in val:
-        logp = head.forward(model.forward_full(a), model.forward_full(b), dims(a),
-                            (a.height, a.width))
+        logp = head.forward(model.forward_full(a), model.forward_full(b), (a.height, a.width))
         cm += confusion_matrix(logp.data.argmax(axis=1), mask.reshape(-1), 2)
     tp, fp, fn, tn = (int(n) for n in (cm[1, 1], cm[0, 1], cm[1, 0], cm[0, 0]))
     precision, recall, f1, _ = prf_from_counts(tp, fp, fn)

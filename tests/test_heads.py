@@ -7,7 +7,6 @@ from spectralmae.gradcheck import grad_check
 from spectralmae.heads import (ChangeHead, ClassifierHead, SegmentationHead, _neighbor_indices,
                                _upsample2_indices, combine_params, conv3x3, cross_entropy,
                                multilabel_soft_margin, nll_from_log_probs)
-from spectralmae.model import GridDims
 from spectralmae.rng import CounterRng
 
 
@@ -121,62 +120,64 @@ def test_head_gather_backward_float32_matches_float64_scatter_add(h, w):
 # ---------------------------------------------------------------- segmentation head
 
 def test_segmentation_head_output_covers_pixels():
-    head = SegmentationHead(d=16, gs=2, classes=5, rng=CounterRng(4))
+    head = SegmentationHead(d=16, gs=2, p=8, classes=5, rng=CounterRng(4))
     latents = T.Tensor(CounterRng(5).normal_array((4 * 4 * 2, 16)).astype(np.float32))
-    logits = head.forward(latents, GridDims(4, 4, 2), (32, 32))
+    logits = head.forward(latents, (32, 32))
     assert logits.shape == (32 * 32, 5)
 
 
 def test_segmentation_head_exact_when_p4():
-    head = SegmentationHead(d=8, gs=1, classes=3, rng=CounterRng(6))
+    head = SegmentationHead(d=8, gs=1, p=4, classes=3, rng=CounterRng(6))
     latents = T.Tensor(CounterRng(7).normal_array((16, 8)).astype(np.float32))
-    logits = head.forward(latents, GridDims(4, 4, 1), (16, 16))
+    logits = head.forward(latents, (16, 16))
     assert logits.shape == (256, 3)
 
 
 def test_segmentation_head_gradcheck():
-    head = SegmentationHead(d=4, gs=2, classes=3, rng=CounterRng(8), dtype=np.float64)
+    head = SegmentationHead(d=4, gs=2, p=4, classes=3, rng=CounterRng(8), dtype=np.float64)
     latents = T.Tensor(CounterRng(9).normal_array((2 * 2 * 2, 4)))
     labels = np.array([CounterRng(10).randbelow(3) for _ in range(64)])
-    f = lambda: cross_entropy(head.forward(latents, GridDims(2, 2, 2), (8, 8)), labels)
+    f = lambda: cross_entropy(head.forward(latents, (8, 8)), labels)
     assert grad_check(f, head.params).max_relative_error <= 1e-3
 
 
 def test_segmentation_head_grid_mismatch():
-    head = SegmentationHead(d=8, gs=2, classes=3, rng=CounterRng(11))
+    head = SegmentationHead(d=8, gs=2, p=8, classes=3, rng=CounterRng(11))
     latents = T.Tensor(np.zeros((16, 8), np.float32))
     with pytest.raises(ShapeError):
-        head.forward(latents, GridDims(4, 4, 1), (32, 32))
+        head.forward(latents, (32, 32))
+    with pytest.raises(ShapeError):  # 20 rows are not whole 8-pixel sites
+        head.forward(T.Tensor(np.zeros((32, 8), np.float32)), (20, 64))
 
 
 # ---------------------------------------------------------------- change head
 
 def test_change_head_identical_inputs_uniform_logits():
-    head = ChangeHead(d=8, gs=2, rng=CounterRng(12))
+    head = ChangeHead(d=8, gs=2, p=4, rng=CounterRng(12))
     latents = T.Tensor(CounterRng(13).normal_array((4 * 4 * 2, 8)).astype(np.float32))
-    logp = head.forward(latents, latents, GridDims(4, 4, 2), (16, 16)).data
+    logp = head.forward(latents, latents, (16, 16)).data
     # zero feature map -> every pixel sees the same bias path
     assert np.allclose(logp, logp[0], atol=1e-6)
     assert np.allclose(np.exp(logp).sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_change_head_symmetry_under_swap():
-    head = ChangeHead(d=8, gs=2, rng=CounterRng(14))
+    head = ChangeHead(d=8, gs=2, p=4, rng=CounterRng(14))
     rng = CounterRng(15)
     a = T.Tensor(rng.normal_array((4 * 4 * 2, 8)).astype(np.float32))
     b = T.Tensor(rng.normal_array((4 * 4 * 2, 8)).astype(np.float32))
-    ab = head.forward(a, b, GridDims(4, 4, 2), (16, 16)).data
-    ba = head.forward(b, a, GridDims(4, 4, 2), (16, 16)).data
+    ab = head.forward(a, b, (16, 16)).data
+    ba = head.forward(b, a, (16, 16)).data
     assert np.array_equal(ab, ba)
 
 
 def test_change_head_signed_breaks_symmetry():
-    head = ChangeHead(d=8, gs=2, rng=CounterRng(16), signed_difference=True)
+    head = ChangeHead(d=8, gs=2, p=4, rng=CounterRng(16), signed_difference=True)
     rng = CounterRng(17)
     a = T.Tensor(rng.normal_array((4 * 4 * 2, 8)).astype(np.float32))
     b = T.Tensor(rng.normal_array((4 * 4 * 2, 8)).astype(np.float32))
-    ab = head.forward(a, b, GridDims(4, 4, 2), (16, 16)).data
-    ba = head.forward(b, a, GridDims(4, 4, 2), (16, 16)).data
+    ab = head.forward(a, b, (16, 16)).data
+    ba = head.forward(b, a, (16, 16)).data
     assert not np.array_equal(ab, ba)
 
 
@@ -184,13 +185,13 @@ def test_change_head_gradcheck():
     # signed-difference variant: the absolute-difference path has kinks at
     # zero that central differences cannot probe; abs backward is covered
     # by its own op-level check away from the kink
-    head = ChangeHead(d=4, gs=2, rng=CounterRng(18), dtype=np.float64,
+    head = ChangeHead(d=4, gs=2, p=4, rng=CounterRng(18), dtype=np.float64,
                       signed_difference=True)
     rng = CounterRng(19)
     a = T.Tensor(rng.normal_array((2 * 2 * 2, 4)))
     b = T.Tensor(rng.normal_array((2 * 2 * 2, 4)))
     labels = np.array([rng.randbelow(2) for _ in range(64)])
-    f = lambda: nll_from_log_probs(head.forward(a, b, GridDims(2, 2, 2), (8, 8)), labels)
+    f = lambda: nll_from_log_probs(head.forward(a, b, (8, 8)), labels)
     assert grad_check(f, head.params).max_relative_error <= 1e-3
 
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from spectralmae import tensor as T
-from spectralmae.errors import ConfigError
+from spectralmae.errors import ConfigError, ShapeError
 from spectralmae.gradcheck import grad_check
-from spectralmae.model import (PRESETS, GridDims, ModelConfig, SpectralCubeAutoencoder,
-                               empty_mask_plan)
+from spectralmae.model import PRESETS, ModelConfig, SpectralCubeAutoencoder, empty_mask_plan
 from spectralmae.rng import CounterRng
-from spectralmae.tokenizer import MaskPlan, SpectralImage, build_mask, patchify
+from spectralmae.tokenizer import (MaskPlan, SpectralImage, build_group_mask, build_mask,
+                                   patchify, patchify_group)
 
 
 def _image(h, w, d, seed=0):
@@ -23,8 +23,12 @@ def _tiny_model(seed=0, **overrides):
 def _masked(img, cfg, ratio, rng):
     """Patchify and mask an image the way the pretraining step does."""
     grid = patchify(img, cfg.p, cfg.k)
-    dims = GridDims(grid.gh, grid.gw, grid.gs)
-    return build_mask(grid.n_tokens, ratio, rng), dims, grid.tokens
+    return build_mask(grid.n_tokens, ratio, rng), grid
+
+
+def _grid(gh, gw, gs, p=8, k=3):
+    """The token grid of one gh x gw x gs image."""
+    return patchify(_image(gh * p, gw * p, gs * k), p, k)
 
 
 # ---------------------------------------------------------------- config
@@ -61,8 +65,7 @@ def test_embed_zero_token_zero_pos_gives_bias():
     model.pos_spatial.data[:] = 0
     model.pos_spectral.data[:] = 0
     model.embed_b.data[:] = np.arange(16, dtype=np.float32)
-    out = model.embed(np.zeros((3, 192), np.float32), np.array([0, 3, 7]),
-                      GridDims(2, 2, 2))
+    out = model.embed(np.zeros((3, 192), np.float32), np.array([0, 3, 7]), _grid(2, 2, 2))
     assert np.array_equal(out.data, np.tile(np.arange(16, dtype=np.float32), (3, 1)))
 
 
@@ -70,9 +73,9 @@ def test_embed_permutation_consistency():
     model = _tiny_model(seed=5)
     tokens = CounterRng(9).uniform_array((8, 192)).astype(np.float32)
     idx = np.arange(8)
-    base = model.embed(tokens, idx, GridDims(2, 2, 2)).data
+    base = model.embed(tokens, idx, _grid(2, 2, 2)).data
     perm = np.array([3, 1, 7, 0, 2, 6, 4, 5])
-    permuted = model.embed(tokens[perm], idx[perm], GridDims(2, 2, 2)).data
+    permuted = model.embed(tokens[perm], idx[perm], _grid(2, 2, 2)).data
     assert np.array_equal(permuted, base[perm])
 
 
@@ -84,14 +87,18 @@ def test_embed_hand_multiplied_projection():
     model.embed_b.data[:] = 0
     model.pos_spatial.data[:] = 0
     model.pos_spectral.data[:] = 0
-    out = model.embed(np.array([[5.0, 7.0]], np.float32), np.array([0]), GridDims(1, 1, 1))
+    out = model.embed(np.array([[5.0, 7.0]], np.float32), np.array([0]), _grid(1, 1, 1, 1, 2))
     assert out.data.tolist() == [[5 * 1 + 7 * 3, 5 * 2 + 7 * 4]]
 
 
-def test_embed_grid_exceeding_tables_is_config_error():
-    model = _tiny_model()
-    with pytest.raises(ConfigError):
-        model.embed(np.zeros((1, 192), np.float32), np.array([0]), GridDims(3, 2, 2))
+def test_encode_and_decode_refuse_a_grid_exceeding_tables():
+    model = _tiny_model()  # tables for a (2, 2, 2) grid
+    grid = _grid(3, 2, 2)
+    plan = empty_mask_plan(grid.n_tokens)
+    with pytest.raises(ConfigError, match="exceeds positional tables"):
+        model.encode(grid.tokens, plan, grid)
+    with pytest.raises(ConfigError, match="exceeds positional tables"):
+        model.decode(T.Tensor(np.zeros((grid.n_tokens, 16), np.float32)), plan, grid)
 
 
 # ---------------------------------------------------------------- attention blocks
@@ -155,10 +162,10 @@ def test_block_gradcheck():
 def test_encode_output_shape_and_determinism():
     model = _tiny_model(seed=10, max_grid=(12, 12, 4))
     img = _image(96, 96, 12, seed=11)
-    plan, dims, tokens = _masked(img, model.config, 0.9, CounterRng(12))
+    plan, grid = _masked(img, model.config, 0.9, CounterRng(12))
     assert plan.n_visible == 58
-    a = model.encode(tokens[plan.visible], plan, dims).data
-    b = model.encode(tokens[plan.visible], plan, dims).data
+    a = model.encode(grid.tokens[plan.visible], plan, grid).data
+    b = model.encode(grid.tokens[plan.visible], plan, grid).data
     assert a.shape == (58, 16)
     assert np.array_equal(a, b)
 
@@ -168,7 +175,7 @@ def test_encode_ratio_zero_equals_forward_full():
     img = _image(16, 16, 6, seed=14)
     grid = patchify(img, 8, 3)
     plan = empty_mask_plan(grid.n_tokens)
-    via_encode = model.encode(grid.tokens, plan, GridDims(2, 2, 2)).data
+    via_encode = model.encode(grid.tokens, plan, grid).data
     via_full = model.forward_full(img).data
     assert np.array_equal(via_encode, via_full)
 
@@ -178,7 +185,7 @@ def test_forward_full_group_equals_encoding_the_stacked_per_image_tokens():
     images = [_image(16, 16, 6, seed=30 + i) for i in range(3)]
     tokens = np.concatenate([patchify(img, 8, 3).tokens for img in images])
     plan = empty_mask_plan(tokens.shape[0])
-    via_encode = model.encode(tokens, plan, GridDims(2, 2, 2)).data
+    via_encode = model.encode(tokens, plan, patchify_group(images, 8, 3)).data
     assert model.forward_full(*images).data.tobytes() == via_encode.tobytes()
 
 
@@ -191,17 +198,17 @@ def test_forward_full_row_arithmetic():
 def test_decode_covers_all_tokens_paper_geometry():
     model = _tiny_model(seed=17, max_grid=(12, 12, 4))
     img = _image(96, 96, 12, seed=18)
-    plan, dims, tokens = _masked(img, model.config, 0.9, CounterRng(19))
-    recon = model.decode(model.encode(tokens[plan.visible], plan, dims), plan, dims)
+    plan, grid = _masked(img, model.config, 0.9, CounterRng(19))
+    recon = model.decode(model.encode(grid.tokens[plan.visible], plan, grid), plan, grid)
     assert recon.shape == (576, 192)
 
 
 def test_decoder_input_unshuffle_against_index_oracle():
     model = _tiny_model(seed=20)
     img = _image(16, 16, 6, seed=21)
-    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(22))
-    latents = model.encode(tokens[plan.visible], plan, dims)
-    dec_in = model.decoder_input(latents, plan, dims).data
+    plan, grid = _masked(img, model.config, 0.5, CounterRng(22))
+    latents = model.encode(grid.tokens[plan.visible], plan, grid)
+    dec_in = model.decoder_input(latents, plan).data
     projected = latents.data @ model.dec_embed_w.data + model.dec_embed_b.data
     for rank, token_idx in enumerate(plan.visible):
         assert np.allclose(dec_in[token_idx], projected[rank], atol=1e-6)
@@ -212,24 +219,38 @@ def test_decoder_input_unshuffle_against_index_oracle():
 def test_mask_token_change_touches_exactly_masked_rows():
     model = _tiny_model(seed=23)
     img = _image(16, 16, 6, seed=24)
-    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(25))
-    latents = model.encode(tokens[plan.visible], plan, dims)
-    before = model.decoder_input(latents, plan, dims).data.copy()
+    plan, grid = _masked(img, model.config, 0.5, CounterRng(25))
+    latents = model.encode(grid.tokens[plan.visible], plan, grid)
+    before = model.decoder_input(latents, plan).data.copy()
     model.mask_token.data += 1.0
-    after = model.decoder_input(latents, plan, dims).data
+    after = model.decoder_input(latents, plan).data
     changed = np.where(np.any(before != after, axis=1))[0]
     assert np.array_equal(changed, plan.masked)
 
 
 def test_decode_misaligned_plan_rejected():
-    from spectralmae.errors import ShapeError
     model = _tiny_model(seed=26)
     img = _image(16, 16, 6, seed=27)
-    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(28))
-    latents = model.encode(tokens[plan.visible], plan, dims)
+    plan, grid = _masked(img, model.config, 0.5, CounterRng(28))
+    latents = model.encode(grid.tokens[plan.visible], plan, grid)
     bad = MaskPlan(0.75, np.array([0, 1, 2, 3, 4, 5]), np.array([6, 7]), 8)
     with pytest.raises(ShapeError):
-        model.decode(latents, bad, dims)
+        model.decode(latents, bad, grid)
+
+
+def test_encode_and_decode_refuse_a_plan_not_covering_every_image():
+    model = _tiny_model(seed=35)
+    grid = patchify_group([_image(16, 16, 6, seed=36 + i) for i in range(3)], 8, 3)
+    assert (grid.images, grid.n_tokens) == (3, 8)
+    good = build_group_mask(grid.n_tokens, 0.5, [CounterRng(39 + i) for i in range(3)])
+    latents = model.encode(grid.tokens[good.visible], good, grid)
+    assert model.decode(latents, good, grid).shape == (24, 192)
+    for images in (2, 4):  # a plan over too few or too many images
+        bad = build_group_mask(grid.n_tokens, 0.5, [CounterRng(i) for i in range(images)])
+        with pytest.raises(ShapeError, match="mask plan covers"):
+            model.encode(grid.tokens[:4 * images], bad, grid)
+        with pytest.raises(ShapeError, match="mask plan covers"):
+            model.decode(T.Tensor(np.zeros((4 * images, 16), np.float32)), bad, grid)
 
 
 # ---------------------------------------------------------------- resizing
@@ -264,9 +285,9 @@ def test_resize_preserves_linear_ramp():
 def test_end_to_end_smoke_gradients_finite():
     model = _tiny_model(seed=32)
     img = _image(16, 16, 6, seed=33)
-    plan, dims, tokens = _masked(img, model.config, 0.5, CounterRng(34))
-    recon = model.reconstruct(tokens, plan, dims)
-    loss = T.mse(recon, T.Tensor(tokens))
+    plan, grid = _masked(img, model.config, 0.5, CounterRng(34))
+    recon = model.reconstruct(grid, plan)
+    loss = T.mse(recon, T.Tensor(grid.tokens))
     model.parameters().zero_grads()
     loss.backward()
     for p in model.parameters():

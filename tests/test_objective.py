@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectralmae import tensor as T
-from spectralmae.errors import ShapeError
+from spectralmae.errors import ConfigError, ShapeError
 from spectralmae.gradcheck import grad_check
 from spectralmae.objective import (ObjectiveConfig, spectral_loss, token_loss,
                                    total_loss)
@@ -198,9 +198,9 @@ def test_total_loss_all_tokens_still_checks_grid_coverage():
 
 
 def test_objective_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="objective lam -1.0 must be finite and >= 0"):
         ObjectiveConfig(lam=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="objective token_loss_scope 'visible_only'"):
         ObjectiveConfig(token_loss_scope="visible_only")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="objective lam nan"):
         ObjectiveConfig(lam=float("nan"))

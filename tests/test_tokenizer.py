@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralmae.errors import ConfigError, ShapeError, TokenizationError
-from spectralmae.model import GridDims, ModelConfig, SpectralCubeAutoencoder
+from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import spectral_loss
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Tensor
@@ -123,7 +123,12 @@ def test_group_tokens_and_targets_equal_per_image_bytes(mode):
     images = [_random_image(16, 24, 6, seed=40 + i) for i in range(3)]
     band_stats = (np.linspace(0.2, 0.7, 6), np.linspace(0.1, 0.3, 6))
     grid = patchify_group(images, 8, 3)
-    assert (grid.gh, grid.gw, grid.gs) == (3 * 2, 3, 2)
+    # one image's geometry, three images' rows; unpatchify gives back the stack
+    assert grid.images == 3 and (grid.gh, grid.gw, grid.gs) == (2, 3, 2)
+    assert len(grid.tokens) == grid.images * grid.n_tokens == 3 * 12
+    stack = unpatchify(grid).values
+    assert stack.shape == (3 * 16, 24, 6)
+    assert stack.tobytes() == np.concatenate([img.values for img in images]).tobytes()
     singles = [patchify(img, 8, 3) for img in images]
     tokens = np.concatenate([g.tokens for g in singles])
     assert grid.tokens.dtype == tokens.dtype and grid.tokens.tobytes() == tokens.tobytes()
@@ -205,9 +210,10 @@ def test_group_plan_rejects_mixed_grids_and_unequal_visible_counts():
     # two 8-token images, one with 4 visible tokens and one with 6
     uneven = MaskPlan(0.5, np.array([0, 1, 2, 3, 8, 9]),
                       np.array([4, 5, 6, 7, 10, 11, 12, 13, 14, 15]), 16)
+    grid = patchify_group([_random_image(16, 16, 6), _random_image(16, 16, 6, seed=1)], 8, 3)
     tokens = np.zeros((uneven.n_visible, 192), np.float32)
     with pytest.raises(ShapeError, match="visible counts"):
-        model.encode(tokens, uneven, GridDims(2, 2, 2))
+        model.encode(tokens, uneven, grid)
 
 
 def test_split_visible_size_mismatch():
@@ -215,8 +221,7 @@ def test_split_visible_size_mismatch():
     grid = patchify(_random_image(16, 16, 3, seed=1), 8, 3)
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 1)), CounterRng(0))
     with pytest.raises(ShapeError):
-        model.encode(grid.tokens, build_mask(99, 0.5, CounterRng(0)),
-                     GridDims(grid.gh, grid.gw, grid.gs))
+        model.encode(grid.tokens, build_mask(99, 0.5, CounterRng(0)), grid)
 
 
 # ---------------------------------------------------------------- targets
@@ -384,7 +389,7 @@ def test_invert_targets_round_trip(mode):
 # targets and float64 band stats (as a manifest's lists read) for the inverse.
 
 def _band_index(grid):
-    t, j = np.indices((grid.n_tokens, grid.token_len))
+    t, j = np.indices((len(grid.tokens), grid.token_len))
     return (t % grid.gs) * grid.k + j % grid.k
 
 

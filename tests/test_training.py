@@ -655,8 +655,7 @@ def test_group_mask_plans_follow_each_slots_key():
     stage = _stage(_smooth_images(8, 16, 16, 6, seed=81), epochs=1, batch_size=4)
     plans = []
     reconstruct = model.reconstruct
-    model.reconstruct = lambda tokens, plan, dims: plans.append(plan) or \
-        reconstruct(tokens, plan, dims)
+    model.reconstruct = lambda grid, plan: plans.append(plan) or reconstruct(grid, plan)
     pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(5))
     assert len(plans) == 2  # two steps, each one group of four images
     for step, plan in enumerate(plans):
