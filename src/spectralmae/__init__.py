@@ -3,7 +3,7 @@
 The package covers the full desk-scale loop: 3D spatial-spectral
 tokenization and masking, a visible-token transformer encoder with a
 lightweight reconstructing decoder, a dual token/spectral MSE objective,
-deterministic AdamW pretraining (single-stage and progressive), four
+deterministic AdamW pretraining over one or more image-size stages, four
 downstream task heads with their metrics, and a seeded synthetic data
 generator so everything is testable without satellite archives.
 

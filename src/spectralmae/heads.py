@@ -71,15 +71,15 @@ class ClassifierHead:
     """Average-pool over all tokens, then a two-layer MLP to class logits."""
 
     def __init__(self, d: int, hidden: int, classes: int, rng: CounterRng | None,
-                 dtype=np.float32, prefix: str = "head"):
+                 dtype=np.float32):
         ps = ParameterSet()
         self.params = ps
-        self.fc1_w = ps.add(f"{prefix}.fc1.weight", Parameter(
-            initial_weight(rng, (prefix, "fc1"), (d, hidden), dtype)))
-        self.fc1_b = ps.add(f"{prefix}.fc1.bias", Parameter(np.zeros(hidden, dtype)))
-        self.fc2_w = ps.add(f"{prefix}.fc2.weight", Parameter(
-            initial_weight(rng, (prefix, "fc2"), (hidden, classes), dtype)))
-        self.fc2_b = ps.add(f"{prefix}.fc2.bias", Parameter(np.zeros(classes, dtype)))
+        self.fc1_w = ps.add("head.fc1.weight", Parameter(
+            initial_weight(rng, ("head", "fc1"), (d, hidden), dtype)))
+        self.fc1_b = ps.add("head.fc1.bias", Parameter(np.zeros(hidden, dtype)))
+        self.fc2_w = ps.add("head.fc2.weight", Parameter(
+            initial_weight(rng, ("head", "fc2"), (hidden, classes), dtype)))
+        self.fc2_b = ps.add("head.fc2.bias", Parameter(np.zeros(classes, dtype)))
 
     def forward(self, latents: T.Tensor) -> T.Tensor:
         pooled = T.mean_rows(latents)
@@ -126,7 +126,7 @@ class _FuseDecode:
     """Shared machinery: site fusion + 2 upsample/conv stages + 1x1 head."""
 
     def __init__(self, d: int, gs: int, p: int, classes: int, rng: CounterRng | None,
-                 dtype=np.float32, prefix: str = "head"):
+                 dtype=np.float32):
         ps = ParameterSet()
         self.params = ps
         self.d = d
@@ -134,11 +134,11 @@ class _FuseDecode:
         self.p = p
 
         def w(name, shape):
-            return ps.add(f"{prefix}.{name}",
-                          Parameter(initial_weight(rng, (prefix, name), shape, dtype)))
+            return ps.add(f"head.{name}",
+                          Parameter(initial_weight(rng, ("head", name), shape, dtype)))
 
         def zeros(name, shape):
-            return ps.add(f"{prefix}.{name}", Parameter(np.zeros(shape, dtype)))
+            return ps.add(f"head.{name}", Parameter(np.zeros(shape, dtype)))
 
         self.fuse_w, self.fuse_b = w("fuse.weight", (gs * d, d)), zeros("fuse.bias", d)
         self.conv1_w, self.conv1_b = w("conv1.weight", (9 * d, d)), zeros("conv1.bias", d)
@@ -173,16 +173,12 @@ class SegmentationHead(_FuseDecode):
 
 
 class ChangeHead(_FuseDecode):
-    """Two-image head: per-site feature difference, two-class log-probs."""
+    """Two-image head: per-site absolute feature difference, two-class log-probs."""
 
-    def __init__(self, d: int, gs: int, p: int, rng: CounterRng | None, dtype=np.float32,
-                 signed_difference: bool = False, prefix: str = "head"):
-        super().__init__(d, gs, p, 2, rng, dtype, prefix)
-        self.signed_difference = signed_difference
+    def __init__(self, d: int, gs: int, p: int, rng: CounterRng | None, dtype=np.float32):
+        super().__init__(d, gs, p, 2, rng, dtype)
 
     def forward(self, latents_a: T.Tensor, latents_b: T.Tensor,
                 out_hw: tuple[int, int]) -> T.Tensor:
-        diff = T.sub(self.fuse(latents_a, out_hw), self.fuse(latents_b, out_hw))
-        if not self.signed_difference:
-            diff = T.abs_val(diff)
+        diff = T.abs_val(T.sub(self.fuse(latents_a, out_hw), self.fuse(latents_b, out_hw)))
         return T.log_softmax_lastaxis(self.decode(diff, out_hw))

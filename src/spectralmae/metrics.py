@@ -114,18 +114,6 @@ def mean_iou(cm: np.ndarray) -> float:
     return float(np.mean(present))
 
 
-def precision_recall_f1(pred, true, positive=1) -> tuple[float, float, float, list[str]]:
-    """P/R/F1 of the positive class; 0/0 cases flagged, value reported as 0."""
-    pred = np.asarray(pred).reshape(-1)
-    true = np.asarray(true).reshape(-1)
-    if pred.shape != true.shape:
-        raise DataError("prediction/truth size mismatch")
-    tp = int(np.sum((pred == positive) & (true == positive)))
-    fp = int(np.sum((pred == positive) & (true != positive)))
-    fn = int(np.sum((pred != positive) & (true == positive)))
-    return prf_from_counts(tp, fp, fn)
-
-
 def prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float, list[str]]:
     """P/R/F1 from true-positive, false-positive and false-negative counts."""
     notes: list[str] = []

@@ -66,15 +66,3 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(pixels).tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    """Minimal P6 reader (round-trip checks and tests)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P6"):
-        raise DataError("not a P6 PPM file")
-    parts = data.split(b"\n", 3)
-    w, h = (int(x) for x in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
-    return pixels.reshape(h, w, 3).copy()

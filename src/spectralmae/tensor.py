@@ -217,10 +217,6 @@ def _out(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return t
 
 
-def constant(values, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(values, dtype=dtype)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require(a.shape == b.shape, f"add: shapes {a.shape} and {b.shape} differ")
 
@@ -309,18 +305,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _out(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(int(x) for x in axes)
-    _require(sorted(axes) == list(range(a.data.ndim)),
-             f"transpose: axes {axes} invalid for shape {a.shape}")
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        a._accumulate(np.ascontiguousarray(g.transpose(inverse)))
-
-    return _out(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows (axis 0) by index; duplicates allowed, adjoints scatter-add.
 
@@ -386,30 +370,6 @@ def mean_rows(a: Tensor) -> Tensor:
 
     out = a.data.mean(axis=0, dtype=np.float64).astype(a.data.dtype)[None, :]
     return _out(out, (a,), backward)
-
-
-def softmax_lastaxis(a: Tensor, s: float = 1.0) -> Tensor:
-    """softmax(s * a) over the last axis, max-subtracted for overflow safety.
-
-    Folding the scale in (attention's 1/sqrt(d_h)) saves a full-size
-    node; every step after the first writes into the one output buffer.
-    """
-    _require(a.shape[-1] >= 1, "softmax_lastaxis: empty last axis")
-    s = float(s)
-    y = a.data * np.asarray(s, dtype=a.data.dtype) if s != 1.0 else a.data.copy()
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        d = g - dot
-        d *= y
-        if s != 1.0:
-            d *= np.asarray(s, dtype=d.dtype)
-        a._accumulate(d, owned=True)
-
-    return _out(y, (a,), backward)
 
 
 # Score elements one pass of `attention` works on. Short slices are

@@ -181,10 +181,12 @@ def build_group_mask(total_tokens: int, ratio: float, rngs: list[CounterRng]) ->
 def _affine(grid: TokenGrid, mode: str, band_stats, dtype) -> tuple | None:
     """(shift, scale) with targets = (tokens - shift) / scale; None for raw.
 
+    Both broadcast over the token rows viewed as (sites, gs, token_len).
     Every target-mode and band-stats rule lives here. Per-token moments
     take np.mean and np.std's float64 arithmetic (the mean once) and are
     rounded to float32. Band stats, (mean, std) per band, are read at
-    `dtype`: float32 for the targets, float64 for their inverse.
+    `dtype`: float32 for the targets, float64 for their inverse, in one
+    (gs, token_len) pattern that every site's tokens share.
     """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
@@ -197,7 +199,8 @@ def _affine(grid: TokenGrid, mode: str, band_stats, dtype) -> tuple | None:
         centred = tokens - mean[:, None]
         centred *= centred
         sigma = np.sqrt(centred.sum(axis=1) / length).astype(np.float32)
-        return mean.astype(np.float32)[:, None], (sigma + np.float32(EPS))[:, None]
+        return (mean.astype(np.float32).reshape(-1, grid.gs, 1),
+                (sigma + np.float32(EPS)).reshape(-1, grid.gs, 1))
     mean, std = ((), ()) if band_stats is None else band_stats
     if not (len(mean) and len(std)):
         raise ConfigError("standardized target mode needs per-band mean/std stats")
@@ -205,8 +208,8 @@ def _affine(grid: TokenGrid, mode: str, band_stats, dtype) -> tuple | None:
     d = grid.gs * grid.k
     if mean.shape != (d,) or std.shape != (d,):
         raise ShapeError(f"band stats must have shape ({d},)")
-    band_of = (np.arange(len(grid.tokens)) % grid.gs)[:, None] * grid.k \
-        + (np.arange(grid.token_len) % grid.k)[None, :]  # of every token element
+    band_of = np.arange(grid.gs)[:, None] * grid.k \
+        + (np.arange(grid.token_len) % grid.k)[None, :]  # of every element of a site
     return mean[band_of], std[band_of] + dtype(EPS)
 
 
@@ -223,7 +226,8 @@ def make_targets(grid: TokenGrid, mode: str, band_stats=None) -> np.ndarray:
     if affine is None:
         return grid.tokens.copy()
     shift, scale = affine
-    return ((grid.tokens - shift) / scale).astype(np.float32, copy=False)
+    targets = (grid.tokens.reshape(-1, grid.gs, grid.token_len) - shift) / scale
+    return targets.astype(np.float32, copy=False).reshape(grid.tokens.shape)
 
 
 def invert_targets(recon: np.ndarray, grid: TokenGrid, mode: str,
@@ -233,4 +237,5 @@ def invert_targets(recon: np.ndarray, grid: TokenGrid, mode: str,
     if affine is None:
         return recon.astype(np.float32)
     shift, scale = affine
-    return (recon * scale + shift).astype(np.float32)
+    pixels = recon.reshape(-1, grid.gs, grid.token_len) * scale + shift
+    return pixels.astype(np.float32).reshape(recon.shape)

@@ -1,4 +1,6 @@
-"""Pretraining drivers: single-stage loop and the progressive multi-stage run.
+"""Pretraining: one stage's loop, and `progressive_pretrain`, which runs the
+stages of a config in order (one or more image sizes) and is the one path
+the `pretrain` command takes.
 
 Every source of randomness is keyed functionally off the root stream —
 batch order by (stage, epoch), masks by (stage, epoch, step, slot) — so

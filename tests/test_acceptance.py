@@ -19,17 +19,18 @@ from spectralmae.finetune import FinetuneConfig, finetune_classify
 from spectralmae.gradcheck import grad_check
 from spectralmae.manifest import load_manifest, split
 from spectralmae.metrics import (average_precision, confusion_matrix, macro_map,
-                                 mean_iou, micro_map, overall_accuracy,
-                                 precision_recall_f1)
+                                 mean_iou, micro_map, overall_accuracy, prf_from_counts)
 from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
 from spectralmae.objective import ObjectiveConfig, spectral_loss, token_loss, total_loss
-from spectralmae.preview import PRESETS, read_ppm
+from spectralmae.preview import PRESETS
 from spectralmae.raster import normalize_bands, read_raster, write_raster
 from spectralmae.rng import CounterRng
 from spectralmae.synthetic import SyntheticSpec, generate_synthetic
 from spectralmae.tokenizer import (SpectralImage, build_mask, invert_targets,
                                    make_targets, patchify, unpatchify)
 from spectralmae.training import (PretrainStage, pretrain_stage, progressive_pretrain)
+
+from ppm_reader import read_ppm
 
 CHI2_CRIT_19_DOF_ALPHA_01 = 36.191  # chi-squared upper 1% point, 19 degrees of freedom
 
@@ -351,7 +352,8 @@ def test_criterion_7_metric_oracles():
         n = 10 + rng.randbelow(30)
         pred = [rng.randbelow(2) for _ in range(n)]
         true = [rng.randbelow(2) for _ in range(n)]
-        p, r, f1, _ = precision_recall_f1(pred, true)
+        cm = confusion_matrix(pred, true, 2)  # P/R/F1 as change detection takes them
+        p, r, f1, _ = prf_from_counts(int(cm[1, 1]), int(cm[0, 1]), int(cm[1, 0]))
         tp = sum(1 for a, b in zip(pred, true) if a == 1 and b == 1)
         fp = sum(1 for a, b in zip(pred, true) if a == 1 and b == 0)
         fn = sum(1 for a, b in zip(pred, true) if a == 0 and b == 1)

@@ -14,8 +14,10 @@ from spectralmae.cli import main
 from spectralmae.checkpoint import load_checkpoint, save_checkpoint, snapshot_model
 import spectralmae.model as model_module
 from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
-from spectralmae.preview import PRESETS, read_ppm
+from spectralmae.preview import PRESETS
 from spectralmae.rng import CounterRng
+
+from ppm_reader import read_ppm
 
 
 def _write_json(path, doc):
@@ -150,25 +152,76 @@ def test_pretrain_resume_reproduces_trace(tmp_path):
     assert (part / final).read_bytes() == (full / final).read_bytes()
 
 
+def _two_stage_configs(tmp_path):
+    """Configs of a 16x16-then-32x32 pretraining: both stages, and the first alone."""
+    manifests = [_synth(tmp_path, name, task="pretrain", height=side, width=side, n_images=8)
+                 for name, side in (("small", 16), ("large", 32))]
+    stages = [{"manifest": str(m), "epochs": 1, "base_lr": 1e-3, "batch_size": 4,
+               "mask_ratio": 0.5} for m in manifests]
+    doc = {"seed": 7, "model": {"preset": "tiny", "max_grid": [2, 2, 2]}, "objective": {}}
+    return (_write_json(tmp_path / "prog.json", {**doc, "stages": stages}),
+            _write_json(tmp_path / "first.json", {**doc, "stages": stages[:1]}))
+
+
 def test_progressive_two_stages(tmp_path):
-    small = _synth(tmp_path, "small", task="pretrain", height=16, width=16, n_images=8)
-    large = _synth(tmp_path, "large", task="pretrain", height=32, width=32, n_images=8)
-    doc = {
-        "seed": 7,
-        "model": {"preset": "tiny", "max_grid": [2, 2, 2]},
-        "objective": {},
-        "stages": [
-            {"manifest": str(small), "epochs": 1, "base_lr": 1e-3, "batch_size": 4,
-             "mask_ratio": 0.5},
-            {"manifest": str(large), "epochs": 1, "base_lr": 1e-3, "batch_size": 4,
-             "mask_ratio": 0.5},
-        ],
-    }
-    config = _write_json(tmp_path / "prog.json", doc)
+    config, _ = _two_stage_configs(tmp_path)
     out = tmp_path / "prog"
-    assert main(["progressive", "--config", config, "--out", str(out)]) == 0
+    assert main(["pretrain", "--config", config, "--out", str(out)]) == 0
     lines = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
     assert [l["stage"] for l in lines] == [0, 1]
+
+
+def test_progressive_is_not_a_command(tmp_path, capsys):
+    config, _ = _two_stage_configs(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["progressive", "--config", config, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'progressive'" in capsys.readouterr().err
+
+
+def test_pretrain_resume_first_stage_run_under_two_stage_config(tmp_path):
+    """A run of stage 0 alone, resumed from its last checkpoint under the
+    two-stage config, ends as the uninterrupted two-stage run does."""
+    both, first = _two_stage_configs(tmp_path)
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["pretrain", "--config", both, "--out", str(full)]) == 0
+    assert main(["pretrain", "--config", first, "--out", str(part)]) == 0
+    assert main(["pretrain", "--config", both, "--out", str(part),
+                 "--resume", str(part / "checkpoint_last.spck")]) == 0
+    lines = (full / "train_log.jsonl").read_text().splitlines()
+    assert [json.loads(l)["stage"] for l in lines] == [0, 1]
+    for name in ("train_log.jsonl", "checkpoint_final.spck"):
+        assert (part / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_pretrain_resume_from_final_checkpoint_is_complete(tmp_path, capsys):
+    manifest = _synth(tmp_path, task="pretrain", n_images=8)
+    config = _pretrain_config(tmp_path, manifest)
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", config, "--out", str(out)]) == 0
+    log = (out / "train_log.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(["pretrain", "--config", config, "--out", str(out),
+                 "--resume", str(out / "checkpoint_final.spck")]) == 0
+    assert capsys.readouterr().out == "run already complete\n"
+    assert (out / "train_log.jsonl").read_bytes() == log
+
+
+@pytest.mark.parametrize("stage,epoch", [(2, 0), (1, 1)])
+def test_pretrain_resume_past_the_configs_stages_is_one_error(tmp_path, capsys, stage, epoch):
+    manifest = _synth(tmp_path, task="pretrain", n_images=8)
+    config = _pretrain_config(tmp_path, manifest)  # one stage
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(5))
+    ckpt = tmp_path / "past.spck"
+    save_checkpoint(snapshot_model(model, None, CounterRng(5).state(), stage=stage,
+                                   epoch=epoch), ckpt)
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", config, "--out", str(out),
+                 "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: checkpoint stage {stage} (epoch {epoch}) lies past "
+                   f"the config's 1 stages\n")
+    assert not out.exists()
 
 
 def test_progressive_standardized_uses_each_stages_band_stats(tmp_path, monkeypatch):
@@ -193,7 +246,7 @@ def test_progressive_standardized_uses_each_stages_band_stats(tmp_path, monkeypa
                               objective={"target_mode": "standardized"},
                               stages=[{"manifest": str(first), **stage},
                                       {"manifest": str(second), **stage}])
-    assert main(["progressive", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert main(["pretrain", "--config", config, "--out", str(tmp_path / "o")]) == 0
     assert seen == [means[0]] * 2 + [means[1]] * 2  # one call per group of two images
 
 
@@ -766,6 +819,67 @@ def test_gradcheck_detects_broken_attention_backward(monkeypatch, capsys):
     assert main(["gradcheck"]) == 1
     lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert "FAIL" in lines["numerics"]
+
+
+def _tensor_ops_called(monkeypatch, run) -> set:
+    """Names of the public `tensor` functions that `run()` calls, directly or inside another op."""
+    import inspect
+
+    import spectralmae.tensor as tensor_mod
+
+    called = set()
+    with monkeypatch.context() as m:
+        for name, op in vars(tensor_mod).copy().items():
+            if inspect.isfunction(op) and op.__module__ == tensor_mod.__name__ \
+                    and not name.startswith("_"):
+                def recording(*args, _name=name, _op=op, **kwargs):
+                    called.add(_name)
+                    return _op(*args, **kwargs)
+                m.setattr(tensor_mod, name, recording)
+        run()
+    return called
+
+
+def _program_steps():
+    """A tiny pretraining step under each token-loss scope, then each fine-tuning
+    task's forward, loss and backward on a batch of two."""
+    from spectralmae.finetune import TASKS
+    from spectralmae.heads import ChangeHead, ClassifierHead, SegmentationHead
+    from spectralmae.objective import TOKEN_SCOPES, ObjectiveConfig
+    from spectralmae.tokenizer import SpectralImage
+    from spectralmae.training import PretrainStage, pretrain_stage
+
+    cfg = ModelConfig.tiny()
+    model = SpectralCubeAutoencoder(cfg, CounterRng(0))
+    side, bands = 2 * cfg.p, 2 * cfg.k
+    rng = CounterRng(1)
+    images = [SpectralImage(rng.child(i).uniform_array((side, side, bands)),
+                            [f"B{b + 1}" for b in range(bands)]) for i in range(2)]
+    for scope in TOKEN_SCOPES:
+        stage = PretrainStage(images=images, epochs=1, base_lr=1e-3, batch_size=2)
+        pretrain_stage(model, ObjectiveConfig(token_loss_scope=scope), stage, CounterRng(2))
+    mask = np.zeros((side, side), np.int64)
+    mask[:, side // 2:] = 1
+    cases = {
+        "classify": (ClassifierHead(cfg.embed_dim, 8, 2, CounterRng(3)),
+                     [(images[0], 0), (images[1], 1)]),
+        "multilabel": (ClassifierHead(cfg.embed_dim, 8, 3, CounterRng(3)),
+                       [(img, np.array([0, 1, 1])) for img in images]),
+        "segment": (SegmentationHead(cfg.embed_dim, 2, cfg.p, 2, CounterRng(3)),
+                    [(img, mask) for img in images]),
+        "change": (ChangeHead(cfg.embed_dim, 2, cfg.p, CounterRng(3)),
+                   [(images[0], images[1], mask), (images[1], images[0], mask)]),
+    }
+    assert set(cases) == set(TASKS)
+    for task, (head, batch) in cases.items():
+        TASKS[task].loss(TASKS[task].forward(model, head, batch), batch).backward()
+
+
+def test_gradcheck_covers_every_op_the_program_runs(monkeypatch, capsys):
+    checked = _tensor_ops_called(monkeypatch, lambda: main(["gradcheck"]))
+    run = _tensor_ops_called(monkeypatch, _program_steps)
+    assert run - checked == set()
+    assert "attention" in run and "abs_val" in run  # the recording sees the model and heads
 
 
 def test_gradcheck_eps_out_of_range():

@@ -7,6 +7,7 @@ from spectralmae.gradcheck import grad_check
 from spectralmae.heads import (ChangeHead, ClassifierHead, SegmentationHead, _neighbor_indices,
                                _upsample2_indices, combine_params, conv3x3, cross_entropy,
                                multilabel_soft_margin, nll_from_log_probs)
+from spectralmae.model import ModelConfig, SpectralCubeAutoencoder
 from spectralmae.rng import CounterRng
 
 
@@ -171,34 +172,39 @@ def test_change_head_symmetry_under_swap():
     assert np.array_equal(ab, ba)
 
 
-def test_change_head_signed_breaks_symmetry():
-    head = ChangeHead(d=8, gs=2, p=4, rng=CounterRng(16), signed_difference=True)
-    rng = CounterRng(17)
-    a = T.Tensor(rng.normal_array((4 * 4 * 2, 8)).astype(np.float32))
-    b = T.Tensor(rng.normal_array((4 * 4 * 2, 8)).astype(np.float32))
-    ab = head.forward(a, b, (16, 16)).data
-    ba = head.forward(b, a, (16, 16)).data
-    assert not np.array_equal(ab, ba)
-
-
 def test_change_head_gradcheck():
-    # signed-difference variant: the absolute-difference path has kinks at
-    # zero that central differences cannot probe; abs backward is covered
-    # by its own op-level check away from the kink
-    head = ChangeHead(d=4, gs=2, p=4, rng=CounterRng(18), dtype=np.float64,
-                      signed_difference=True)
+    # |fuse(a) - fuse(b)| has a kink at 0 that central differences cannot
+    # probe, and here one difference (2.8e-4) lies within the reach of a
+    # 1e-3 step in a fuse weight. So the check runs with each difference's
+    # sign frozen at (a, b), which is smooth; the abs path must give the
+    # same loss and gradients at (a, b).
+    head = ChangeHead(d=4, gs=2, p=4, rng=CounterRng(18), dtype=np.float64)
     rng = CounterRng(19)
     a = T.Tensor(rng.normal_array((2 * 2 * 2, 4)))
     b = T.Tensor(rng.normal_array((2 * 2 * 2, 4)))
     labels = np.array([rng.randbelow(2) for _ in range(64)])
-    f = lambda: nll_from_log_probs(head.forward(a, b, (8, 8)), labels)
-    assert grad_check(f, head.params).max_relative_error <= 1e-3
+    sign = T.Tensor(np.sign(head.fuse(a, (8, 8)).data - head.fuse(b, (8, 8)).data))
+    assert (sign.data != 0).all()
+
+    def frozen():
+        diff = T.mul(sign, T.sub(head.fuse(a, (8, 8)), head.fuse(b, (8, 8))))
+        return nll_from_log_probs(T.log_softmax_lastaxis(head.decode(diff, (8, 8))), labels)
+
+    assert grad_check(frozen, head.params).max_relative_error <= 1e-3
+    runs = []
+    for f in (frozen, lambda: nll_from_log_probs(head.forward(a, b, (8, 8)), labels)):
+        head.params.zero_grads()
+        loss = f()
+        loss.backward()
+        runs.append([loss.data] + [p.grad.copy() for _, p in head.params.items()])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 def test_combine_params_rejects_duplicates():
     a = ClassifierHead(4, 8, 2, CounterRng(20))
     with pytest.raises(ValueError):
         combine_params(a.params, a.params)
-    b = ClassifierHead(4, 8, 2, CounterRng(21), prefix="other")
-    merged = combine_params(a.params, b.params)
-    assert len(merged) == len(a.params) + len(b.params)
+    model = SpectralCubeAutoencoder(ModelConfig.tiny(), CounterRng(21))  # as eval combines them
+    merged = combine_params(model.parameters(), a.params)
+    assert len(merged) == len(model.parameters()) + len(a.params)

@@ -6,8 +6,18 @@ import pytest
 from spectralmae.errors import DataError
 from spectralmae.metrics import (average_precision, confusion_matrix, iou_per_class,
                                  macro_map, mean_iou, micro_map, overall_accuracy,
-                                 precision_recall_f1, prf_from_counts)
+                                 prf_from_counts)
 from spectralmae.rng import CounterRng
+
+
+def precision_recall_f1(pred, true, positive=1):
+    """P/R/F1 of the positive class of label lists, counted here and scored by prf_from_counts."""
+    pred = np.asarray(pred).reshape(-1)
+    true = np.asarray(true).reshape(-1)
+    tp = int(np.sum((pred == positive) & (true == positive)))
+    fp = int(np.sum((pred == positive) & (true != positive)))
+    fn = int(np.sum((pred != positive) & (true == positive)))
+    return prf_from_counts(tp, fp, fn)
 
 
 def _ap_oracle(scores, labels):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from spectralmae.errors import DataError
-from spectralmae.preview import (ND_EPS, PRESETS, read_ppm, render_preset, to_display,
-                                 write_ppm)
+from spectralmae.preview import ND_EPS, PRESETS, render_preset, to_display, write_ppm
 from spectralmae.rng import CounterRng
 from spectralmae.synthetic import DEFAULT_BAND_NAMES
 from spectralmae.tokenizer import SpectralImage
+
+from ppm_reader import read_ppm
 
 
 def _image12(seed=0):

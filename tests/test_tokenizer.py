@@ -441,3 +441,17 @@ def test_targets_and_inverse_bytes_match_reference_arithmetic(mode, n_images):
     pixels = invert_targets(recon, grid, mode, band_stats)
     want = _invert_oracle(recon, grid, mode, band_stats)
     assert pixels.dtype == np.float32 and pixels.tobytes() == want.tobytes()
+
+
+def test_standardized_band_pattern_matches_full_index_with_four_groups():
+    # `_affine` broadcasts one (gs, token_len) band pattern over every site;
+    # the oracle gathers the stats through a full (rows x token_len) index
+    images = [_random_image(16, 24, 12, seed=52 + i) for i in range(3)]
+    band_stats = (np.linspace(0.15, 0.8, 12).tolist(), np.linspace(0.05, 0.4, 12).tolist())
+    grid = patchify_group(images, 8, 3)
+    assert grid.gs == 4 and grid.images == 3
+    targets = make_targets(grid, "standardized", band_stats)
+    assert targets.tobytes() == _targets_oracle(grid, "standardized", band_stats).tobytes()
+    recon = CounterRng(53).normal_array(targets.shape).astype(np.float32)
+    pixels = invert_targets(recon, grid, "standardized", band_stats)
+    assert pixels.tobytes() == _invert_oracle(recon, grid, "standardized", band_stats).tobytes()
