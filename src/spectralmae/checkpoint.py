@@ -144,12 +144,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         _write_tensors(w, opt.m)
         _write_tensors(w, opt.v)
     w.pack(_TRAILER, *ckpt.rng_state, ckpt.stage, ckpt.epoch, ckpt.step)
-    # write a sibling and rename it over the target: a crash mid-write
-    # leaves the previous checkpoint whole
+    # write a sibling, sync it to disk and rename it over the target: a
+    # crash mid-write, or a power loss after the rename, leaves a whole checkpoint
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             w.write_to(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -212,14 +214,17 @@ def restore_model(ckpt: Checkpoint, model: SpectralCubeAutoencoder) -> None:
 
 
 def restore_optimizer(snapshot: OptimizerSnapshot, optimizer: AdamW) -> None:
-    """Load moments and hyper-parameters into `optimizer`, writing its arrays in place."""
+    """Load the step count and moments into `optimizer`, writing its arrays in place.
+
+    The optimizer keeps its own hyper-parameters; `training.resume_point`
+    refuses a snapshot whose hyper-parameters differ from the stage's.
+    """
     for name in optimizer.m:
         for kind, saved, own in (("m", snapshot.m, optimizer.m), ("v", snapshot.v, optimizer.v)):
             if name not in saved:
                 raise ShapeError(f"optimizer moment {kind} missing for parameter {name!r}")
             _check_shape(f"optimizer moment {kind} of {name!r}", saved[name], own[name])
-    for name in _OPT_HYPER:
-        setattr(optimizer, name, getattr(snapshot, name))
+    optimizer.step_count = snapshot.step_count
     for name in optimizer.m:
         optimizer.m[name][...] = snapshot.m[name]
         optimizer.v[name][...] = snapshot.v[name]

@@ -122,13 +122,27 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- pretraining
 
+def _truncate_log(path: str, point: tuple[int, int]) -> None:
+    """Cut a train log before its first record at or past (stage, epoch)
+    `point`, or before a last line a crash left unfinished."""
+    with open(path, "r+b") as fh:
+        keep = 0
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            record = json.loads(line)
+            if (record["stage"], record["epoch"]) >= point:
+                break
+            keep += len(line)
+        fh.truncate(keep)
+
+
 def cmd_pretrain(args) -> int:
-    from .checkpoint import (load_checkpoint, restore_model, restore_optimizer,
-                             save_checkpoint, snapshot_model)
+    from .checkpoint import load_checkpoint, save_checkpoint
     from .model import SpectralCubeAutoencoder
     from .objective import ObjectiveConfig
     from .rng import CounterRng
-    from .training import make_optimizer, progressive_pretrain
+    from .training import final_checkpoint, progressive_pretrain, resume_point
 
     config = read_doc(_Run, args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -140,45 +154,30 @@ def cmd_pretrain(args) -> int:
     stages, stage_docs = zip(*(_load_stage(doc, base_dir) for doc in config.stages))
 
     rng = CounterRng(seed)
-    start_stage = start_epoch = 0
-    optimizer = None
-    if args.resume:
-        ckpt = load_checkpoint(args.resume)
-        model = SpectralCubeAutoencoder(ckpt.config, rng=None)
-        restore_model(ckpt, model)
-        rng = CounterRng(*ckpt.rng_state)
-        start_stage, start_epoch = ckpt.stage, ckpt.epoch
-        if start_stage < len(stages) and start_epoch >= stages[start_stage].epochs:
-            start_stage, start_epoch = start_stage + 1, 0  # moments reset at a stage boundary
-        elif start_stage < len(stages) and ckpt.optimizer is not None:
-            optimizer = make_optimizer(model, stages[start_stage])
-            restore_optimizer(ckpt.optimizer, optimizer)
-        if (start_stage, start_epoch) == (len(stages), 0):
+    resume = load_checkpoint(args.resume) if args.resume else None
+    if resume is None:
+        model = SpectralCubeAutoencoder(model_cfg, CounterRng(seed))
+    else:
+        start = resume_point(model_cfg, stages, rng, resume)
+        if start is None:
             print("run already complete")
             return 0
-        if start_stage >= len(stages):
-            return _fail(f"checkpoint stage {ckpt.stage} (epoch {ckpt.epoch}) lies past "
-                         f"the config's {len(stages)} stages")
-    else:
-        model = SpectralCubeAutoencoder(model_cfg, CounterRng(seed))
+        model = SpectralCubeAutoencoder(resume.config, rng=None)
     _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
                    stages=stage_docs)
 
     log_path = os.path.join(args.out, "train_log.jsonl")
-    log_mode = "a" if args.resume else "w"
-    with open(log_path, log_mode, encoding="utf-8") as log:
-        def on_epoch(record, opt):
+    if resume is not None and os.path.exists(log_path):
+        _truncate_log(log_path, start)  # records a crash or a longer run left past it
+    with open(log_path, "a" if resume else "w", encoding="utf-8") as log:
+        def on_epoch(record, checkpoint):
             log.write(record.to_json() + "\n")
             log.flush()
-            ckpt = snapshot_model(model, opt, rng.state(), stage=record.stage,
-                                  epoch=record.epoch + 1)
-            save_checkpoint(ckpt, os.path.join(args.out, "checkpoint_last.spck"))
+            save_checkpoint(checkpoint, os.path.join(args.out, "checkpoint_last.spck"))
 
-        progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch,
-                             start_stage=start_stage, start_epoch=start_epoch,
-                             optimizer=optimizer)
-    final = snapshot_model(model, None, rng.state(), stage=len(stages), epoch=0)
-    save_checkpoint(final, os.path.join(args.out, "checkpoint_final.spck"))
+        progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch, resume=resume)
+    save_checkpoint(final_checkpoint(model, stages, rng),
+                    os.path.join(args.out, "checkpoint_final.spck"))
     print(os.path.join(args.out, "checkpoint_final.spck"))
     return 0
 

@@ -4,21 +4,29 @@ the `pretrain` command takes.
 
 Every source of randomness is keyed functionally off the root stream —
 batch order by (stage, epoch), masks by (stage, epoch, step, slot) — so
-a run is fully determined by (seed, config, data), and resuming from an
-epoch-boundary checkpoint reproduces the uninterrupted trace bitwise.
+a run is fully determined by (seed, config, data). This module also owns
+a run's position. The checkpoint handed to `on_epoch` after each epoch
+records (stage, epochs done in it), and `final_checkpoint` records the
+end of the run. `resume_point` says where a checkpoint continues, and
+`progressive_pretrain(..., resume=checkpoint)` continues there: it
+restores the weights, and mid-stage the moments, so a resumed run
+reproduces the uninterrupted one bitwise. A checkpoint of another model,
+seed or optimizer setting is refused rather than trained under this
+run's config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import Checkpoint, restore_model, restore_optimizer, snapshot_model
 from .errors import ConfigError, EvaluationError, check_config
-from .model import SpectralCubeAutoencoder
+from .model import ModelConfig, SpectralCubeAutoencoder
 from .objective import LossBreakdown, ObjectiveConfig, total_loss
 from .optim import AdamW, Schedule, lr_at
 from .rng import CounterRng
@@ -73,9 +81,9 @@ def stage_schedule(stage: PretrainStage) -> Schedule:
     return Schedule(int(stage.warmup_frac * total), total, stage.base_lr, stage.min_lr)
 
 
-def make_optimizer(model: SpectralCubeAutoencoder, stage: PretrainStage) -> AdamW:
-    return AdamW(model.parameters(), base_lr=stage.base_lr,
-                 weight_decay=stage.weight_decay, clip_norm=stage.clip_norm)
+def _make_optimizer(params: T.ParameterSet, stage: PretrainStage) -> AdamW:
+    return AdamW(params, base_lr=stage.base_lr, weight_decay=stage.weight_decay,
+                 clip_norm=stage.clip_norm)
 
 
 def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
@@ -99,21 +107,21 @@ def group_loss(model: SpectralCubeAutoencoder, images: list[SpectralImage],
 def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
                    stage: PretrainStage, rng: CounterRng, stage_index: int = 0,
                    optimizer: AdamW | None = None, start_epoch: int = 0,
-                   end_epoch: int | None = None,
-                   on_epoch=None) -> tuple[list[EpochRecord], AdamW]:
+                   on_epoch=None) -> list[EpochRecord]:
     """Train one stage; per-epoch mean loss records come back in order.
 
-    The schedule always spans the full stage, so stopping at `end_epoch`
-    and resuming from a checkpoint replays the uninterrupted run exactly.
+    The schedule always spans the full stage, so starting at `start_epoch`
+    with the moments `optimizer` held there replays the uninterrupted run.
+    `on_epoch(record, checkpoint)` gets the run's position after each epoch.
     """
     n = len(stage.images)
     steps_per_epoch = n // stage.batch_size
     if steps_per_epoch == 0:
         raise ConfigError(f"batch size {stage.batch_size} exceeds dataset size {n}")
     sched = stage_schedule(stage)
-    optimizer = optimizer or make_optimizer(model, stage)
+    optimizer = optimizer or _make_optimizer(model.parameters(), stage)
     records: list[EpochRecord] = []
-    for epoch in range(start_epoch, stage.epochs if end_epoch is None else end_epoch):
+    for epoch in range(start_epoch, stage.epochs):
         order = rng.child("order", stage_index, epoch).permutation(n)
         sums = np.zeros(3, dtype=np.float64)
         seen = 0
@@ -137,8 +145,9 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
                              sums[2] / seen, lr)
         records.append(record)
         if on_epoch is not None:
-            on_epoch(record, optimizer)
-    return records, optimizer
+            on_epoch(record, snapshot_model(model, optimizer, rng.state(),
+                                            stage=stage_index, epoch=epoch + 1))
+    return records
 
 
 def stage_grid(stage: PretrainStage, model: SpectralCubeAutoencoder) -> tuple[int, int, int]:
@@ -149,20 +158,75 @@ def stage_grid(stage: PretrainStage, model: SpectralCubeAutoencoder) -> tuple[in
     return grid_shape(*shape, model.config.p, model.config.k)
 
 
+def resume_point(config: ModelConfig, stages: list[PretrainStage], rng: CounterRng,
+                 checkpoint: Checkpoint) -> tuple[int, int] | None:
+    """The (stage, epoch) a run continues from after `checkpoint`; None once it is done.
+
+    A finished stage continues at the next one's start with fresh moments,
+    a stage part-way with the checkpoint's. A checkpoint of another run is
+    a ConfigError: another model config (max_grid aside: stages resize it)
+    or rng state, a position past `stages`, or, part-way through a stage,
+    other optimizer hyper-parameters than the stage's.
+    """
+    saved = checkpoint.config
+    differ = [f"{f.name} {getattr(saved, f.name)!r} vs {getattr(config, f.name)!r}"
+              for f in fields(ModelConfig)
+              if f.name != "max_grid" and getattr(saved, f.name) != getattr(config, f.name)]
+    if differ:
+        raise ConfigError(f"checkpoint model differs from the config's: {', '.join(differ)}")
+    if checkpoint.rng_state != rng.state():
+        raise ConfigError(f"checkpoint rng state (seed, counter) {checkpoint.rng_state} "
+                          f"is not the run's {rng.state()}")
+    stage, epoch = checkpoint.stage, checkpoint.epoch
+    if stage < len(stages) and epoch >= stages[stage].epochs:
+        stage, epoch = stage + 1, 0
+    if (stage, epoch) == (len(stages), 0):
+        return None
+    if stage >= len(stages):
+        raise ConfigError(f"checkpoint stage {checkpoint.stage} (epoch {checkpoint.epoch}) "
+                          f"lies past the config's {len(stages)} stages")
+    if epoch:
+        snap = checkpoint.optimizer
+        if snap is None:
+            raise ConfigError(f"checkpoint at stage {stage} epoch {epoch} holds no moments")
+        fresh = _make_optimizer(T.ParameterSet(), stages[stage])  # settings, no parameters
+        differ = [f"{name} {getattr(snap, name)!r} vs {getattr(fresh, name)!r}"
+                  for name in ("base_lr", "beta1", "beta2", "eps", "weight_decay")
+                  if getattr(snap, name) != getattr(fresh, name)]
+        if differ:
+            raise ConfigError(f"checkpoint optimizer differs from stage {stage}'s: "
+                              f"{', '.join(differ)}")
+    return stage, epoch
+
+
+def final_checkpoint(model: SpectralCubeAutoencoder, stages: list[PretrainStage],
+                     rng: CounterRng) -> Checkpoint:
+    """The weights at the end of a run, where `resume_point` finds it done."""
+    return snapshot_model(model, None, rng.state(), stage=len(stages), epoch=0)
+
+
 def progressive_pretrain(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
                          stages: list[PretrainStage], rng: CounterRng, on_epoch=None,
-                         start_stage: int = 0, start_epoch: int = 0,
-                         optimizer: AdamW | None = None) -> list[EpochRecord]:
+                         resume: Checkpoint | None = None) -> list[EpochRecord]:
     """Run stages in order: weights carry over, positional tables resize,
-    optimizer moments reset at each boundary."""
+    optimizer moments reset at each boundary. A model of `resume`'s shape
+    continues from its `resume_point` with its weights, and part-way
+    through a stage with its moments; only the epochs run here come back."""
+    start_stage, start_epoch = 0, 0
+    if resume is not None:
+        start_stage, start_epoch = (resume_point(model.config, stages, rng, resume)
+                                    or (len(stages), 0))
+        restore_model(resume, model)
     records: list[EpochRecord] = []
     for stage_index in range(start_stage, len(stages)):
         stage = stages[stage_index]
         model.resize_pos_tables(stage_grid(stage, model))
         first_epoch = start_epoch if stage_index == start_stage else 0
-        opt = optimizer if stage_index == start_stage else None
-        stage_records, _ = pretrain_stage(
-            model, objective, stage, rng, stage_index=stage_index, optimizer=opt,
-            start_epoch=first_epoch, on_epoch=on_epoch)
-        records.extend(stage_records)
+        optimizer = None
+        if first_epoch:
+            optimizer = _make_optimizer(model.parameters(), stage)
+            restore_optimizer(resume.optimizer, optimizer)
+        records.extend(pretrain_stage(
+            model, objective, stage, rng, stage_index=stage_index, optimizer=optimizer,
+            start_epoch=first_epoch, on_epoch=on_epoch))
     return records

@@ -211,8 +211,8 @@ def test_criterion_5_convergence(tmp_path):
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(0))
     stage = PretrainStage(images=images, epochs=200, base_lr=1e-3, batch_size=8,
                           mask_ratio=0.9)
-    records, _ = pretrain_stage(model, ObjectiveConfig(target_mode="raw"), stage,
-                                CounterRng(1))
+    records = pretrain_stage(model, ObjectiveConfig(target_mode="raw"), stage,
+                             CounterRng(1))
     totals = [r.total for r in records]
     early = float(np.mean(totals[:10]))
     final = totals[-1]
@@ -244,7 +244,7 @@ def _pretrain_500(images, ratio):
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(7))
     stage = PretrainStage(images=images, epochs=125, base_lr=1e-3, batch_size=16,
                           mask_ratio=ratio)
-    records, _ = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(8))
+    records = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(8))
     assert len(records) * 4 == 500  # 4 steps per epoch, exactly 500 optimizer steps
     return snapshot_model(model, None, (0, 0))
 
@@ -481,8 +481,8 @@ def test_criterion_10_progressive_benefit(tmp_path):
         warm_final = [r for r in records if r.stage == 1][-1].total
         fresh = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)),
                                         CounterRng(seed))
-        fresh_records, _ = pretrain_stage(fresh, objective, stage2,
-                                          CounterRng(100 + seed), stage_index=1)
+        fresh_records = pretrain_stage(fresh, objective, stage2,
+                                       CounterRng(100 + seed), stage_index=1)
         fresh_final = fresh_records[-1].total
         wins += warm_final < fresh_final
         rows.append(f"seed {seed}: two-stage {warm_final:.4f} vs fresh {fresh_final:.4f}")

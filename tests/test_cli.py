@@ -110,25 +110,31 @@ def _interrupted_pretraining(tmp_path):
     from spectralmae.manifest import load_manifest
     from spectralmae.objective import ObjectiveConfig
     from spectralmae.raster import normalize_bands, read_raster
-    from spectralmae.training import PretrainStage, pretrain_stage
+    from spectralmae.training import PretrainStage, progressive_pretrain
 
     manifest = _synth(tmp_path, task="pretrain", n_images=8)
     doc = json.loads(open(_pretrain_config(tmp_path, manifest)).read())
     doc["stages"][0]["epochs"] = 4
     config = _write_json(tmp_path / "c4.json", doc)
 
-    # replay the first 2 epochs with the training API under the CLI's keys,
-    # snapshot (the state an interrupted run would have left)
+    # run the config with the training API under the CLI's keys, keeping the
+    # checkpoint and records it hands over after epoch 2
     man = load_manifest(manifest)
     images = [normalize_bands(read_raster(s["raster"]), man.band_min, man.band_max)
               for s in man.samples]
     stage = PretrainStage(images=images, epochs=4, base_lr=1e-3, batch_size=4,
                           mask_ratio=0.5)
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(2, 2, 2)), CounterRng(5))
-    rng = CounterRng(5)
-    records, opt = pretrain_stage(model, ObjectiveConfig(), stage, rng, end_epoch=2)
     mid = tmp_path / "mid.spck"
-    save_checkpoint(snapshot_model(model, opt, rng.state(), stage=0, epoch=2), mid)
+    records = []
+
+    def on_epoch(record, checkpoint):
+        if checkpoint.epoch <= 2:
+            records.append(record)
+        if checkpoint.epoch == 2:
+            save_checkpoint(checkpoint, mid)
+
+    progressive_pretrain(model, ObjectiveConfig(), [stage], CounterRng(5), on_epoch=on_epoch)
 
     part = tmp_path / "part"
     os.makedirs(part)
@@ -152,11 +158,11 @@ def test_pretrain_resume_reproduces_trace(tmp_path):
     assert (part / final).read_bytes() == (full / final).read_bytes()
 
 
-def _two_stage_configs(tmp_path):
+def _two_stage_configs(tmp_path, epochs=1):
     """Configs of a 16x16-then-32x32 pretraining: both stages, and the first alone."""
     manifests = [_synth(tmp_path, name, task="pretrain", height=side, width=side, n_images=8)
                  for name, side in (("small", 16), ("large", 32))]
-    stages = [{"manifest": str(m), "epochs": 1, "base_lr": 1e-3, "batch_size": 4,
+    stages = [{"manifest": str(m), "epochs": epochs, "base_lr": 1e-3, "batch_size": 4,
                "mask_ratio": 0.5} for m in manifests]
     doc = {"seed": 7, "model": {"preset": "tiny", "max_grid": [2, 2, 2]}, "objective": {}}
     return (_write_json(tmp_path / "prog.json", {**doc, "stages": stages}),
@@ -221,6 +227,93 @@ def test_pretrain_resume_past_the_configs_stages_is_one_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err == (f"error: checkpoint stage {stage} (epoch {epoch}) lies past "
                    f"the config's 1 stages\n")
+    assert not out.exists()
+
+
+def _crash_at(monkeypatch, position, before_save=False):
+    """End the next pretrain command with an error at the checkpoint of
+    (stage, epoch) `position`: once it is saved, or, as a crash between the
+    log write and the save leaves things, with it unsaved."""
+    import spectralmae.checkpoint as checkpoint
+
+    save = checkpoint.save_checkpoint
+
+    def crashing(ckpt, path):
+        at = (ckpt.stage, ckpt.epoch) == position
+        if not (at and before_save):
+            save(ckpt, path)
+        if at:
+            raise OSError("interrupted")
+
+    monkeypatch.setattr(checkpoint, "save_checkpoint", crashing)
+
+
+@pytest.mark.parametrize("crash,before_save,torn,resume_from", [
+    ((0, 1), False, False, (0, 1)), ((0, 2), False, False, (0, 2)),
+    (None, False, False, (2, 0)), ((0, 2), True, False, (0, 1)), ((0, 2), True, True, (0, 1))],
+    ids=["mid_stage", "stage_end", "complete", "log_ahead", "log_line_torn"])
+def test_pretrain_resume_reproduces_the_uninterrupted_run(tmp_path, monkeypatch, capsys, crash,
+                                                          before_save, torn, resume_from):
+    config, _ = _two_stage_configs(tmp_path, epochs=2)
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["pretrain", "--config", config, "--out", str(full)]) == 0
+    with monkeypatch.context() as patch:
+        if crash is not None:
+            _crash_at(patch, crash, before_save)
+        assert main(["pretrain", "--config", config, "--out", str(part)]) == (2 if crash else 0)
+    if torn:  # the crash came halfway through writing the last record
+        log = (part / "train_log.jsonl").read_bytes()
+        (part / "train_log.jsonl").write_bytes(log[:len(log) - 20])
+    ckpt = part / ("checkpoint_final.spck" if crash is None else "checkpoint_last.spck")
+    assert (load_checkpoint(ckpt).stage, load_checkpoint(ckpt).epoch) == resume_from
+    capsys.readouterr()
+    assert main(["pretrain", "--config", config, "--out", str(part),
+                 "--resume", str(ckpt)]) == 0
+    if crash is None:
+        assert capsys.readouterr().out == "run already complete\n"
+    for name in ("train_log.jsonl", "checkpoint_last.spck", "checkpoint_final.spck",
+                 "config.resolved.json"):
+        assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_pretrain_resume_drops_the_log_records_it_retrains(tmp_path):
+    """The one-stage run's final checkpoint resumed into the out dir of a
+    finished two-stage run retrains stage 1 and logs it once."""
+    both, first = _two_stage_configs(tmp_path)
+    full, part, one = tmp_path / "full", tmp_path / "part", tmp_path / "one"
+    for config, out in ((both, full), (both, part), (first, one)):
+        assert main(["pretrain", "--config", config, "--out", str(out)]) == 0
+    assert main(["pretrain", "--config", both, "--out", str(part),
+                 "--resume", str(one / "checkpoint_final.spck")]) == 0
+    for name in ("train_log.jsonl", "checkpoint_final.spck"):
+        assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("change,extra,message", [
+    ({"model": {"preset": "tiny", "max_grid": [2, 2, 2], "embed_dim": 32}}, [],
+     "checkpoint model differs from the config's: embed_dim 16 vs 32"),
+    ({}, ["--seed", "9"], "checkpoint rng state (seed, counter) (5, 0) is not the run's (9, 0)"),
+    ({"weight_decay": 0.05}, [],
+     "checkpoint optimizer differs from stage 0's: weight_decay 0.0 vs 0.05"),
+    ({"optimizer": None}, [], "checkpoint at stage 0 epoch 2 holds no moments")],
+    ids=["model", "seed", "weight_decay", "no_moments"])
+def test_pretrain_resume_of_another_run_is_one_error(tmp_path, capsys, change, extra, message):
+    config, mid, _ = _interrupted_pretraining(tmp_path)
+    doc = json.loads(open(config).read())
+    if "model" in change:
+        doc["model"] = change["model"]
+    elif "optimizer" in change:
+        ckpt = load_checkpoint(mid)
+        ckpt.optimizer = None
+        save_checkpoint(ckpt, mid)
+    else:
+        doc["stages"][0].update(change)
+    other = _write_json(tmp_path / "other.json", doc)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["pretrain", "--config", other, "--out", str(out), "--resume", str(mid),
+                 *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -16,8 +16,8 @@ from spectralmae.optim import AdamW, Schedule, lr_at
 from spectralmae.rng import CounterRng
 from spectralmae.tensor import Parameter, ParameterSet
 from spectralmae.tokenizer import SpectralImage, build_mask
-from spectralmae.training import (EpochRecord, PretrainStage, group_loss, make_optimizer,
-                                  pretrain_stage, progressive_pretrain)
+from spectralmae.training import (EpochRecord, PretrainStage, group_loss, pretrain_stage,
+                                  progressive_pretrain)
 
 
 def _smooth_images(count, h, w, d, seed=0):
@@ -284,6 +284,30 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_last.spck"]
 
 
+def test_checkpoint_save_syncs_the_sibling_before_renaming_it(tmp_path, monkeypatch):
+    import os
+
+    model, opt = _model_and_opt()
+    path = tmp_path / "checkpoint_last.spck"
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    save_checkpoint(snapshot_model(model, opt, (1, 0), epoch=1), path)
+    monkeypatch.undo()
+    inode = os.stat(path).st_ino
+    assert calls == [("fsync", inode), ("replace", inode, os.fspath(path))]
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.spck"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -373,6 +397,17 @@ def test_restore_optimizer_shape_mismatch_named(tmp_path):
     with pytest.raises(ShapeError, match="pos.spectral"):
         restore_optimizer(snap, opt)
     assert opt.step_count == 0
+
+
+def test_restore_optimizer_keeps_the_optimizers_hyper_parameters():
+    model, opt = _model_and_opt()  # weight decay 0.01
+    for p in model.parameters():
+        p.grad[:] = 0.001
+    opt.step()
+    snap = snapshot_model(model, opt, (0, 0)).optimizer
+    other = AdamW(model.parameters(), base_lr=2e-3)
+    restore_optimizer(snap, other)
+    assert (other.step_count, other.base_lr, other.weight_decay) == (1, 2e-3, 0.0)
 
 
 def _tensor_extent_offset(data: bytes, name: bytes) -> int:
@@ -484,7 +519,7 @@ def test_pretrain_smoke_single_step_finite():
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(0))
     images = _smooth_images(1, 32, 32, 6, seed=1)
     stage = _stage(images, epochs=1, batch_size=1)
-    records, _ = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(2))
+    records = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(2))
     assert len(records) == 1
     assert np.isfinite(records[0].total)
     for p in model.parameters():
@@ -495,7 +530,7 @@ def test_pretrain_deterministic_traces():
     def run():
         model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(0))
         stage = _stage(_smooth_images(8, 32, 32, 6, seed=5), epochs=3)
-        records, _ = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(7))
+        records = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(7))
         return [(r.token, r.spectral, r.total) for r in records], \
             model.parameters()["patch_embed.weight"].data.copy()
 
@@ -508,7 +543,7 @@ def test_pretrain_deterministic_traces():
 def test_pretrain_loss_decreases():
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(0))
     stage = _stage(_smooth_images(8, 32, 32, 6, seed=11), epochs=10, base_lr=1e-3)
-    records, _ = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(13))
+    records = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(13))
     assert records[-1].total < records[0].total
 
 
@@ -526,31 +561,22 @@ def test_resume_equivalence_bitwise(tmp_path):
     def fresh_model():
         return SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(31))
 
-    # uninterrupted: 4 epochs
-    model_a = fresh_model()
-    stage = _stage(images, epochs=4)
-    records_a, _ = pretrain_stage(model_a, objective, stage, CounterRng(41))
-
-    # interrupted: stop the same 4-epoch run after 2 epochs, checkpoint,
-    # restore into a fresh model, continue
-    model_b = fresh_model()
-    stage_first = _stage(images, epochs=4)
-    _, opt_b = pretrain_stage(model_b, objective, stage_first, CounterRng(41),
-                              end_epoch=2)
+    # uninterrupted: 4 epochs, saving the checkpoint it hands over after epoch 2
     path = tmp_path / "mid.spck"
-    save_checkpoint(snapshot_model(model_b, opt_b, CounterRng(41).state(),
-                                   stage=0, epoch=2, step=0), path)
 
+    def on_epoch(record, checkpoint):
+        if checkpoint.epoch == 2:
+            save_checkpoint(checkpoint, path)
+
+    model_a = fresh_model()
+    stages = [_stage(images, epochs=4)]
+    records_a = progressive_pretrain(model_a, objective, stages, CounterRng(41),
+                                     on_epoch=on_epoch)
+
+    # interrupted after epoch 2: a fresh model resumes from that checkpoint
     model_c = fresh_model()
-    ckpt = load_checkpoint(path)
-    restore_model(ckpt, model_c)
-    stage_rest = _stage(images, epochs=4)
-    opt_c = AdamW(model_c.parameters(), base_lr=stage_rest.base_lr,
-                  weight_decay=stage_rest.weight_decay)
-    restore_optimizer(ckpt.optimizer, opt_c)
-    rng_c = CounterRng(*ckpt.rng_state)
-    records_c, _ = pretrain_stage(model_c, objective, stage_rest, rng_c,
-                                  optimizer=opt_c, start_epoch=ckpt.epoch)
+    records_c = progressive_pretrain(model_c, objective, stages, CounterRng(41),
+                                     resume=load_checkpoint(path))
 
     resumed = [(r.epoch, r.token, r.spectral, r.total) for r in records_c]
     uninterrupted = [(r.epoch, r.token, r.spectral, r.total) for r in records_a[2:]]
@@ -568,8 +594,8 @@ def test_stray_backward_before_pretraining_leaves_the_run_unchanged():
                                  [CounterRng(42), CounterRng(43)])
             loss.backward()
             assert model.parameters()["patch_embed.weight"].grad.any()
-        records, _ = pretrain_stage(model, ObjectiveConfig(),
-                                    _stage(images, epochs=2, batch_size=2), CounterRng(44))
+        records = pretrain_stage(model, ObjectiveConfig(),
+                                 _stage(images, epochs=2, batch_size=2), CounterRng(44))
         return records, {name: p.data.tobytes() for name, p in model.parameters().items()}
 
     assert run(stray=True) == run(stray=False)
@@ -595,7 +621,7 @@ def test_progressive_single_stage_equals_pretrain_stage():
     def run_single():
         model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(4, 4, 2)), CounterRng(2))
         stage = _stage(_smooth_images(4, 32, 32, 6, seed=61), epochs=2, batch_size=2)
-        records, _ = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(3))
+        records = pretrain_stage(model, ObjectiveConfig(), stage, CounterRng(3))
         return records
 
     a = [(r.stage, r.epoch, r.total) for r in run_progressive()]
@@ -690,7 +716,7 @@ def test_pretrain_step_holds_one_group_graph_at_a_time(monkeypatch):
     monkeypatch.setattr("spectralmae.model.MAX_GROUP_ROWS", 1)
     model = SpectralCubeAutoencoder(ModelConfig.tiny(max_grid=(8, 8, 2), p=4), CounterRng(0))
     stage = _stage(_smooth_images(2, 32, 32, 6, seed=93), epochs=1, batch_size=2)
-    optimizer = make_optimizer(model, stage)
+    optimizer = AdamW(model.parameters(), base_lr=stage.base_lr)
     model.parameters().zero_grads()
     tracemalloc.start()
     try:
