@@ -68,8 +68,9 @@ class Checkpoint:
 def _write_tensors(w: Writer, tensors: dict[str, np.ndarray]) -> None:
     w.pack("Q", len(tensors))
     for name, arr in tensors.items():
-        w.string(name, "I")
-        w.pack(f"BB{arr.ndim}Q", arr.dtype.itemsize, arr.ndim, *arr.shape)
+        raw = name.encode("utf-8")  # name length, name, dtype tag, rank and extents in one pack
+        w.pack(f"I{len(raw)}sBB{arr.ndim}Q", len(raw), raw, arr.dtype.itemsize, arr.ndim,
+               *arr.shape)
         w.array(arr)
 
 

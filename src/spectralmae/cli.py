@@ -3,8 +3,10 @@ reconstruction sweeps, and gradient checking.
 
 Every run is deterministic given its config and seed, writes only under
 --out, and drops the fully-resolved configuration beside its outputs so
-a run can be reproduced from its artifacts alone. SPGT_THREADS bounds
-BLAS worker threads (applied before numpy loads).
+a run can be reproduced from its artifacts alone. SPGT_THREADS sets how
+many threads share attention's long slices (default: the usable cores);
+BLAS stays on one thread, set before numpy loads, unless the environment
+sets its own count.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from .schema import field_value, from_doc, read_doc, to_doc
 
 
 def _apply_thread_env() -> None:
-    n = os.environ.get("SPGT_THREADS")
-    if n:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+    """Keep BLAS on one thread unless the environment names a count.
+
+    Parallel work is attention's slice pool, sized by SPGT_THREADS
+    (`tensor._threads`); a BLAS pool inside each of its threads would only
+    compete with it.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h>

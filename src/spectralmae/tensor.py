@@ -9,9 +9,9 @@ first reaches it, and an optimizer binds it to its arena after that.
 
 `backward()` consumes its graph. As the sweep passes an op node it drops
 the node's closure and parent links, so the activations only closures
-hold (attention's scores, GELU's tanh, LayerNorm's normalised rows,
-matmul inputs) are freed during the sweep, and a caller that still holds
-the loss pins nothing. A consumed node keeps its value but not its
+hold (attention's short-slice scores, GELU's tanh, LayerNorm's
+normalised rows, matmul inputs) are freed during the sweep, and a caller
+that still holds the loss pins nothing. A consumed node keeps its value but not its
 history: a second `backward()` through it raises `ConsumedGraphError`.
 Leaves and Parameters are never consumed.
 
@@ -24,7 +24,10 @@ tensor dtype.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -372,18 +375,20 @@ def mean_rows(a: Tensor) -> Tensor:
     return _out(out, (a,), backward)
 
 
-# Score elements one pass of `attention` works on. Short slices are
-# batched whole (image, head) slices up to this budget. The backward walks
-# a longer slice in tiles of whole query rows, so its dS slab is one tile
-# and stays in cache beside the E tile it multiplies. Backward of one
-# 6 x 576 x 576 stack at d_h = 8 (2-core EPYC, 1 MB L2 per core, one BLAS
+# Score elements one pass of `attention` works on. A slice of t² scores
+# within this budget is short: short slices (the encoder, `pretrain-tiny`,
+# fine-tuning) are batched whole (image, head) slices up to it, and the
+# forward keeps their scores E for the backward. A longer slice keeps no
+# scores: each pass computes them in tiles of whole query rows, and the
+# backward recomputes each tile before it uses it, so its dS tile stays in
+# cache beside the E tile it multiplies. Backward of one 6 x 576 x 576
+# stack at d_h = 8 with E kept (2-core EPYC, 1 MB L2 per core, one BLAS
 # thread; median of 30 calls, best of two sweeps), in ms:
 #   rows per tile  576   64    96    128   144   170   192   208   224   256
 #   backward       1.97  1.60  1.40  1.36  1.27  1.33  1.33  1.26  1.87  1.89
 # From 224 rows a dS tile and its E tile no longer share L2. 3 * 2**15
-# scores is 170 rows of 576, inside the fast band. The forward keeps
-# whole-slice chunks: in row tiles it ran within noise of them (7.8 against
-# 8.0 ms for 24 slices of 576).
+# scores is 170 rows of 576, inside the fast band. The tile height also
+# fixes the bits: dV and dK are sums over the tiles.
 _ATTENTION_TILE = 3 << 15
 
 # Score bound under which a long slice skips the row max before `exp`:
@@ -392,25 +397,82 @@ _ATTENTION_TILE = 3 << 15
 # and the margin absorbs the rounding of the bound and of the scores.
 _EXP_SAFE = 20.0
 
+_pool = None  # the slice pool, a ThreadPoolExecutor of _pool_workers threads
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _threads() -> int:
+    """Threads a long attention call spreads its slices over.
+
+    SPGT_THREADS when it is set, else the cores this process may run on.
+    """
+    value = os.environ.get("SPGT_THREADS")
+    if not value:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if not value.strip().isdigit() or int(value) < 1:
+        raise ValueError(f"SPGT_THREADS must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _run_slices(work, count: int) -> None:
+    """Run work(lo, hi) over slices [0, count) in contiguous shares, one per thread.
+
+    The caller runs the first share and a package pool of n - 1 threads the
+    rest, each part in a copy of the caller's context so that numpy's error
+    state (`np.errstate`, a context variable since numpy 2) holds there
+    too. At n = 1 no thread starts. A slice stays on one thread, so its
+    sums keep their order at any n.
+    """
+    global _pool, _pool_workers
+    n = min(_threads(), count)
+    if n == 1:
+        work(0, count)
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait  # 8 ms to import: only on first use
+
+    with _pool_lock:
+        if _pool_workers < n - 1:
+            if _pool is not None:
+                _pool.shutdown(wait=False)  # its queued parts still run
+            _pool, _pool_workers = ThreadPoolExecutor(n - 1, "spectralmae-slices"), n - 1
+        pool = _pool
+    bounds = [count * i // n for i in range(n + 1)]
+    parts = [pool.submit(contextvars.copy_context().run, work, lo, hi)
+             for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        work(0, bounds[1])
+    finally:
+        wait(parts)
+    for part in parts:
+        part.result()
+
 
 def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tensor:
     """Multi-head softmax(Q Kᵀ / sqrt(d_h)) V within each image.
 
     q, k and v are (images * t, d) rows, image by image; the width splits
     into `heads` heads of d_h = d / heads, and so does the (images * t, d)
-    output. The forward keeps one (images * heads, t, t) buffer E: the
-    scores of the pre-scaled Q, exponentiated in place. O = E V / l takes
-    the row sums l from a ones column on V, so P = E / l is never formed.
-    Scores are max-subtracted before `exp`, except in a slice longer than
-    `_ATTENTION_TILE` whose bound max|q_i| · max|k_j| (Cauchy–Schwarz) is
-    at most `_EXP_SAFE`: there raw scores cannot overflow and P is the same.
-    The backward is closed form, with D = rowsum(dO ∘ O) costing t·d_h
-    where rowsum(dP ∘ P) costs t·t, and −D riding the same ones column
-    into the dP product:
+    output. The forward exponentiates the scores of the pre-scaled Q in
+    place, E = exp(Q Kᵀ − m), and O = E V / l takes the row sums l from a
+    ones column on V, so P = E / l is never formed. The row max m is
+    subtracted before `exp`, except in a long slice whose bound
+    max|q_i| · max|k_j| (Cauchy–Schwarz) is at most `_EXP_SAFE`: there raw
+    scores cannot overflow and P is the same. The backward is closed form,
+    with D = rowsum(dO ∘ O) costing t·d_h where rowsum(dP ∘ P) costs t·t,
+    and −D riding the same ones column into the dP product:
         dV = Pᵀ dO,  dS = P ∘ (dO Vᵀ − D),  dQ = s dS K,  dK = s dSᵀ Q.
-    Both passes walk E in chunks of whole (image, head) slices up to
-    `_ATTENTION_TILE` scores. The backward walks a longer slice in tiles
-    of whole query rows: dQ is written per tile, dV and dK are summed.
+    Short slices (t² within `_ATTENTION_TILE`) run in chunks of whole
+    (image, head) slices up to that many scores, and the forward keeps E.
+    A long slice keeps no E, only the scaled Q, K and m beside the V1 and
+    l every call keeps: both passes compute its scores in the same tiles
+    of whole query rows, and the backward recomputes each tile, writing
+    dQ per tile and summing dV and dK over the tiles.
+    Long slices are spread over `_run_slices`'s threads in both passes;
+    each slice stays on one thread, so the bits do not depend on their
+    number.
     """
     _require(q.shape == k.shape == v.shape and q.data.ndim == 2,
              f"attention: q, k, v shapes {q.shape}, {k.shape}, {v.shape} must be equal (rows, d)")
@@ -420,12 +482,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     _require(heads >= 1 and d >= heads and d % heads == 0,
              f"attention: width {d} does not split into {heads} heads")
     t, dh, b = n // images, d // heads, images * heads
-    s = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+    dtype = q.data.dtype
+    s = np.asarray(1.0 / math.sqrt(dh), dtype=dtype)
     long = t * t > _ATTENTION_TILE
     step = max(1, _ATTENTION_TILE // (t * t))
     chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
     rows = max(1, _ATTENTION_TILE // t) if long else t
-    tiles = [(c, slice(lo, lo + rows)) for c in chunks for lo in range(0, t, rows)]
+    tiles = [slice(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
 
     def split(x):  # (images * t, d) -> (images * heads, t, d_h)
         x = x.reshape(images, t, heads, dh).transpose(0, 2, 1, 3)
@@ -436,21 +499,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
         return np.ascontiguousarray(x).reshape(n, d)
 
     qh, kh = split(q.data * s), split(k.data)
+    raw = np.zeros(b, dtype=bool)  # slices that skip the max pass
     if long:  # squared norms; a NaN bound compares false and keeps the max pass
         qn, kn = (np.einsum("btd,btd->bt", x, x).max(axis=-1) for x in (qh, kh))
         raw = qn * kn <= _EXP_SAFE * _EXP_SAFE
+    m = None if raw.all() else np.empty((b, t, 1), dtype=dtype)
     v1 = np.empty((b, t, dh + 1), dtype=v.data.dtype)
     v1[..., :dh] = split(v.data)
     v1[..., dh] = 1.0
-    e = np.empty((b, t, t), dtype=q.data.dtype)
     ol = np.empty_like(v1)
-    for c in chunks:
-        ec = e[c]
-        np.matmul(qh[c], np.swapaxes(kh[c], -1, -2), out=ec)
-        if not (long and raw[c.start]):
-            ec -= ec.max(axis=-1, keepdims=True)
-        np.exp(ec, out=ec)
-        np.matmul(ec, v1[c], out=ol[c])
+
+    def forward(c, e):  # E V1 of the slices c, their scores built in e
+        for r in tiles:
+            np.matmul(qh[c, r], np.swapaxes(kh[c], -1, -2), out=e[:, r])
+        if not raw[c.start]:
+            np.max(e, axis=-1, keepdims=True, out=m[c])
+            e -= m[c]
+        np.exp(e, out=e)
+        np.matmul(e, v1[c], out=ol[c])
+
+    if long:
+        def forward_slices(lo, hi):
+            e = np.empty((1, t, t), dtype=dtype)
+            for i in range(lo, hi):
+                forward(slice(i, i + 1), e)
+
+        _run_slices(forward_slices, b)
+        kept = qh, kh, m
+    else:
+        kept = np.empty((b, t, t), dtype=dtype)
+        for c in chunks:
+            forward(c, kept[c])
     l = ol[..., dh:].copy()
     out = merge(ol[..., :dh] / l)
 
@@ -462,9 +541,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
         dv = np.empty_like(go) if v.requires_grad else None
         if qk:
             gd[..., dh] = -(go * split(out)).sum(axis=-1)
-            qh, kh = split(q.data), split(k.data)  # the forward's copies are not kept
+            qh = split(q.data)  # the forward's Q is scaled
+            kh = kept[1] if long else split(k.data)
             dq, dk = np.empty_like(qh), np.empty_like(kh)
-            slab = np.empty((min(step, b), rows, t), dtype=e.dtype)
 
         def product(dst, x, y, first):  # a slice's first tile writes, later tiles add
             if first:
@@ -472,16 +551,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
             else:
                 dst += x @ y
 
-        for c, r in tiles:
-            et = e[c, r]
+        def tile(c, r, et, ds):  # the four products of one row tile of the slices c
+            first = r.start == 0
             if dv is not None:
-                product(dv[c], np.swapaxes(et, -1, -2), go[c, r], r.start == 0)
+                product(dv[c], np.swapaxes(et, -1, -2), go[c, r], first)
             if qk:
-                ds = slab[:et.shape[0], :et.shape[1]]
                 np.matmul(gd[c, r], np.swapaxes(v1[c], -1, -2), out=ds)
                 ds *= et
                 np.matmul(ds, kh[c], out=dq[c, r])
-                product(dk[c], np.swapaxes(ds, -1, -2), qh[c, r], r.start == 0)
+                product(dk[c], np.swapaxes(ds, -1, -2), qh[c, r], first)
+
+        if long:
+            qs, ks, mx = kept
+
+            def backward_slices(lo, hi):
+                e, ds = (np.empty((1, rows, t), dtype=dtype) for _ in range(2))
+                for i in range(lo, hi):
+                    c = slice(i, i + 1)
+                    for r in tiles:  # recompute the tile's E, as the forward built it
+                        et = e[:, :r.stop - r.start]
+                        np.matmul(qs[c, r], np.swapaxes(ks[c], -1, -2), out=et)
+                        if not raw[i]:
+                            et -= mx[c, r]
+                        np.exp(et, out=et)
+                        tile(c, r, et, ds[:, :r.stop - r.start])
+
+            _run_slices(backward_slices, b)
+        else:
+            slab = np.empty((min(step, b), t, t), dtype=dtype) if qk else None
+            for c in chunks:
+                et = kept[c]
+                tile(c, tiles[0], et, slab[:et.shape[0]] if qk else None)
         if dv is not None:
             v._accumulate(merge(dv), owned=True)
         for x, dx in ((q, dq), (k, dk)) if qk else ():

@@ -979,8 +979,10 @@ def test_gradcheck_eps_out_of_range():
     assert main(["gradcheck", "--eps", "0.5"]) != 0
 
 
-def test_spgt_threads_bounds_blas_threads():
-    # the entry import must leave numpy unloaded so SPGT_THREADS reaches BLAS
+def _threads_after(lines, spgt_threads):
+    """Run `lines` in a fresh interpreter without BLAS thread variables; its
+    last statement stores a JSON-able dict in `result`, returned with the
+    process's thread count at the end."""
     import subprocess
     import sys
 
@@ -988,21 +990,62 @@ def test_spgt_threads_bounds_blas_threads():
         pytest.skip("reads the thread count from /proc")
     script = "\n".join([
         "import json, sys",
-        "from spectralmae.cli import main",
-        "early = 'numpy' in sys.modules",
-        "code = main(['gradcheck', '--eps', '1'])  # loads numpy, then rejects --eps",
+        *lines,
         "threads = [l for l in open('/proc/self/status') if l.startswith('Threads:')]",
-        "print(json.dumps({'early': early, 'code': code, 'numpy': 'numpy' in sys.modules,",
-        "                  'threads': int(threads[0].split()[1])}))",
+        "print(json.dumps({**result, 'threads': int(threads[0].split()[1])}))",
     ])
     blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas_vars}
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env.update(SPGT_THREADS="1", PYTHONPATH=src)
+    env.update(SPGT_THREADS=spgt_threads, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_spgt_threads_bounds_blas_threads():
+    # the entry import must leave numpy unloaded so the CLI's one-thread pin reaches BLAS
+    result = _threads_after([
+        "from spectralmae.cli import main",
+        "early = 'numpy' in sys.modules",
+        "code = main(['gradcheck', '--eps', '1'])  # loads numpy, then rejects --eps",
+        "result = {'early': early, 'code': code, 'numpy': 'numpy' in sys.modules}",
+    ], "1")
     assert result == {"early": False, "code": 2, "numpy": True, "threads": 1}
+
+
+def test_short_slices_start_no_thread_at_two_threads():
+    # gradcheck runs every op, and all its attention slices are short
+    result = _threads_after([
+        "import contextlib, io",
+        "from spectralmae.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    result = {'code': main(['gradcheck'])}",
+    ], "2")
+    assert result == {"code": 0, "threads": 1}
+
+
+def test_pretrain_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
+    # 72 x 72 x 12 images are 324 tokens of the tiny preset, so each
+    # decoder call has two long slices per image
+    import spectralmae.tensor as tensor_mod
+
+    manifest = _synth(tmp_path, task="pretrain", height=72, width=72, bands=12, n_images=4)
+    config = _pretrain_config(tmp_path, manifest, model={"preset": "tiny", "decoder_heads": 2,
+                                                         "max_grid": [9, 9, 4]})
+    calls = []
+    run_slices = tensor_mod._run_slices
+    monkeypatch.setattr(tensor_mod, "_run_slices",
+                        lambda work, count: calls.append(count) or run_slices(work, count))
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPGT_THREADS", threads)
+        out = tmp_path / f"run{threads}"
+        assert main(["pretrain", "--config", config, "--out", str(out)]) == 0
+        runs.append([(out / name).read_bytes() for name in ("train_log.jsonl",
+                                                             "checkpoint_final.spck")])
+    assert calls and min(calls) >= 2
+    assert runs[0] == runs[1]
 
 
 def test_main_keeps_freed_memory_in_the_heap(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -287,7 +289,7 @@ def test_attention_shape_errors(shapes, images, heads):
         T.attention(q, k, v, images, heads)
 
 
-def test_attention_graph_holds_one_score_buffer():
+def test_attention_graph_holds_no_long_score_buffer():
     # the pretrain-mid decoder block: 576 tokens of width 48, 6 heads
     q, k, v = (_qkv(64, 576, 48, dtype=np.float32)[n] for n in "qkv")
     scores_bytes = 6 * 576 * 576 * 4
@@ -299,24 +301,78 @@ def test_attention_graph_holds_one_score_buffer():
     finally:
         tracemalloc.stop()
     assert out._backward is not None
-    assert scores_bytes <= held < 1.25 * scores_bytes
+    assert held < scores_bytes / 8  # the scaled Q, K, V1, row sums and output
 
 
-def test_attention_backward_transient_stays_below_one_slice():
-    # the pretrain-mid decoder block: one 576-token image, 6 heads; dS is one row tile
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_attention_call_peak_stays_below_three_slices(monkeypatch, threads):
+    # the pretrain-mid decoder block: each thread builds one t x t slice in
+    # the forward and one E tile and one dS tile in the backward
+    monkeypatch.setenv("SPGT_THREADS", threads)
     ps = _qkv(64, 576, 48, dtype=np.float32)
     ps.zero_grads()  # the adjoints q, k and v accumulate into are not the transient
-    q, k, v = (ps[n] for n in "qkv")
-    out = T.attention(q, k, v, 1, 6)
-    g = CounterRng(65).normal_array((576, 48)).astype(np.float32)
+    w = T.Tensor(CounterRng(65).normal_array((576, 48)), np.float32)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out._backward(g)
+        T.sum_all(T.mul(w, T.attention(ps["q"], ps["k"], ps["v"], 1, 6))).backward()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 576 * 576 * 4
+    assert peak < 3 * 576 * 576 * 4
+
+
+def _attention_at(monkeypatch, threads, ps, w, images, heads):
+    monkeypatch.setenv("SPGT_THREADS", threads)
+    for p in ps:
+        p.grad = None
+    y = T.attention(ps["q"], ps["k"], ps["v"], images, heads)
+    T.sum_all(T.mul(w, y)).backward()
+    return [y.data] + [ps[n].grad for n in "qkv"]
+
+
+@pytest.mark.parametrize("spread,raw", [(1.0, True), (3.0, False)])
+def test_attention_bits_do_not_depend_on_threads(monkeypatch, spread, raw):
+    # three long slices (b = 3), each in row tiles of 303 and 21; at three
+    # threads, more than this host may have cores, each slice has its own
+    images, heads, t, dh = 3, 1, 324, 4
+    assert t * t > T._ATTENTION_TILE and t % (T._ATTENTION_TILE // t)
+    assert (_score_bounds(images, heads, t, dh, spread) <= T._EXP_SAFE).all() == raw
+    ps = _qkv(60, images * t, heads * dh, spread, dtype=np.float32)
+    w = T.Tensor(CounterRng(61).normal_array((images * t, heads * dh)), np.float32)
+    one = _attention_at(monkeypatch, "1", ps, w, images, heads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads often
+    try:
+        for threads in ("2", "3"):
+            got = _attention_at(monkeypatch, threads, ps, w, images, heads)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in one]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_attention_workers_keep_the_callers_error_state(monkeypatch, threads):
+    # raw scores near 1e4 overflow exp in image 1 only: at two threads its
+    # slice runs in the pool, not in the caller's thread
+    monkeypatch.setenv("SPGT_THREADS", threads)
+    monkeypatch.setattr(T, "_EXP_SAFE", math.inf)
+    images, t = 2, 324
+    ps = _qkv(66, images * t, 2, dtype=np.float32)
+    ps["q"].data[t:] *= 100.0
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        T.attention(ps["q"], ps["k"], ps["v"], images, 1)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")  # numpy's default state would warn
+        y = T.attention(ps["q"], ps["k"], ps["v"], images, 1)
+    assert np.isfinite(y.data[:t]).all() and not np.isfinite(y.data[t:]).all()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+def test_spgt_threads_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("SPGT_THREADS", value)
+    with pytest.raises(ValueError, match="SPGT_THREADS"):
+        T._threads()
 
 
 # ---------------------------------------------------------------- layer norm
