@@ -226,6 +226,7 @@ def cmd_finetune(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         model = SpectralCubeAutoencoder(ckpt.config, rng=None)
         restore_model(ckpt, model)
+        del ckpt  # its file buffer would hold a second copy of the weights through training
     else:
         model = SpectralCubeAutoencoder(_build_model_config(config.model),
                                         CounterRng(cfg.seed))
@@ -256,6 +257,7 @@ def cmd_eval(args) -> int:
     model = SpectralCubeAutoencoder(ckpt.config, rng=None)
     head = make_head(args.task, model, train_man, cfg, unfilled=True)
     restore_into(ckpt.params, combine_params(model.parameters(), head.params))
+    del ckpt  # the restored parameters are the only copy of the weights
     _emit_resolved(args.out, seed=cfg.seed, model=model.config,
                    finetune=to_doc(cfg, ("seed",)), dataset=dataset)
     val = TASKS[args.task].load(val_man, val_man.samples)
@@ -287,6 +289,7 @@ def cmd_reconstruct(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = SpectralCubeAutoencoder(ckpt.config, rng=None)
     restore_model(ckpt, model)
+    del ckpt  # with a pretraining checkpoint, its weights and both Adam moments
     man = load_manifest(args.manifest) if args.manifest else None
     if man is not None:  # the dataset-level scaling and band stats the model was trained with
         band_min, band_max = man.band_min, man.band_max

@@ -32,16 +32,17 @@ INIT_STD = 0.02
 # of images removes per-op dispatch, which dominates small images, but stops
 # paying once an image's own kernels dominate, and it holds every image's
 # activations at once. One pretraining step with AdamW, one BLAS thread,
-# per-image graphs against one graph for the batch (p75 ms of two runs; peak
-# RSS of a process that synthesizes 4 batches and runs `pretrain` on them,
-# one run each, with backward consuming each graph before the next forward):
+# per-image graphs against one graph for the batch. p75 ms of two runs, taken
+# at commit 7ec0dbc. Peak RSS, mean of two runs, of a process that synthesizes
+# 4 batches and runs one epoch of `pretrain` on them (mask ratio 0.9), taken
+# once no closure kept attention scores, GELU's tanh or LayerNorm's rows:
 #
 #   image, model, B          rows/graph  per-image p75  one graph p75  peak RSS MB
-#   16x16x6 tiny, 16                128      28 / 41         6.3 / 7.2  36.1 -> 36.5
-#   32x32x12 d96, 4                 256      93 / 102         53 / 61   77.3 -> 77.0
-#   48x48x12 d96, 4                 576     133 / 139         88 / 87   78.3 -> 91.5
-#   64x64x12 d96, 4                1024     220 / 163        154 / 136  79.9 -> 127.5
-#   96x96x12 d96, 4                2304     449 / 461        428 / 463 120.8 -> 283.6
+#   16x16x6 tiny, 16                128      28 / 41         6.3 / 7.2  37.6 -> 37.3
+#   32x32x12 d96, 4                 256      93 / 102         53 / 61   77.1 -> 77.1
+#   48x48x12 d96, 4                 576     133 / 139         88 / 87   78.4 -> 79.0
+#   64x64x12 d96, 4                1024     220 / 163        154 / 136  80.0 -> 94.4
+#   96x96x12 d96, 4                2304     449 / 461        428 / 463  87.8 -> 141.1
 #
 # Under the cap the 96x96x12 (576-token) image keeps one graph per image.
 MAX_GROUP_ROWS = 512

@@ -7,13 +7,21 @@ routes the output adjoint to the parents. `Parameter` is a named leaf
 tensor; like any leaf its gradient stays `None` until a backward sweep
 first reaches it, and an optimizer binds it to its arena after that.
 
+After the forward, an op's closure holds only node values (its parents'
+and its own, which the graph pins anyway) and per-row vectors. Anything
+larger the backward rebuilds from those values with the forward's own
+numpy calls in the forward's order, so every bit is the same: attention's
+scaled Q, K and V and its scores E, GELU's tanh, LayerNorm's normalised
+rows and log-softmax's probabilities. One 96x96x12 image through the
+`pretrain-mid` model holds 16.0 MB after the forward, 15.1 MB of it node
+values; with those buffers kept it held 24.0 MB.
+
 `backward()` consumes its graph. As the sweep passes an op node it drops
-the node's closure and parent links, so the activations only closures
-hold (attention's short-slice scores, GELU's tanh, LayerNorm's
-normalised rows, matmul inputs) are freed during the sweep, and a caller
-that still holds the loss pins nothing. A consumed node keeps its value but not its
-history: a second `backward()` through it raises `ConsumedGraphError`.
-Leaves and Parameters are never consumed.
+the node's closure and parent links, so what only closures hold (inputs
+that need no gradient, per-row vectors) is freed during the sweep, and a
+caller that still holds the loss pins nothing. A consumed node keeps its
+value but not its history: a second `backward()` through it raises
+`ConsumedGraphError`. Leaves and Parameters are never consumed.
 
 Shape discipline is strict: no implicit broadcasting anywhere. The only
 shape-mixing ops are the explicit ones (`matmul`'s optional row bias,
@@ -377,13 +385,12 @@ def mean_rows(a: Tensor) -> Tensor:
 
 # Score elements one pass of `attention` works on. A slice of t² scores
 # within this budget is short: short slices (the encoder, `pretrain-tiny`,
-# fine-tuning) are batched whole (image, head) slices up to it, and the
-# forward keeps their scores E for the backward. A longer slice keeps no
-# scores: each pass computes them in tiles of whole query rows, and the
-# backward recomputes each tile before it uses it, so its dS tile stays in
-# cache beside the E tile it multiplies. Backward of one 6 x 576 x 576
-# stack at d_h = 8 with E kept (2-core EPYC, 1 MB L2 per core, one BLAS
-# thread; median of 30 calls, best of two sweeps), in ms:
+# fine-tuning) are batched whole (image, head) slices up to it. A longer
+# slice is computed in tiles of whole query rows. No slice keeps its
+# scores: the backward recomputes each chunk or tile before it uses it, so
+# a dS tile stays in cache beside the E tile it multiplies. Backward of
+# one 6 x 576 x 576 stack at d_h = 8 with E kept (2-core EPYC, 1 MB L2
+# per core, one BLAS thread; median of 30 calls, best of two sweeps), in ms:
 #   rows per tile  576   64    96    128   144   170   192   208   224   256
 #   backward       1.97  1.60  1.40  1.36  1.27  1.33  1.33  1.26  1.87  1.89
 # From 224 rows a dS tile and its E tile no longer share L2. 3 * 2**15
@@ -464,12 +471,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     with D = rowsum(dO ∘ O) costing t·d_h where rowsum(dP ∘ P) costs t·t,
     and −D riding the same ones column into the dP product:
         dV = Pᵀ dO,  dS = P ∘ (dO Vᵀ − D),  dQ = s dS K,  dK = s dSᵀ Q.
-    Short slices (t² within `_ATTENTION_TILE`) run in chunks of whole
-    (image, head) slices up to that many scores, and the forward keeps E.
-    A long slice keeps no E, only the scaled Q, K and m beside the V1 and
-    l every call keeps: both passes compute its scores in the same tiles
-    of whole query rows, and the backward recomputes each tile, writing
-    dQ per tile and summing dV and dK over the tiles.
+    The graph keeps no E and no copy of Q, K or V, only the row maxima m
+    and row sums l: the backward rebuilds the scaled Q, K and the ones-
+    columned V1 from q, k and v, and recomputes E with the forward's calls,
+    so it has the forward's bits. Short slices (t² within
+    `_ATTENTION_TILE`) run in chunks of whole (image, head) slices up to
+    that many scores. A long slice runs alone, in tiles of whole query
+    rows that both passes share; the backward writes dQ per tile and sums
+    dV and dK over the tiles.
     Long slices are spread over `_run_slices`'s threads in both passes;
     each slice stays on one thread, so the bits do not depend on their
     number.
@@ -486,9 +495,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     s = np.asarray(1.0 / math.sqrt(dh), dtype=dtype)
     long = t * t > _ATTENTION_TILE
     step = max(1, _ATTENTION_TILE // (t * t))
-    chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
+    chunks = [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
     rows = max(1, _ATTENTION_TILE // t) if long else t
     tiles = [slice(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
+    run = _run_slices if long else lambda work, count: work(0, count)
 
     def split(x):  # (images * t, d) -> (images * heads, t, d_h)
         x = x.reshape(images, t, heads, dh).transpose(0, 2, 1, 3)
@@ -498,42 +508,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
         x = x.reshape(images, heads, t, dh).transpose(0, 2, 1, 3)
         return np.ascontiguousarray(x).reshape(n, d)
 
+    def with_ones(x):  # split(x) with a ones column appended
+        x1 = np.empty((b, t, dh + 1), dtype=x.dtype)
+        x1[..., :dh] = split(x)
+        x1[..., dh] = 1.0
+        return x1
+
     qh, kh = split(q.data * s), split(k.data)
     raw = np.zeros(b, dtype=bool)  # slices that skip the max pass
     if long:  # squared norms; a NaN bound compares false and keeps the max pass
         qn, kn = (np.einsum("btd,btd->bt", x, x).max(axis=-1) for x in (qh, kh))
         raw = qn * kn <= _EXP_SAFE * _EXP_SAFE
     m = None if raw.all() else np.empty((b, t, 1), dtype=dtype)
-    v1 = np.empty((b, t, dh + 1), dtype=v.data.dtype)
-    v1[..., :dh] = split(v.data)
-    v1[..., dh] = 1.0
+    v1 = with_ones(v.data)
     ol = np.empty_like(v1)
 
-    def forward(c, e):  # E V1 of the slices c, their scores built in e
-        for r in tiles:
-            np.matmul(qh[c, r], np.swapaxes(kh[c], -1, -2), out=e[:, r])
-        if not raw[c.start]:
-            np.max(e, axis=-1, keepdims=True, out=m[c])
-            e -= m[c]
-        np.exp(e, out=e)
-        np.matmul(e, v1[c], out=ol[c])
+    def forward_chunks(lo, hi):  # E V1 of chunks [lo, hi), their scores built in e
+        e = np.empty((min(step, b), t, t), dtype=dtype)
+        for c in chunks[lo:hi]:
+            ec = e[:c.stop - c.start]
+            for r in tiles:
+                np.matmul(qh[c, r], np.swapaxes(kh[c], -1, -2), out=ec[:, r])
+            if not raw[c.start]:
+                np.max(ec, axis=-1, keepdims=True, out=m[c])
+                ec -= m[c]
+            np.exp(ec, out=ec)
+            np.matmul(ec, v1[c], out=ol[c])
 
-    if long:
-        def forward_slices(lo, hi):
-            e = np.empty((1, t, t), dtype=dtype)
-            for i in range(lo, hi):
-                forward(slice(i, i + 1), e)
-
-        _run_slices(forward_slices, b)
-        kept = qh, kh, m
-    else:
-        kept = np.empty((b, t, t), dtype=dtype)
-        for c in chunks:
-            forward(c, kept[c])
+    run(forward_chunks, len(chunks))
     l = ol[..., dh:].copy()
     out = merge(ol[..., :dh] / l)
 
     def backward(g):
+        qh, kh, v1 = split(q.data), split(k.data), with_ones(v.data)
+        qs = qh * s  # the forward's scaled Q, elementwise the same products
         gd = np.empty_like(v1)  # [dO / l, -D / l]
         go = gd[..., :dh]
         np.divide(split(g), l, out=go)
@@ -541,8 +549,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
         dv = np.empty_like(go) if v.requires_grad else None
         if qk:
             gd[..., dh] = -(go * split(out)).sum(axis=-1)
-            qh = split(q.data)  # the forward's Q is scaled
-            kh = kept[1] if long else split(k.data)
             dq, dk = np.empty_like(qh), np.empty_like(kh)
 
         def product(dst, x, y, first):  # a slice's first tile writes, later tiles add
@@ -551,37 +557,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
             else:
                 dst += x @ y
 
-        def tile(c, r, et, ds):  # the four products of one row tile of the slices c
-            first = r.start == 0
-            if dv is not None:
-                product(dv[c], np.swapaxes(et, -1, -2), go[c, r], first)
-            if qk:
-                np.matmul(gd[c, r], np.swapaxes(v1[c], -1, -2), out=ds)
-                ds *= et
-                np.matmul(ds, kh[c], out=dq[c, r])
-                product(dk[c], np.swapaxes(ds, -1, -2), qh[c, r], first)
+        def backward_chunks(lo, hi):  # the four products of each row tile of chunks [lo, hi)
+            e = np.empty((min(step, b), rows, t), dtype=dtype)
+            ds = np.empty_like(e) if qk else None
+            for c in chunks[lo:hi]:
+                for r in tiles:  # recompute the tile's E, as the forward built it
+                    et = e[:c.stop - c.start, :r.stop - r.start]
+                    np.matmul(qs[c, r], np.swapaxes(kh[c], -1, -2), out=et)
+                    if not raw[c.start]:
+                        et -= m[c, r]
+                    np.exp(et, out=et)
+                    first = r.start == 0
+                    if dv is not None:
+                        product(dv[c], np.swapaxes(et, -1, -2), go[c, r], first)
+                    if qk:
+                        dst = ds[:et.shape[0], :et.shape[1]]
+                        np.matmul(gd[c, r], np.swapaxes(v1[c], -1, -2), out=dst)
+                        dst *= et
+                        np.matmul(dst, kh[c], out=dq[c, r])
+                        product(dk[c], np.swapaxes(dst, -1, -2), qh[c, r], first)
 
-        if long:
-            qs, ks, mx = kept
-
-            def backward_slices(lo, hi):
-                e, ds = (np.empty((1, rows, t), dtype=dtype) for _ in range(2))
-                for i in range(lo, hi):
-                    c = slice(i, i + 1)
-                    for r in tiles:  # recompute the tile's E, as the forward built it
-                        et = e[:, :r.stop - r.start]
-                        np.matmul(qs[c, r], np.swapaxes(ks[c], -1, -2), out=et)
-                        if not raw[i]:
-                            et -= mx[c, r]
-                        np.exp(et, out=et)
-                        tile(c, r, et, ds[:, :r.stop - r.start])
-
-            _run_slices(backward_slices, b)
-        else:
-            slab = np.empty((min(step, b), t, t), dtype=dtype) if qk else None
-            for c in chunks:
-                et = kept[c]
-                tile(c, tiles[0], et, slab[:et.shape[0]] if qk else None)
+        run(backward_chunks, len(chunks))
         if dv is not None:
             v._accumulate(merge(dv), owned=True)
         for x, dx in ((q, dq), (k, dk)) if qk else ():
@@ -596,10 +592,9 @@ def log_softmax_lastaxis(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
-    sm = np.exp(y)
 
-    def backward(g):
-        a._accumulate(g - sm * g.sum(axis=-1, keepdims=True))
+    def backward(g):  # softmax rebuilt from the output
+        a._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
     return _out(y, (a,), backward)
 
@@ -614,7 +609,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     `mean` does over short rows. The forward centres x in its own dtype
     about the rounded mean, then takes out the float64 remainder c of that
     rounding after the variance: var = mean((x - mu_r)²) - c². So a row
-    whose mean dwarfs its spread keeps full precision.
+    whose mean dwarfs its spread keeps full precision. The graph keeps
+    three numbers per row, mu_r, c and 1 / sqrt(var + eps); the backward
+    rebuilds the normalised rows from x with the forward's calls.
     """
     d = a.shape[-1]
     _require(gain.shape == (d,) and bias.shape == (d,),
@@ -629,7 +626,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     c = mu - mu_r
     var = (xhat * xhat) @ w - c * c
     inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)[:, None]
-    xhat -= c.astype(x.dtype)[:, None]
+    c = c.astype(x.dtype)[:, None]
+    xhat -= c
     xhat *= inv
     y = xhat * gain.data
     y += bias.data
@@ -638,6 +636,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         g = g.reshape(-1, d)
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0, dtype=np.float64).astype(g.dtype))
+        xhat = x - mu_r[:, None]  # the normalised rows, rebuilt as the forward built them
+        xhat -= c
+        xhat *= inv
         if gain.requires_grad:
             gain._accumulate((g * xhat).sum(axis=0, dtype=np.float64).astype(g.dtype))
         if a.requires_grad:
@@ -658,20 +659,17 @@ def gelu(a: Tensor) -> Tensor:
     Both passes work in place in a few buffers, rounding in the order of
     the written formulas (each in-place step only swaps the operands of a
     commutative product or sum), so the bits are those of the formulas.
+    The graph keeps no tanh: the backward rebuilds it from x with the
+    forward's calls (`_gelu_tanh`).
     """
     x = a.data
-    # x * x * x, not x ** 3: numpy sends a float power to powf, ~100x slower
-    u = x * x
-    u *= x
-    u *= _GELU_A
-    u += x
-    u *= _GELU_C
-    t = np.tanh(u)
-    np.add(t, 1.0, out=u)
+    u = _gelu_tanh(x)
+    u += 1.0
     y = x * 0.5
     y *= u  # 0.5 x (1 + t)
 
     def backward(g):
+        t = _gelu_tanh(x)
         s = t * t
         np.subtract(1.0, s, out=s)  # sech²
         h = x * 0.5
@@ -688,6 +686,17 @@ def gelu(a: Tensor) -> Tensor:
         a._accumulate(s, owned=True)
 
     return _out(y, (a,), backward)
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c (x + 0.044715 x^3)) in one fresh buffer, the same bits in both passes."""
+    # x * x * x, not x ** 3: numpy sends a float power to powf, ~100x slower
+    u = x * x
+    u *= x
+    u *= _GELU_A
+    u += x
+    u *= _GELU_C
+    return np.tanh(u, out=u)
 
 
 def abs_val(a: Tensor) -> Tensor:

@@ -345,10 +345,10 @@ def test_progressive_standardized_uses_each_stages_band_stats(tmp_path, monkeypa
 
 # ---------------------------------------------------------------- finetune / eval
 
-def _finetune_config(tmp_path, manifest):
+def _finetune_config(tmp_path, manifest, **model):
     doc = {
         "seed": 11,
-        "model": {"preset": "tiny", "max_grid": [2, 2, 2]},
+        "model": {"preset": "tiny", "max_grid": [2, 2, 2], **model},
         "finetune": {"epochs": 2, "batch_size": 4, "lr": 1e-3, "hidden": 16},
         "dataset": {"manifest": str(manifest)},
     }
@@ -879,6 +879,34 @@ def test_checkpoint_parameter_mismatch_is_one_error_line(tmp_path, capsys, site,
     assert repr(name) in err
 
 
+@pytest.mark.parametrize("site", ["finetune", "eval", "reconstruct"])
+def test_restoring_command_releases_the_checkpoint(tmp_path, monkeypatch, site):
+    # once restored, the model's parameters are the only copy of the weights
+    # the command holds while it trains or runs its forwards
+    import weakref
+
+    import spectralmae.checkpoint as checkpoint
+    import spectralmae.tensor as tensor_mod
+
+    argv, _ = _restoring_command(tmp_path, site)
+    load, attention = checkpoint.load_checkpoint, tensor_mod.attention
+    loaded, alive = [], []
+
+    def load_and_watch(path):
+        ckpt = load(path)
+        loaded.extend([weakref.ref(ckpt), weakref.ref(next(iter(ckpt.params.values())))])
+        return ckpt
+
+    def watched_attention(*args):
+        alive.extend(ref() is not None for ref in loaded)
+        return attention(*args)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", load_and_watch)
+    monkeypatch.setattr(tensor_mod, "attention", watched_attention)
+    assert main(argv) == 0
+    assert len(loaded) == 2 and alive and not any(alive)
+
+
 # ---------------------------------------------------------------- gradcheck
 
 def test_gradcheck_default_passes(capsys):
@@ -1044,6 +1072,32 @@ def test_pretrain_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
         assert main(["pretrain", "--config", config, "--out", str(out)]) == 0
         runs.append([(out / name).read_bytes() for name in ("train_log.jsonl",
                                                              "checkpoint_final.spck")])
+    assert calls and min(calls) >= 2
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("task", ["classify", "segment", "change"])
+def test_finetune_and_eval_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, task):
+    # 72 x 72 x 12 images are 324 tokens of the tiny preset, all of them
+    # visible, so every encoder call in training and evaluation has long slices
+    import spectralmae.tensor as tensor_mod
+
+    manifest = _synth(tmp_path, task=task, height=72, width=72, bands=12, n_images=6)
+    config = _finetune_config(tmp_path, manifest, max_grid=[9, 9, 4])
+    calls = []
+    run_slices = tensor_mod._run_slices
+    monkeypatch.setattr(tensor_mod, "_run_slices",
+                        lambda work, count: calls.append(count) or run_slices(work, count))
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPGT_THREADS", threads)
+        ft, ev = tmp_path / f"ft{threads}", tmp_path / f"ev{threads}"
+        args = ["--task", task, "--config", config]
+        assert main(["finetune", *args, "--out", str(ft)]) == 0
+        assert main(["eval", *args, "--checkpoint", str(ft / "checkpoint_finetuned.spck"),
+                     "--out", str(ev)]) == 0
+        runs.append([(ft / "checkpoint_finetuned.spck").read_bytes(),
+                     (ft / "metrics.json").read_bytes(), (ev / "metrics.json").read_bytes()])
     assert calls and min(calls) >= 2
     assert runs[0] == runs[1]
 

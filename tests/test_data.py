@@ -3,7 +3,6 @@ import json
 import os
 import re
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,8 @@ from spectralmae.raster import normalize_bands, read_raster, resample_bilinear, 
 from spectralmae.rng import CounterRng
 from spectralmae.synthetic import SyntheticSpec, generate_synthetic
 from spectralmae.tokenizer import SpectralImage
+
+from memtrace import traced_memory
 
 
 def _image(h, w, d, seed=0):
@@ -168,13 +169,9 @@ def test_load_copies_the_file_once_into_writable_arrays(tmp_path, kind):
     else:
         write_raster(_image(64, 64, 12, seed=2), path)
         load = lambda: [read_raster(path).values]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as read:
         arrays = load()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+        _, peak = read()
     assert peak < 1.2 * path.stat().st_size  # the file buffer, not also a copy of each payload
     assert all(arr.flags.writeable for arr in arrays)
 

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 import warnings
 import weakref
 
@@ -11,6 +10,8 @@ from spectralmae import tensor as T
 from spectralmae.errors import ConsumedGraphError, ShapeError
 from spectralmae.gradcheck import grad_check
 from spectralmae.rng import CounterRng
+
+from memtrace import traced_memory
 
 
 def _param_set(**arrays):
@@ -293,15 +294,40 @@ def test_attention_graph_holds_no_long_score_buffer():
     # the pretrain-mid decoder block: 576 tokens of width 48, 6 heads
     q, k, v = (_qkv(64, 576, 48, dtype=np.float32)[n] for n in "qkv")
     scores_bytes = 6 * 576 * 576 * 4
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as read:
         out = T.attention(q, k, v, 1, 6)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        held, _ = read()
     assert out._backward is not None
-    assert held < scores_bytes / 8  # the scaled Q, K, V1, row sums and output
+    assert held < scores_bytes / 8  # the output, row sums and row maxima
+
+
+def test_attention_graph_holds_no_short_score_buffer():
+    # an encoder block of the d=96 models: 58 tokens of width 96, 12 heads
+    q, k, v = (_qkv(67, 58, 96, dtype=np.float32)[n] for n in "qkv")
+    with traced_memory() as read:
+        out = T.attention(q, k, v, 1, 12)
+        held, _ = read()
+    assert out._backward is not None
+    assert held - out.data.nbytes < 12 * 58 * 58 * 4 / 8  # row sums and row maxima
+
+
+def test_gelu_graph_holds_no_tanh_buffer():
+    ps = _param_set(x=CounterRng(68).normal_array((576, 192)).astype(np.float32))
+    with traced_memory() as read:
+        y = T.gelu(ps["x"])
+        held, _ = read()
+    assert y._backward is not None
+    assert held - y.data.nbytes < y.data.nbytes / 8
+
+
+def test_layer_norm_graph_holds_no_normalised_rows():
+    ps = _param_set(x=CounterRng(69).normal_array((576, 96)).astype(np.float32),
+                    g=np.ones(96, np.float32), b=np.zeros(96, np.float32))
+    with traced_memory() as read:
+        y = T.layer_norm(ps["x"], ps["g"], ps["b"])
+        held, _ = read()
+    assert y._backward is not None
+    assert held - y.data.nbytes < y.data.nbytes / 8  # three float32 numbers per row
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -312,13 +338,9 @@ def test_attention_call_peak_stays_below_three_slices(monkeypatch, threads):
     ps = _qkv(64, 576, 48, dtype=np.float32)
     ps.zero_grads()  # the adjoints q, k and v accumulate into are not the transient
     w = T.Tensor(CounterRng(65).normal_array((576, 48)), np.float32)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as read:
         T.sum_all(T.mul(w, T.attention(ps["q"], ps["k"], ps["v"], 1, 6))).backward()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+        _, peak = read()
     assert peak < 3 * 576 * 576 * 4
 
 
