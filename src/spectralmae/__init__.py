@@ -9,8 +9,7 @@ generator so everything is testable without satellite archives.
 
 The names below load on first use (PEP 562), so importing the package, as
 the `spectralmae` command does, does not load numpy: the CLI pins BLAS to
-one thread first. SPGT_THREADS sizes the thread pool that attention
-spreads its long (image, head) slices over.
+one thread first.
 """
 
 import importlib

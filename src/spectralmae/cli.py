@@ -3,10 +3,9 @@ reconstruction sweeps, and gradient checking.
 
 Every run is deterministic given its config and seed, writes only under
 --out, and drops the fully-resolved configuration beside its outputs so
-a run can be reproduced from its artifacts alone. SPGT_THREADS sets how
-many threads share attention's long slices (default: the usable cores);
-BLAS stays on one thread, set before numpy loads, unless the environment
-sets its own count.
+a run can be reproduced from its artifacts alone. The package runs on
+one thread: BLAS is pinned to one, set before numpy loads, unless the
+environment sets its own count.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from .schema import field_value, from_doc, read_doc, to_doc
 def _apply_thread_env() -> None:
     """Keep BLAS on one thread unless the environment names a count.
 
-    Parallel work is attention's slice pool, sized by SPGT_THREADS
-    (`tensor._threads`); a BLAS pool inside each of its threads would only
-    compete with it.
+    With OpenBLAS's default of one thread per core, the small GEMMs of a
+    step split across threads and sometimes wait milliseconds for the
+    second one.
     """
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
@@ -148,7 +147,7 @@ def cmd_pretrain(args) -> int:
     from .model import SpectralCubeAutoencoder
     from .objective import ObjectiveConfig
     from .rng import CounterRng
-    from .training import final_checkpoint, progressive_pretrain, resume_point
+    from .training import Start, final_checkpoint, progressive_pretrain, restore_run
 
     config = read_doc(_Run, args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -160,28 +159,32 @@ def cmd_pretrain(args) -> int:
     stages, stage_docs = zip(*(_load_stage(doc, base_dir) for doc in config.stages))
 
     rng = CounterRng(seed)
-    resume = load_checkpoint(args.resume) if args.resume else None
-    if resume is None:
-        model = SpectralCubeAutoencoder(model_cfg, CounterRng(seed))
-    else:
-        start = resume_point(model_cfg, stages, rng, resume)
-        if start is None:
+    if args.resume:
+        checkpoint = load_checkpoint(args.resume)
+        # the config's model at the checkpoint's grid, so the restore checks the config
+        model = SpectralCubeAutoencoder(replace(model_cfg, max_grid=checkpoint.config.max_grid),
+                                        rng=None)
+        start = restore_run(checkpoint, model, stages, rng)
+        del checkpoint  # the model and start.optimizer hold all the run needs
+        if start.stage == len(stages):
             print("run already complete")
             return 0
-        model = SpectralCubeAutoencoder(resume.config, rng=None)
+    else:
+        model, start = SpectralCubeAutoencoder(model_cfg, CounterRng(seed)), Start()
     _emit_resolved(args.out, seed=seed, model=model_cfg, objective=objective,
                    stages=stage_docs)
 
     log_path = os.path.join(args.out, "train_log.jsonl")
-    if resume is not None and os.path.exists(log_path):
-        _truncate_log(log_path, start)  # records a crash or a longer run left past it
-    with open(log_path, "a" if resume else "w", encoding="utf-8") as log:
+    if args.resume and os.path.exists(log_path):
+        # records a crash or a longer run left past the start
+        _truncate_log(log_path, (start.stage, start.epoch))
+    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log:
         def on_epoch(record, checkpoint):
             log.write(record.to_json() + "\n")
             log.flush()
             save_checkpoint(checkpoint, os.path.join(args.out, "checkpoint_last.spck"))
 
-        progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch, resume=resume)
+        progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch, resume=start)
     save_checkpoint(final_checkpoint(model, stages, rng),
                     os.path.join(args.out, "checkpoint_final.spck"))
     print(os.path.join(args.out, "checkpoint_final.spck"))

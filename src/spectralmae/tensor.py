@@ -32,10 +32,7 @@ tensor dtype.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -133,27 +130,6 @@ class Tensor:
             node._backward, node._parents = _consumed, ()
             if node is not self:
                 node.grad = None  # interior adjoints are transient
-
-    # operator sugar; all strict-shape
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -404,59 +380,6 @@ _ATTENTION_TILE = 3 << 15
 # and the margin absorbs the rounding of the bound and of the scores.
 _EXP_SAFE = 20.0
 
-_pool = None  # the slice pool, a ThreadPoolExecutor of _pool_workers threads
-_pool_workers = 0
-_pool_lock = threading.Lock()
-
-
-def _threads() -> int:
-    """Threads a long attention call spreads its slices over.
-
-    SPGT_THREADS when it is set, else the cores this process may run on.
-    """
-    value = os.environ.get("SPGT_THREADS")
-    if not value:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not value.strip().isdigit() or int(value) < 1:
-        raise ValueError(f"SPGT_THREADS must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _run_slices(work, count: int) -> None:
-    """Run work(lo, hi) over slices [0, count) in contiguous shares, one per thread.
-
-    The caller runs the first share and a package pool of n - 1 threads the
-    rest, each part in a copy of the caller's context so that numpy's error
-    state (`np.errstate`, a context variable since numpy 2) holds there
-    too. At n = 1 no thread starts. A slice stays on one thread, so its
-    sums keep their order at any n.
-    """
-    global _pool, _pool_workers
-    n = min(_threads(), count)
-    if n == 1:
-        work(0, count)
-        return
-    from concurrent.futures import ThreadPoolExecutor, wait  # 8 ms to import: only on first use
-
-    with _pool_lock:
-        if _pool_workers < n - 1:
-            if _pool is not None:
-                _pool.shutdown(wait=False)  # its queued parts still run
-            _pool, _pool_workers = ThreadPoolExecutor(n - 1, "spectralmae-slices"), n - 1
-        pool = _pool
-    bounds = [count * i // n for i in range(n + 1)]
-    parts = [pool.submit(contextvars.copy_context().run, work, lo, hi)
-             for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        work(0, bounds[1])
-    finally:
-        wait(parts)
-    for part in parts:
-        part.result()
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tensor:
     """Multi-head softmax(Q Kᵀ / sqrt(d_h)) V within each image.
 
@@ -478,10 +401,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     `_ATTENTION_TILE`) run in chunks of whole (image, head) slices up to
     that many scores. A long slice runs alone, in tiles of whole query
     rows that both passes share; the backward writes dQ per tile and sums
-    dV and dK over the tiles.
-    Long slices are spread over `_run_slices`'s threads in both passes;
-    each slice stays on one thread, so the bits do not depend on their
-    number.
+    dV and dK over the tiles. Both passes run on the calling thread: a pool
+    that spread long slices over threads was no faster end to end and held
+    one score buffer per thread.
     """
     _require(q.shape == k.shape == v.shape and q.data.ndim == 2,
              f"attention: q, k, v shapes {q.shape}, {k.shape}, {v.shape} must be equal (rows, d)")
@@ -498,7 +420,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     chunks = [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
     rows = max(1, _ATTENTION_TILE // t) if long else t
     tiles = [slice(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
-    run = _run_slices if long else lambda work, count: work(0, count)
 
     def split(x):  # (images * t, d) -> (images * heads, t, d_h)
         x = x.reshape(images, t, heads, dh).transpose(0, 2, 1, 3)
@@ -523,19 +444,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     v1 = with_ones(v.data)
     ol = np.empty_like(v1)
 
-    def forward_chunks(lo, hi):  # E V1 of chunks [lo, hi), their scores built in e
-        e = np.empty((min(step, b), t, t), dtype=dtype)
-        for c in chunks[lo:hi]:
-            ec = e[:c.stop - c.start]
-            for r in tiles:
-                np.matmul(qh[c, r], np.swapaxes(kh[c], -1, -2), out=ec[:, r])
-            if not raw[c.start]:
-                np.max(ec, axis=-1, keepdims=True, out=m[c])
-                ec -= m[c]
-            np.exp(ec, out=ec)
-            np.matmul(ec, v1[c], out=ol[c])
-
-    run(forward_chunks, len(chunks))
+    e = np.empty((min(step, b), t, t), dtype=dtype)  # a chunk's scores
+    for c in chunks:  # E V1 of each chunk
+        ec = e[:c.stop - c.start]
+        for r in tiles:
+            np.matmul(qh[c, r], np.swapaxes(kh[c], -1, -2), out=ec[:, r])
+        if not raw[c.start]:
+            np.max(ec, axis=-1, keepdims=True, out=m[c])
+            ec -= m[c]
+        np.exp(ec, out=ec)
+        np.matmul(ec, v1[c], out=ol[c])
     l = ol[..., dh:].copy()
     out = merge(ol[..., :dh] / l)
 
@@ -557,27 +475,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
             else:
                 dst += x @ y
 
-        def backward_chunks(lo, hi):  # the four products of each row tile of chunks [lo, hi)
-            e = np.empty((min(step, b), rows, t), dtype=dtype)
-            ds = np.empty_like(e) if qk else None
-            for c in chunks[lo:hi]:
-                for r in tiles:  # recompute the tile's E, as the forward built it
-                    et = e[:c.stop - c.start, :r.stop - r.start]
-                    np.matmul(qs[c, r], np.swapaxes(kh[c], -1, -2), out=et)
-                    if not raw[c.start]:
-                        et -= m[c, r]
-                    np.exp(et, out=et)
-                    first = r.start == 0
-                    if dv is not None:
-                        product(dv[c], np.swapaxes(et, -1, -2), go[c, r], first)
-                    if qk:
-                        dst = ds[:et.shape[0], :et.shape[1]]
-                        np.matmul(gd[c, r], np.swapaxes(v1[c], -1, -2), out=dst)
-                        dst *= et
-                        np.matmul(dst, kh[c], out=dq[c, r])
-                        product(dk[c], np.swapaxes(dst, -1, -2), qh[c, r], first)
-
-        run(backward_chunks, len(chunks))
+        e = np.empty((min(step, b), rows, t), dtype=dtype)  # a row tile's E
+        ds = np.empty_like(e) if qk else None
+        for c in chunks:  # the four products of each row tile
+            for r in tiles:  # recompute the tile's E, as the forward built it
+                et = e[:c.stop - c.start, :r.stop - r.start]
+                np.matmul(qs[c, r], np.swapaxes(kh[c], -1, -2), out=et)
+                if not raw[c.start]:
+                    et -= m[c, r]
+                np.exp(et, out=et)
+                first = r.start == 0
+                if dv is not None:
+                    product(dv[c], np.swapaxes(et, -1, -2), go[c, r], first)
+                if qk:
+                    dst = ds[:et.shape[0], :et.shape[1]]
+                    np.matmul(gd[c, r], np.swapaxes(v1[c], -1, -2), out=dst)
+                    dst *= et
+                    np.matmul(dst, kh[c], out=dq[c, r])
+                    product(dk[c], np.swapaxes(dst, -1, -2), qh[c, r], first)
         if dv is not None:
             v._accumulate(merge(dv), owned=True)
         for x, dx in ((q, dq), (k, dk)) if qk else ():

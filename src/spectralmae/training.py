@@ -8,11 +8,11 @@ a run is fully determined by (seed, config, data). This module also owns
 a run's position. The checkpoint handed to `on_epoch` after each epoch
 records (stage, epochs done in it), and `final_checkpoint` records the
 end of the run. `resume_point` says where a checkpoint continues, and
-`progressive_pretrain(..., resume=checkpoint)` continues there: it
-restores the weights, and mid-stage the moments, so a resumed run
-reproduces the uninterrupted one bitwise. A checkpoint of another model,
-seed or optimizer setting is refused rather than trained under this
-run's config.
+`restore_run` restores it there: the weights, and mid-stage the moments.
+`progressive_pretrain` resumed from it reproduces the uninterrupted run
+bitwise, and no copy of the checkpoint stays alive while it trains. A
+checkpoint of another model, seed or optimizer setting is refused rather
+than trained under this run's config.
 """
 
 from __future__ import annotations
@@ -205,28 +205,53 @@ def final_checkpoint(model: SpectralCubeAutoencoder, stages: list[PretrainStage]
     return snapshot_model(model, None, rng.state(), stage=len(stages), epoch=0)
 
 
+@dataclass
+class Start:
+    """Where a run's training starts: a stage, the epochs already done in it
+    and, part-way through it, the optimizer holding that stage's moments."""
+    stage: int = 0
+    epoch: int = 0
+    optimizer: AdamW | None = None
+
+
+def restore_run(checkpoint: Checkpoint, model: SpectralCubeAutoencoder,
+                stages: list[PretrainStage], rng: CounterRng) -> Start:
+    """Restore `checkpoint` into a model of its shape and say where the run continues.
+
+    The weights go into `model`. Part-way through a stage its positional
+    tables take the stage's size and a new optimizer takes the saved
+    moments, so the `Start` holds all the run needs and the checkpoint
+    can be dropped. A finished run starts at (len(stages), 0).
+    """
+    stage, epoch = resume_point(model.config, stages, rng, checkpoint) or (len(stages), 0)
+    restore_model(checkpoint, model)
+    optimizer = None
+    if epoch:
+        model.resize_pos_tables(stage_grid(stages[stage], model))
+        optimizer = _make_optimizer(model.parameters(), stages[stage])
+        restore_optimizer(checkpoint.optimizer, optimizer)
+    return Start(stage, epoch, optimizer)
+
+
 def progressive_pretrain(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
                          stages: list[PretrainStage], rng: CounterRng, on_epoch=None,
-                         resume: Checkpoint | None = None) -> list[EpochRecord]:
+                         resume: Checkpoint | Start | None = None) -> list[EpochRecord]:
     """Run stages in order: weights carry over, positional tables resize,
-    optimizer moments reset at each boundary. A model of `resume`'s shape
-    continues from its `resume_point` with its weights, and part-way
-    through a stage with its moments; only the epochs run here come back."""
-    start_stage, start_epoch = 0, 0
-    if resume is not None:
-        start_stage, start_epoch = (resume_point(model.config, stages, rng, resume)
-                                    or (len(stages), 0))
-        restore_model(resume, model)
+    optimizer moments reset at each boundary. `resume` continues a run: a
+    checkpoint is restored into the model (`restore_run`) and then dropped;
+    a `Start` is one already restored, and its optimizer is taken out of it.
+    Only the epochs run here come back."""
+    if isinstance(resume, Checkpoint):  # rebinding drops this frame's hold on it
+        resume = restore_run(resume, model, stages, rng)
+    start = resume or Start()
+    optimizer, start.optimizer = start.optimizer, None  # so no Start pins it past its stage
     records: list[EpochRecord] = []
-    for stage_index in range(start_stage, len(stages)):
+    for stage_index in range(start.stage, len(stages)):
         stage = stages[stage_index]
         model.resize_pos_tables(stage_grid(stage, model))
-        first_epoch = start_epoch if stage_index == start_stage else 0
-        optimizer = None
-        if first_epoch:
-            optimizer = _make_optimizer(model.parameters(), stage)
-            restore_optimizer(resume.optimizer, optimizer)
+        first_epoch = start.epoch if stage_index == start.stage else 0
         records.extend(pretrain_stage(
             model, objective, stage, rng, stage_index=stage_index, optimizer=optimizer,
             start_epoch=first_epoch, on_epoch=on_epoch))
+        optimizer = None
     return records

@@ -879,10 +879,11 @@ def test_checkpoint_parameter_mismatch_is_one_error_line(tmp_path, capsys, site,
     assert repr(name) in err
 
 
-@pytest.mark.parametrize("site", ["finetune", "eval", "reconstruct"])
+@pytest.mark.parametrize("site", RESTORING)
 def test_restoring_command_releases_the_checkpoint(tmp_path, monkeypatch, site):
-    # once restored, the model's parameters are the only copy of the weights
-    # the command holds while it trains or runs its forwards
+    # once restored, the model's parameters (and a resumed run's optimizer)
+    # are the only copy of the weights (and moments) the command holds while
+    # it trains or runs its forwards
     import weakref
 
     import spectralmae.checkpoint as checkpoint
@@ -895,6 +896,8 @@ def test_restoring_command_releases_the_checkpoint(tmp_path, monkeypatch, site):
     def load_and_watch(path):
         ckpt = load(path)
         loaded.extend([weakref.ref(ckpt), weakref.ref(next(iter(ckpt.params.values())))])
+        if ckpt.optimizer is not None:  # the resume is part-way through a stage
+            loaded.append(weakref.ref(next(iter(ckpt.optimizer.m.values()))))
         return ckpt
 
     def watched_attention(*args):
@@ -904,7 +907,7 @@ def test_restoring_command_releases_the_checkpoint(tmp_path, monkeypatch, site):
     monkeypatch.setattr(checkpoint, "load_checkpoint", load_and_watch)
     monkeypatch.setattr(tensor_mod, "attention", watched_attention)
     assert main(argv) == 0
-    assert len(loaded) == 2 and alive and not any(alive)
+    assert len(loaded) == (3 if site == "resume" else 2) and alive and not any(alive)
 
 
 # ---------------------------------------------------------------- gradcheck
@@ -1007,7 +1010,7 @@ def test_gradcheck_eps_out_of_range():
     assert main(["gradcheck", "--eps", "0.5"]) != 0
 
 
-def _threads_after(lines, spgt_threads):
+def _threads_after(lines):
     """Run `lines` in a fresh interpreter without BLAS thread variables; its
     last statement stores a JSON-able dict in `result`, returned with the
     process's thread count at the end."""
@@ -1025,81 +1028,37 @@ def _threads_after(lines, spgt_threads):
     blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas_vars}
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env.update(SPGT_THREADS=spgt_threads, PYTHONPATH=src)
+    env.update(PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def test_spgt_threads_bounds_blas_threads():
+def test_cli_pins_blas_to_one_thread():
     # the entry import must leave numpy unloaded so the CLI's one-thread pin reaches BLAS
     result = _threads_after([
         "from spectralmae.cli import main",
         "early = 'numpy' in sys.modules",
         "code = main(['gradcheck', '--eps', '1'])  # loads numpy, then rejects --eps",
         "result = {'early': early, 'code': code, 'numpy': 'numpy' in sys.modules}",
-    ], "1")
+    ])
     assert result == {"early": False, "code": 2, "numpy": True, "threads": 1}
 
 
-def test_short_slices_start_no_thread_at_two_threads():
-    # gradcheck runs every op, and all its attention slices are short
+def test_long_slice_pretrain_starts_no_thread(tmp_path):
+    # 72 x 72 x 12 images are 324 tokens of the tiny preset, so each
+    # decoder call has two long slices per image
+    manifest = _synth(tmp_path, task="pretrain", height=72, width=72, bands=12, n_images=4)
+    config = _pretrain_config(tmp_path, manifest, model={"preset": "tiny", "decoder_heads": 2,
+                                                         "max_grid": [9, 9, 4]})
+    argv = ["pretrain", "--config", config, "--out", str(tmp_path / "run")]
     result = _threads_after([
         "import contextlib, io",
         "from spectralmae.cli import main",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    result = {'code': main(['gradcheck'])}",
-    ], "2")
+        f"    result = {{'code': main({argv!r})}}",
+    ])
     assert result == {"code": 0, "threads": 1}
-
-
-def test_pretrain_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # 72 x 72 x 12 images are 324 tokens of the tiny preset, so each
-    # decoder call has two long slices per image
-    import spectralmae.tensor as tensor_mod
-
-    manifest = _synth(tmp_path, task="pretrain", height=72, width=72, bands=12, n_images=4)
-    config = _pretrain_config(tmp_path, manifest, model={"preset": "tiny", "decoder_heads": 2,
-                                                         "max_grid": [9, 9, 4]})
-    calls = []
-    run_slices = tensor_mod._run_slices
-    monkeypatch.setattr(tensor_mod, "_run_slices",
-                        lambda work, count: calls.append(count) or run_slices(work, count))
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SPGT_THREADS", threads)
-        out = tmp_path / f"run{threads}"
-        assert main(["pretrain", "--config", config, "--out", str(out)]) == 0
-        runs.append([(out / name).read_bytes() for name in ("train_log.jsonl",
-                                                             "checkpoint_final.spck")])
-    assert calls and min(calls) >= 2
-    assert runs[0] == runs[1]
-
-
-@pytest.mark.parametrize("task", ["classify", "segment", "change"])
-def test_finetune_and_eval_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, task):
-    # 72 x 72 x 12 images are 324 tokens of the tiny preset, all of them
-    # visible, so every encoder call in training and evaluation has long slices
-    import spectralmae.tensor as tensor_mod
-
-    manifest = _synth(tmp_path, task=task, height=72, width=72, bands=12, n_images=6)
-    config = _finetune_config(tmp_path, manifest, max_grid=[9, 9, 4])
-    calls = []
-    run_slices = tensor_mod._run_slices
-    monkeypatch.setattr(tensor_mod, "_run_slices",
-                        lambda work, count: calls.append(count) or run_slices(work, count))
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SPGT_THREADS", threads)
-        ft, ev = tmp_path / f"ft{threads}", tmp_path / f"ev{threads}"
-        args = ["--task", task, "--config", config]
-        assert main(["finetune", *args, "--out", str(ft)]) == 0
-        assert main(["eval", *args, "--checkpoint", str(ft / "checkpoint_finetuned.spck"),
-                     "--out", str(ev)]) == 0
-        runs.append([(ft / "checkpoint_finetuned.spck").read_bytes(),
-                     (ft / "metrics.json").read_bytes(), (ev / "metrics.json").read_bytes()])
-    assert calls and min(calls) >= 2
-    assert runs[0] == runs[1]
 
 
 def test_main_keeps_freed_memory_in_the_heap(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 import weakref
 
@@ -330,54 +329,20 @@ def test_layer_norm_graph_holds_no_normalised_rows():
     assert held - y.data.nbytes < y.data.nbytes / 8  # three float32 numbers per row
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_attention_call_peak_stays_below_three_slices(monkeypatch, threads):
-    # the pretrain-mid decoder block: each thread builds one t x t slice in
-    # the forward and one E tile and one dS tile in the backward
-    monkeypatch.setenv("SPGT_THREADS", threads)
+def test_attention_call_peak_stays_below_two_slices():
+    # the pretrain-mid decoder block: one t x t slice in the forward, one E
+    # tile and one dS tile in the backward
     ps = _qkv(64, 576, 48, dtype=np.float32)
     ps.zero_grads()  # the adjoints q, k and v accumulate into are not the transient
     w = T.Tensor(CounterRng(65).normal_array((576, 48)), np.float32)
     with traced_memory() as read:
         T.sum_all(T.mul(w, T.attention(ps["q"], ps["k"], ps["v"], 1, 6))).backward()
         _, peak = read()
-    assert peak < 3 * 576 * 576 * 4
+    assert peak < 2 * 576 * 576 * 4
 
 
-def _attention_at(monkeypatch, threads, ps, w, images, heads):
-    monkeypatch.setenv("SPGT_THREADS", threads)
-    for p in ps:
-        p.grad = None
-    y = T.attention(ps["q"], ps["k"], ps["v"], images, heads)
-    T.sum_all(T.mul(w, y)).backward()
-    return [y.data] + [ps[n].grad for n in "qkv"]
-
-
-@pytest.mark.parametrize("spread,raw", [(1.0, True), (3.0, False)])
-def test_attention_bits_do_not_depend_on_threads(monkeypatch, spread, raw):
-    # three long slices (b = 3), each in row tiles of 303 and 21; at three
-    # threads, more than this host may have cores, each slice has its own
-    images, heads, t, dh = 3, 1, 324, 4
-    assert t * t > T._ATTENTION_TILE and t % (T._ATTENTION_TILE // t)
-    assert (_score_bounds(images, heads, t, dh, spread) <= T._EXP_SAFE).all() == raw
-    ps = _qkv(60, images * t, heads * dh, spread, dtype=np.float32)
-    w = T.Tensor(CounterRng(61).normal_array((images * t, heads * dh)), np.float32)
-    one = _attention_at(monkeypatch, "1", ps, w, images, heads)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads often
-    try:
-        for threads in ("2", "3"):
-            got = _attention_at(monkeypatch, threads, ps, w, images, heads)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in one]
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_attention_workers_keep_the_callers_error_state(monkeypatch, threads):
-    # raw scores near 1e4 overflow exp in image 1 only: at two threads its
-    # slice runs in the pool, not in the caller's thread
-    monkeypatch.setenv("SPGT_THREADS", threads)
+def test_long_attention_keeps_the_callers_error_state(monkeypatch):
+    # raw scores near 1e4 overflow exp in image 1 only, a long slice
     monkeypatch.setattr(T, "_EXP_SAFE", math.inf)
     images, t = 2, 324
     ps = _qkv(66, images * t, 2, dtype=np.float32)
@@ -388,13 +353,6 @@ def test_attention_workers_keep_the_callers_error_state(monkeypatch, threads):
         warnings.simplefilter("error")  # numpy's default state would warn
         y = T.attention(ps["q"], ps["k"], ps["v"], images, 1)
     assert np.isfinite(y.data[:t]).all() and not np.isfinite(y.data[t:]).all()
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
-def test_spgt_threads_must_be_a_positive_integer(monkeypatch, value):
-    monkeypatch.setenv("SPGT_THREADS", value)
-    with pytest.raises(ValueError, match="SPGT_THREADS"):
-        T._threads()
 
 
 # ---------------------------------------------------------------- layer norm
@@ -557,7 +515,7 @@ def test_concat_tile_mean_rows_gradcheck():
 
     def f():
         stacked = T.concat_rows([ps["a"], T.tile_rows(ps["v"], 3)])
-        return T.sum_all(T.mul(w, stacked)) + T.sum_all(T.mean_rows(stacked))
+        return T.add(T.sum_all(T.mul(w, stacked)), T.sum_all(T.mean_rows(stacked)))
 
     assert grad_check(f, ps).max_relative_error <= 1e-3
 
@@ -572,7 +530,7 @@ def test_elementwise_ops_no_silent_broadcast():
 
 def test_abs_logsigmoid_gradcheck():
     ps = _param_set(x=np.array([-2.0, -0.3, 0.4, 1.7]))
-    f = lambda: T.sum_all(T.abs_val(ps["x"])) + T.sum_all(T.logsigmoid(ps["x"]))
+    f = lambda: T.add(T.sum_all(T.abs_val(ps["x"])), T.sum_all(T.logsigmoid(ps["x"])))
     assert grad_check(f, ps).max_relative_error <= 1e-3
 
 

@@ -748,13 +748,12 @@ def _value_bytes(loss: T.Tensor) -> int:
     return sum(owners.values())
 
 
-def test_pretrain_mid_image_graph_holds_little_beyond_its_node_values(monkeypatch):
+def test_pretrain_mid_image_graph_holds_little_beyond_its_node_values():
     # one 96x96x12 image through the pretrain-mid model (576 tokens, 58
-    # visible); one pool thread, since each thread adds its own score tiles.
+    # visible).
     # Measured: node values 15.1 MB, live after the forward 16.0 MB, backward
     # peak 17.4 MB. When the graph kept attention's E, GELU's tanh and
     # LayerNorm's normalised rows it read 24.0 MB and 25.3 MB.
-    monkeypatch.setenv("SPGT_THREADS", "1")
     cfg = ModelConfig(embed_dim=96, encoder_depth=12, encoder_heads=12, decoder_dim=48,
                       decoder_depth=4, decoder_heads=6, max_grid=(12, 12, 4))
     model = SpectralCubeAutoencoder(cfg, CounterRng(0))
