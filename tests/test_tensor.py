@@ -329,30 +329,37 @@ def test_layer_norm_graph_holds_no_normalised_rows():
     assert held - y.data.nbytes < y.data.nbytes / 8  # three float32 numbers per row
 
 
-def test_attention_call_peak_stays_below_two_slices():
+@pytest.mark.parametrize("images", [1, 2])
+def test_attention_call_peak_stays_below_three_slices(images):
     # the pretrain-mid decoder block: one t x t slice in the forward, one E
-    # tile and one dS tile in the backward
-    ps = _qkv(64, 576, 48, dtype=np.float32)
+    # tile and one dS tile in the backward, one image after the other; only
+    # the per-call operands and adjoints, a dozen (rows, 48) buffers, grow
+    # with the image count (at two images the bound is three slices)
+    rows = images * 576
+    ps = _qkv(64, rows, 48, dtype=np.float32)
     ps.zero_grads()  # the adjoints q, k and v accumulate into are not the transient
-    w = T.Tensor(CounterRng(65).normal_array((576, 48)), np.float32)
+    w = T.Tensor(CounterRng(65).normal_array((rows, 48)), np.float32)
     with traced_memory() as read:
-        T.sum_all(T.mul(w, T.attention(ps["q"], ps["k"], ps["v"], 1, 6))).backward()
+        T.sum_all(T.mul(w, T.attention(ps["q"], ps["k"], ps["v"], images, 6))).backward()
         _, peak = read()
-    assert peak < 2 * 576 * 576 * 4
+    assert peak < 576 * 576 * 4 + 12 * rows * 48 * 4
 
 
-def test_long_attention_keeps_the_callers_error_state(monkeypatch):
-    # raw scores near 1e4 overflow exp in image 1 only, a long slice
+@pytest.mark.parametrize("images", [1, 2])
+def test_attention_workers_keep_the_callers_error_state(monkeypatch, images):
+    # every long slice runs on the caller's thread: raw scores near 1e4
+    # overflow exp in the last image only
     monkeypatch.setattr(T, "_EXP_SAFE", math.inf)
-    images, t = 2, 324
+    t = 324
+    last = (images - 1) * t
     ps = _qkv(66, images * t, 2, dtype=np.float32)
-    ps["q"].data[t:] *= 100.0
+    ps["q"].data[last:] *= 100.0
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         T.attention(ps["q"], ps["k"], ps["v"], images, 1)
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")  # numpy's default state would warn
         y = T.attention(ps["q"], ps["k"], ps["v"], images, 1)
-    assert np.isfinite(y.data[:t]).all() and not np.isfinite(y.data[t:]).all()
+    assert np.isfinite(y.data[:last]).all() and not np.isfinite(y.data[last:]).all()
 
 
 # ---------------------------------------------------------------- layer norm
