@@ -217,7 +217,7 @@ def restore_model(ckpt: Checkpoint, model: SpectralCubeAutoencoder) -> None:
 def restore_optimizer(snapshot: OptimizerSnapshot, optimizer: AdamW) -> None:
     """Load the step count and moments into `optimizer`, writing its arrays in place.
 
-    The optimizer keeps its own hyper-parameters; `training.resume_point`
+    The optimizer keeps its own hyper-parameters; `training.restore_run`
     refuses a snapshot whose hyper-parameters differ from the stage's.
     """
     for name in optimizer.m:

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .schema import field_value, from_doc, read_doc, to_doc
 
 
@@ -129,14 +129,21 @@ def cmd_synth(args) -> int:
 
 def _truncate_log(path: str, point: tuple[int, int]) -> None:
     """Cut a train log before its first record at or past (stage, epoch)
-    `point`, or before a last line a crash left unfinished."""
+    `point`, or before a last line a crash left unfinished. Any other line
+    that is not a record is a FormatError naming the log and the line."""
+    from .training import EpochRecord
+
     with open(path, "r+b") as fh:
         keep = 0
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
                 break
-            record = json.loads(line)
-            if (record["stage"], record["epoch"]) >= point:
+            try:  # bytes that are not UTF-8 JSON, or a missing or mistyped key
+                record = from_doc(EpochRecord, json.loads(line), "", "record")
+            except (ValueError, ConfigError) as exc:
+                raise FormatError(f"train log {path} line {number} is not an epoch "
+                                  f"record: {exc}") from exc
+            if (record.stage, record.epoch) >= point:
                 break
             keep += len(line)
         fh.truncate(keep)
@@ -184,7 +191,7 @@ def cmd_pretrain(args) -> int:
             log.flush()
             save_checkpoint(checkpoint, os.path.join(args.out, "checkpoint_last.spck"))
 
-        progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch, resume=start)
+        progressive_pretrain(model, objective, stages, rng, on_epoch=on_epoch, start=start)
     save_checkpoint(final_checkpoint(model, stages, rng),
                     os.path.join(args.out, "checkpoint_final.spck"))
     print(os.path.join(args.out, "checkpoint_final.spck"))

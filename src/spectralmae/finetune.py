@@ -104,13 +104,10 @@ def _subset(samples: list, fraction: float, seed: int) -> list:
 
 # ---------------------------------------------------------------- loaders
 
-def load_classify_samples(man: DatasetManifest, samples: list) -> list:
-    return [(_load_image(man, s["raster"]), s["label"]) for s in samples]
-
-
-def load_multilabel_samples(man: DatasetManifest, samples: list) -> list:
-    return [(_load_image(man, s["raster"]), np.asarray(s["labels"], np.int64))
-            for s in samples]
+def _label_loader(key: str) -> Callable:
+    """A loader of (image, int64 label or labels under `key`) samples."""
+    return lambda man, samples: [(_load_image(man, s["raster"]), np.asarray(s[key], np.int64))
+                                 for s in samples]
 
 
 def load_segment_samples(man: DatasetManifest, samples: list) -> list:
@@ -142,9 +139,6 @@ def _encode_batch(model, images: list) -> list[T.Tensor]:
     out = []
     for span in model.group_spans(images):
         latents = model.forward_full(*images[span.start:span.stop])
-        if len(span) == 1:
-            out.append(latents)
-            continue
         n = latents.shape[0] // len(span)
         out.extend(T.gather_rows(latents, np.arange(i * n, (i + 1) * n))
                    for i in range(len(span)))
@@ -301,9 +295,9 @@ class Task:
 # Evaluation goes through the module-level eval_* names at call time, so a
 # wrapper rebound onto one of them sees every call.
 TASKS = {
-    "classify": Task(load_classify_samples, _image_forward, _row_loss(cross_entropy),
+    "classify": Task(_label_loader("label"), _image_forward, _row_loss(cross_entropy),
                      lambda model, head, val, man, cfg: eval_classify(model, head, val)),
-    "multilabel": Task(load_multilabel_samples, _image_forward,
+    "multilabel": Task(_label_loader("labels"), _image_forward,
                        _row_loss(multilabel_soft_margin),
                        lambda model, head, val, man, cfg: eval_multilabel(model, head, val)),
     "segment": Task(load_segment_samples, _segment_forward, _pixel_loss(cross_entropy),

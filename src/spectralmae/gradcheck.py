@@ -9,7 +9,7 @@ end-to-end suite and reserve float32 checks for single well-scaled ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class GradCheckResult:
     max_relative_error: float
     worst_parameter: str
     n_elements_checked: int
-    per_parameter: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -65,7 +64,6 @@ def grad_check(f, params: ParameterSet, eps: float = 1e-3,
     worst = 0.0
     worst_name = ""
     checked = 0
-    per_param: dict[str, float] = {}
     for name, p in params.items():
         flat = p.data.reshape(-1)
         n = flat.size
@@ -73,7 +71,6 @@ def grad_check(f, params: ParameterSet, eps: float = 1e-3,
             positions = np.arange(n)
         else:
             positions = rng.permutation(n)[:sample_per_param]
-        param_worst = 0.0
         for pos in positions:
             pos = int(pos)
             orig = flat[pos]
@@ -87,10 +84,7 @@ def grad_check(f, params: ParameterSet, eps: float = 1e-3,
             denom = max(abs(a), abs(numeric), 1e-6)
             err = abs(a - numeric) / denom
             checked += 1
-            if err > param_worst:
-                param_worst = err
             if err > worst:
                 worst = err
                 worst_name = name
-        per_param[name] = param_worst
-    return GradCheckResult(worst, worst_name, checked, per_param)
+    return GradCheckResult(worst, worst_name, checked)

@@ -33,16 +33,16 @@ INIT_STD = 0.02
 # paying once an image's own kernels dominate, and it holds every image's
 # activations at once. One pretraining step with AdamW, one BLAS thread,
 # per-image graphs against one graph for the batch. p75 ms of two runs, taken
-# at commit 7ec0dbc. Peak RSS, mean of two runs, of a process that synthesizes
+# at commit e42d089. Peak RSS, mean of two runs, of a process that synthesizes
 # 4 batches and runs one epoch of `pretrain` on them (mask ratio 0.9), taken
 # once no closure kept attention scores, GELU's tanh or LayerNorm's rows:
 #
 #   image, model, B          rows/graph  per-image p75  one graph p75  peak RSS MB
-#   16x16x6 tiny, 16                128      28 / 41         6.3 / 7.2  37.6 -> 37.3
-#   32x32x12 d96, 4                 256      93 / 102         53 / 61   77.1 -> 77.1
-#   48x48x12 d96, 4                 576     133 / 139         88 / 87   78.4 -> 79.0
-#   64x64x12 d96, 4                1024     220 / 163        154 / 136  80.0 -> 94.4
-#   96x96x12 d96, 4                2304     449 / 461        428 / 463  87.8 -> 141.1
+#   16x16x6 tiny, 16                128      30 / 48         3.3 / 5.2  37.6 -> 37.3
+#   32x32x12 d96, 4                 256     136 / 107         56 / 57   77.1 -> 77.1
+#   48x48x12 d96, 4                 576     150 / 153        105 / 111  78.4 -> 79.0
+#   64x64x12 d96, 4                1024     225 / 162        159 / 143  80.0 -> 94.4
+#   96x96x12 d96, 4                2304     411 / 394        379 / 448  87.8 -> 141.1
 #
 # Under the cap the 96x96x12 (576-token) image keeps one graph per image.
 MAX_GROUP_ROWS = 512
@@ -268,8 +268,7 @@ class SpectralCubeAutoencoder:
 
     def embed(self, visible_tokens, indices, grid: TokenGrid) -> T.Tensor:
         """token * E + bias + spatial[r*gw + c] + spectral[s], one row per token."""
-        tokens = visible_tokens if isinstance(visible_tokens, T.Tensor) else \
-            T.Tensor(np.asarray(visible_tokens, dtype=self.config.np_dtype))
+        tokens = T.Tensor(np.asarray(visible_tokens, dtype=self.config.np_dtype))
         if tokens.shape[1] != self.config.token_len:
             raise ShapeError(
                 f"token length {tokens.shape[1]} does not match p*p*k = {self.config.token_len}")
@@ -305,10 +304,7 @@ class SpectralCubeAutoencoder:
         if latents.shape[0] != v:
             raise ShapeError(f"{latents.shape[0]} latent rows for {v} visible tokens")
         z = T.matmul(latents, self.dec_embed_w, self.dec_embed_b)
-        if plan.m:
-            stacked = T.concat_rows([z, T.tile_rows(self.mask_token, plan.m)])
-        else:
-            stacked = z
+        stacked = T.concat_rows([z, T.tile_rows(self.mask_token, plan.m)])
         src = np.empty(n, dtype=np.int64)
         src[plan.visible] = np.arange(v)
         src[plan.masked] = v + np.arange(plan.m)

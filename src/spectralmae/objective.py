@@ -48,13 +48,9 @@ class LossBreakdown:
         return self.token + self.lam * self.spectral
 
 
-def _as_const(targets) -> T.Tensor:
-    return targets if isinstance(targets, T.Tensor) else T.Tensor(np.asarray(targets))
-
-
 def token_loss(recon: T.Tensor, targets, plan: MaskPlan, scope: str = "all_tokens") -> T.Tensor:
     """Elementwise MSE over the selected token set."""
-    targets = _as_const(targets)
+    targets = T.Tensor(np.asarray(targets))
     if recon.shape != targets.shape:
         raise ShapeError(f"recon {recon.shape} vs targets {targets.shape}")
     if scope not in TOKEN_SCOPES:
@@ -82,7 +78,7 @@ def spectral_loss(recon: T.Tensor, targets, grid: TokenGrid) -> T.Tensor:
     MSE; `total_loss` relies on that and builds the term only when the
     token term covers fewer tokens.
     """
-    targets = _as_const(targets)
+    targets = T.Tensor(np.asarray(targets))
     if recon.shape != targets.shape:
         raise ShapeError(f"recon {recon.shape} vs targets {targets.shape}")
     _check_covers_grid(recon, grid)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import os
 import struct
-import sys
 
 import numpy as np
 
@@ -31,9 +30,6 @@ log = logging.getLogger(__name__)
 
 RASTER_MAGIC = b"SPGR"
 RASTER_VERSION = 1
-
-# dtype byte orders whose bytes are little-endian as they stand ("|": one byte)
-_LITTLE_ENDIAN = ("<", "|", "=") if sys.byteorder == "little" else ("<", "|")
 
 
 class Writer:
@@ -51,10 +47,8 @@ class Writer:
         self.parts.append(raw)
 
     def array(self, arr: np.ndarray) -> None:
-        # the array's own buffer when it already has the file's layout, else a copy that does
-        if not (arr.flags.c_contiguous and arr.dtype.byteorder in _LITTLE_ENDIAN):
-            arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        self.parts.append(arr)
+        # a view of the array when it already has the file's layout, else a copy that does
+        self.parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
 
     def write_to(self, fh) -> None:
         """Write every part in order, without joining them into one copy."""

@@ -401,9 +401,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, images: int, heads: int) -> Tenso
     `_ATTENTION_TILE`) run in chunks of whole (image, head) slices up to
     that many scores. A long slice runs alone, in tiles of whole query
     rows that both passes share; the backward writes dQ per tile and sums
-    dV and dK over the tiles. Both passes run on the calling thread: a pool
-    that spread long slices over threads was no faster end to end and held
-    one score buffer per thread.
+    dV and dK over the tiles.
     """
     _require(q.shape == k.shape == v.shape and q.data.ndim == 2,
              f"attention: q, k, v shapes {q.shape}, {k.shape}, {v.shape} must be equal (rows, d)")

@@ -9,8 +9,8 @@ make patchify/unpatchify bit-exact inverses, let the per-site spectral
 rows be a plain reshape, and fix the layout that checkpoints and raster
 files rely on.
 
-A `TokenGrid` is the one record of token geometry. Its gh, gw, gs,
-n_tokens and n_sites describe one image; `patchify_group` alone sets
+A `TokenGrid` is the one record of token geometry. Its gh, gw, gs and
+n_tokens describe one image; `patchify_group` alone sets
 `images` above 1, for same-size images stacked along rows, so image i's
 tokens are rows [i*n_tokens, (i+1)*n_tokens) of `tokens`.
 
@@ -78,10 +78,6 @@ class TokenGrid:
     @property
     def n_tokens(self) -> int:
         return self.gh * self.gw * self.gs
-
-    @property
-    def n_sites(self) -> int:
-        return self.gh * self.gw
 
     @property
     def token_len(self) -> int:

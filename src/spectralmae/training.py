@@ -7,9 +7,9 @@ batch order by (stage, epoch), masks by (stage, epoch, step, slot) — so
 a run is fully determined by (seed, config, data). This module also owns
 a run's position. The checkpoint handed to `on_epoch` after each epoch
 records (stage, epochs done in it), and `final_checkpoint` records the
-end of the run. `resume_point` says where a checkpoint continues, and
-`restore_run` restores it there: the weights, and mid-stage the moments.
-`progressive_pretrain` resumed from it reproduces the uninterrupted run
+end of the run. `restore_run` says where a checkpoint continues and
+restores it there: the weights, and mid-stage the moments.
+`progressive_pretrain` started from it reproduces the uninterrupted run
 bitwise, and no copy of the checkpoint stays alive while it trains. A
 checkpoint of another model, seed or optimizer setting is refused rather
 than trained under this run's config.
@@ -158,50 +158,9 @@ def stage_grid(stage: PretrainStage, model: SpectralCubeAutoencoder) -> tuple[in
     return grid_shape(*shape, model.config.p, model.config.k)
 
 
-def resume_point(config: ModelConfig, stages: list[PretrainStage], rng: CounterRng,
-                 checkpoint: Checkpoint) -> tuple[int, int] | None:
-    """The (stage, epoch) a run continues from after `checkpoint`; None once it is done.
-
-    A finished stage continues at the next one's start with fresh moments,
-    a stage part-way with the checkpoint's. A checkpoint of another run is
-    a ConfigError: another model config (max_grid aside: stages resize it)
-    or rng state, a position past `stages`, or, part-way through a stage,
-    other optimizer hyper-parameters than the stage's.
-    """
-    saved = checkpoint.config
-    differ = [f"{f.name} {getattr(saved, f.name)!r} vs {getattr(config, f.name)!r}"
-              for f in fields(ModelConfig)
-              if f.name != "max_grid" and getattr(saved, f.name) != getattr(config, f.name)]
-    if differ:
-        raise ConfigError(f"checkpoint model differs from the config's: {', '.join(differ)}")
-    if checkpoint.rng_state != rng.state():
-        raise ConfigError(f"checkpoint rng state (seed, counter) {checkpoint.rng_state} "
-                          f"is not the run's {rng.state()}")
-    stage, epoch = checkpoint.stage, checkpoint.epoch
-    if stage < len(stages) and epoch >= stages[stage].epochs:
-        stage, epoch = stage + 1, 0
-    if (stage, epoch) == (len(stages), 0):
-        return None
-    if stage >= len(stages):
-        raise ConfigError(f"checkpoint stage {checkpoint.stage} (epoch {checkpoint.epoch}) "
-                          f"lies past the config's {len(stages)} stages")
-    if epoch:
-        snap = checkpoint.optimizer
-        if snap is None:
-            raise ConfigError(f"checkpoint at stage {stage} epoch {epoch} holds no moments")
-        fresh = _make_optimizer(T.ParameterSet(), stages[stage])  # settings, no parameters
-        differ = [f"{name} {getattr(snap, name)!r} vs {getattr(fresh, name)!r}"
-                  for name in ("base_lr", "beta1", "beta2", "eps", "weight_decay")
-                  if getattr(snap, name) != getattr(fresh, name)]
-        if differ:
-            raise ConfigError(f"checkpoint optimizer differs from stage {stage}'s: "
-                              f"{', '.join(differ)}")
-    return stage, epoch
-
-
 def final_checkpoint(model: SpectralCubeAutoencoder, stages: list[PretrainStage],
                      rng: CounterRng) -> Checkpoint:
-    """The weights at the end of a run, where `resume_point` finds it done."""
+    """The weights at the end of a run, where `restore_run` finds it done."""
     return snapshot_model(model, None, rng.state(), stage=len(stages), epoch=0)
 
 
@@ -218,32 +177,59 @@ def restore_run(checkpoint: Checkpoint, model: SpectralCubeAutoencoder,
                 stages: list[PretrainStage], rng: CounterRng) -> Start:
     """Restore `checkpoint` into a model of its shape and say where the run continues.
 
-    The weights go into `model`. Part-way through a stage its positional
-    tables take the stage's size and a new optimizer takes the saved
-    moments, so the `Start` holds all the run needs and the checkpoint
-    can be dropped. A finished run starts at (len(stages), 0).
+    A finished stage continues at the next one's start with fresh moments,
+    and a finished run at (len(stages), 0). Part-way through a stage the
+    positional tables take the stage's size and a new optimizer takes the
+    saved moments, so the `Start` holds all the run needs and the
+    checkpoint can be dropped. A checkpoint of another run is a
+    ConfigError, raised before anything is restored: another model config
+    (max_grid aside: stages resize it) or rng state, a position past
+    `stages`, or, part-way through a stage, no moments or other optimizer
+    hyper-parameters than the stage's.
     """
-    stage, epoch = resume_point(model.config, stages, rng, checkpoint) or (len(stages), 0)
+    saved, config = checkpoint.config, model.config
+    differ = [f"{f.name} {getattr(saved, f.name)!r} vs {getattr(config, f.name)!r}"
+              for f in fields(ModelConfig)
+              if f.name != "max_grid" and getattr(saved, f.name) != getattr(config, f.name)]
+    if differ:
+        raise ConfigError(f"checkpoint model differs from the config's: {', '.join(differ)}")
+    if checkpoint.rng_state != rng.state():
+        raise ConfigError(f"checkpoint rng state (seed, counter) {checkpoint.rng_state} "
+                          f"is not the run's {rng.state()}")
+    stage, epoch = checkpoint.stage, checkpoint.epoch
+    if stage < len(stages) and epoch >= stages[stage].epochs:
+        stage, epoch = stage + 1, 0
+    if stage > len(stages) or (stage == len(stages) and epoch):
+        raise ConfigError(f"checkpoint stage {checkpoint.stage} (epoch {checkpoint.epoch}) "
+                          f"lies past the config's {len(stages)} stages")
+    snap = checkpoint.optimizer
+    if epoch:
+        if snap is None:
+            raise ConfigError(f"checkpoint at stage {stage} epoch {epoch} holds no moments")
+        fresh = _make_optimizer(T.ParameterSet(), stages[stage])  # settings, no parameters
+        differ = [f"{name} {getattr(snap, name)!r} vs {getattr(fresh, name)!r}"
+                  for name in ("base_lr", "beta1", "beta2", "eps", "weight_decay")
+                  if getattr(snap, name) != getattr(fresh, name)]
+        if differ:
+            raise ConfigError(f"checkpoint optimizer differs from stage {stage}'s: "
+                              f"{', '.join(differ)}")
     restore_model(checkpoint, model)
     optimizer = None
     if epoch:
         model.resize_pos_tables(stage_grid(stages[stage], model))
         optimizer = _make_optimizer(model.parameters(), stages[stage])
-        restore_optimizer(checkpoint.optimizer, optimizer)
+        restore_optimizer(snap, optimizer)
     return Start(stage, epoch, optimizer)
 
 
 def progressive_pretrain(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
                          stages: list[PretrainStage], rng: CounterRng, on_epoch=None,
-                         resume: Checkpoint | Start | None = None) -> list[EpochRecord]:
+                         start: Start | None = None) -> list[EpochRecord]:
     """Run stages in order: weights carry over, positional tables resize,
-    optimizer moments reset at each boundary. `resume` continues a run: a
-    checkpoint is restored into the model (`restore_run`) and then dropped;
-    a `Start` is one already restored, and its optimizer is taken out of it.
-    Only the epochs run here come back."""
-    if isinstance(resume, Checkpoint):  # rebinding drops this frame's hold on it
-        resume = restore_run(resume, model, stages, rng)
-    start = resume or Start()
+    optimizer moments reset at each boundary. `start` continues a run that
+    `restore_run` restored; its optimizer is taken out of it. Only the
+    epochs run here come back."""
+    start = start or Start()
     optimizer, start.optimizer = start.optimizer, None  # so no Start pins it past its stage
     records: list[EpochRecord] = []
     for stage_index in range(start.stage, len(stages)):

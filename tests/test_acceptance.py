@@ -124,7 +124,7 @@ def _token_oracle(recon, targets, rows):
 
 def _spectral_oracle(recon, targets, grid):
     total, count = 0.0, 0
-    for site in range(grid.n_sites):
+    for site in range(grid.gh * grid.gw):
         row_r, row_t = [], []
         for s in range(grid.gs):
             row_r.extend(recon[site * grid.gs + s])

@@ -317,6 +317,21 @@ def test_pretrain_resume_of_another_run_is_one_error(tmp_path, capsys, change, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [b"[1, 2]", b'{"epoch": 0}', b'{"stage": "x", "epoch": 0}',
+                                  b"\xff"], ids=["list", "no_stage", "str_stage", "not_utf8"])
+def test_pretrain_resume_over_a_foreign_log_line_is_one_error(tmp_path, capsys, line):
+    config, mid, part = _interrupted_pretraining(tmp_path)
+    log_path = part / "train_log.jsonl"
+    first, second = log_path.read_bytes().splitlines(keepends=True)
+    log = first + line + b"\n" + second
+    log_path.write_bytes(log)
+    capsys.readouterr()
+    assert main(["pretrain", "--config", config, "--out", str(part), "--resume", str(mid)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: train log {log_path} line 2 ") and err.count("\n") == 1
+    assert log_path.read_bytes() == log
+
+
 def test_progressive_standardized_uses_each_stages_band_stats(tmp_path, monkeypatch):
     import spectralmae.training as training
     from spectralmae.manifest import load_manifest

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -174,6 +175,25 @@ def test_load_copies_the_file_once_into_writable_arrays(tmp_path, kind):
         _, peak = read()
     assert peak < 1.2 * path.stat().st_size  # the file buffer, not also a copy of each payload
     assert all(arr.flags.writeable for arr in arrays)
+
+
+def test_writer_appends_a_file_layout_array_as_a_view_and_copies_the_others():
+    from spectralmae.optim import AdamW
+    from spectralmae.raster import Writer
+
+    params = SpectralCubeAutoencoder(ModelConfig.tiny(), CounterRng(0)).parameters()
+    AdamW(params)  # parameters live in the optimizer's arena, as they do when a run saves
+    w = Writer()
+    for _, p in params.items():
+        w.array(p.data)
+        assert np.shares_memory(w.parts[-1], p.data)
+    arr = CounterRng(1).normal_array((6, 8)).astype(np.float32)
+    for other in (arr.astype(">f4"), arr[:, ::2]):
+        w.array(other)
+        part = w.parts[-1]
+        assert part.dtype.str == "<f4" and part.flags.c_contiguous
+        assert not np.shares_memory(part, other)
+        assert part.tobytes() == struct.pack(f"<{other.size}f", *other.ravel().tolist())
 
 
 # ---------------------------------------------------------------- normalize / resize

@@ -28,7 +28,7 @@ def _token_loss_oracle(recon, targets, indices):
 def _spectral_loss_oracle(recon, targets, grid):
     total, count = 0.0, 0
     length = grid.token_len
-    for site in range(grid.n_sites):
+    for site in range(grid.gh * grid.gw):
         row_r, row_t = [], []
         for s in range(grid.gs):
             row_r.extend(recon[site * grid.gs + s])
@@ -36,7 +36,7 @@ def _spectral_loss_oracle(recon, targets, grid):
         for a, b in zip(row_r, row_t):
             total += (float(a) - float(b)) ** 2
             count += 1
-    assert count == grid.n_sites * grid.gs * length
+    assert count == grid.gh * grid.gw * grid.gs * length
     return total / count
 
 

@@ -320,7 +320,7 @@ def test_targets_unknown_mode():
 # ---------------------------------------------------------------- spectral rows
 
 def _spectral_oracle(grid, targets):
-    out = np.zeros((grid.n_sites, grid.gs * grid.token_len), dtype=targets.dtype)
+    out = np.zeros((grid.gh * grid.gw, grid.gs * grid.token_len), dtype=targets.dtype)
     for r in range(grid.gh):
         for c in range(grid.gw):
             site = r * grid.gw + c

@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spectralmae.rng import CounterRng
 from spectralmae.tensor import Parameter, ParameterSet
 from spectralmae.tokenizer import SpectralImage, build_mask
 from spectralmae.training import (EpochRecord, PretrainStage, group_loss, pretrain_stage,
-                                  progressive_pretrain)
+                                  progressive_pretrain, restore_run)
 
 from memtrace import traced_memory
 
@@ -576,14 +577,52 @@ def test_resume_equivalence_bitwise(tmp_path):
 
     # interrupted after epoch 2: a fresh model resumes from that checkpoint
     model_c = fresh_model()
-    records_c = progressive_pretrain(model_c, objective, stages, CounterRng(41),
-                                     resume=load_checkpoint(path))
+    start = restore_run(load_checkpoint(path), model_c, stages, CounterRng(41))
+    records_c = progressive_pretrain(model_c, objective, stages, CounterRng(41), start=start)
 
     resumed = [(r.epoch, r.token, r.spectral, r.total) for r in records_c]
     uninterrupted = [(r.epoch, r.token, r.spectral, r.total) for r in records_a[2:]]
     assert resumed == uninterrupted
     for name, p in model_a.parameters().items():
         assert np.array_equal(p.data, model_c.parameters()[name].data), name
+
+
+@pytest.fixture(scope="module")
+def mid_stage_checkpoint(tmp_path_factory):
+    """The checkpoint a two-epoch tiny run hands over after epoch 1, its stage's
+    images, and the run's model config and seed."""
+    images = _smooth_images(4, 32, 32, 6, seed=23)
+    config = ModelConfig.tiny(max_grid=(4, 4, 2))
+    path = tmp_path_factory.mktemp("mid") / "mid.spck"
+
+    def on_epoch(record, checkpoint):
+        if checkpoint.epoch == 1:
+            save_checkpoint(checkpoint, path)
+
+    progressive_pretrain(SpectralCubeAutoencoder(config, CounterRng(31)), ObjectiveConfig(),
+                         [_stage(images, batch_size=2)], CounterRng(41), on_epoch=on_epoch)
+    return path, images, config, 41
+
+
+@pytest.mark.parametrize("case", ["model", "rng", "past_stages", "no_moments", "weight_decay"])
+def test_restore_run_refuses_before_it_restores(mid_stage_checkpoint, case):
+    path, images, config, seed = mid_stage_checkpoint
+    ckpt, stages = load_checkpoint(path), [_stage(images, batch_size=2)]
+    if case == "model":
+        config = replace(config, encoder_heads=1)  # parameters of the same shapes
+    elif case == "rng":
+        seed += 1
+    elif case == "past_stages":
+        ckpt.stage = 1
+    elif case == "no_moments":
+        ckpt.optimizer = None
+    else:
+        stages = [_stage(images, batch_size=2, weight_decay=0.05)]
+    model = SpectralCubeAutoencoder(config, CounterRng(7))
+    before = {name: p.data.tobytes() for name, p in model.parameters().items()}
+    with pytest.raises(ConfigError):
+        restore_run(ckpt, model, stages, CounterRng(seed))
+    assert {name: p.data.tobytes() for name, p in model.parameters().items()} == before
 
 
 def test_stray_backward_before_pretraining_leaves_the_run_unchanged():
