@@ -380,11 +380,14 @@ def cmd_gradcheck(args) -> int:
     # a 4-wide layer_norm row has |z| <= sqrt(3) max|g| + max|b| = 1.8, so logsigmoid(z)
     # lies in [-2, -0.15]: shifted by 0 or 3 it takes both signs, off abs_val's kink
     shift = T.Tensor(np.tile([0.0, 3.0], 8).reshape(4, 4))
+    u = ps.add("u", T.Parameter(0.5 * rng.normal_array((4, 4))))
 
     def f_ops():
         z = T.layer_norm(T.gelu(T.matmul(a, w)), g, b, 1e-5)
         ctx = T.attention(z, a, T.matmul(a, w, c), 2, 2)  # 2 images of 2 rows, 2 heads
-        y = T.add(T.abs_val(T.add(T.logsigmoid(z), shift)), ctx)
+        # the fused sublayer ops on their own: a residual projection, then GELU into one
+        mlp = T.gelu_matmul(ctx, u, c, T.matmul(z, u, c, residual=a))
+        y = T.add(T.abs_val(T.add(T.logsigmoid(z), shift)), mlp)
         return T.sum_all(T.matmul(T.reshape(y, (8, 2)), T.reshape(w, (2, 8))))
 
     worst["numerics"] = grad_check(f_ops, ps, eps=args.eps)

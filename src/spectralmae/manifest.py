@@ -6,7 +6,8 @@ existence-checked) at load. Per-band min/max drive the [0, 1] input
 normalization; per-band mean/std (of the normalized values) serve the
 standardized reconstruction-target mode. A load reads each key as the type
 of its `DatasetManifest` field (a sample's as in `_SAMPLE_KEYS`) and checks
-labels against `class_names`; a mismatch is a `FormatError` naming the key.
+labels against `class_names`; a mismatch is a `FormatError` naming the key
+and the manifest file.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ConfigError, DataError, FormatError
-from .schema import field_value, read_doc
+from .schema import field_value, in_file, read_doc
 
 MANIFEST_VERSION = 1
 TASKS = ("pretrain", "classify", "multilabel", "segment", "change")
@@ -92,10 +93,12 @@ def load_manifest(path) -> DatasetManifest:
     base = os.path.dirname(os.path.abspath(path))
     try:  # not JSON, or an unknown, missing or mistyped key, at the top or in a sample
         manifest = read_doc(DatasetManifest, path, "manifest")
-        if manifest.schema_version != MANIFEST_VERSION:
-            raise FormatError(f"unsupported manifest schema version {manifest.schema_version}")
-        manifest.samples = [_read_sample(i, s, base, manifest)
-                            for i, s in enumerate(manifest.samples)]
+        with in_file(path):
+            if manifest.schema_version != MANIFEST_VERSION:
+                raise FormatError(
+                    f"unsupported manifest schema version {manifest.schema_version}")
+            manifest.samples = [_read_sample(i, s, base, manifest)
+                                for i, s in enumerate(manifest.samples)]
     except ConfigError as exc:
         raise FormatError(str(exc)) from exc
     return manifest

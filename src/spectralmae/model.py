@@ -125,7 +125,16 @@ def initial_weight(rng: CounterRng | None, tags: tuple, shape, dtype) -> np.ndar
 
 
 class TransformerBlock:
-    """Pre-norm residual block: z + MHSA(LN(z)), then + MLP(LN(.))."""
+    """Pre-norm residual block: z + MHSA(LN(z)), then + MLP(LN(.)).
+
+    Each sublayer's last projection adds its residual in place (`matmul`'s
+    `residual`, `gelu_matmul`), with the bits of a separate `add`, so the
+    graph keeps only what a backward reads: over n rows of width d and MLP
+    width md, the block input, LN1, Q, K, V, the attention context, the
+    sum after attention, LN2, the MLP hidden and the output, (9d + md) n
+    values; GELU's output and the two projections feeding residual adds
+    are never nodes.
+    """
 
     def __init__(self, params: T.ParameterSet, prefix: str, d: int, heads: int,
                  mlp_ratio: float, rng: CounterRng | None, dtype):
@@ -149,20 +158,19 @@ class TransformerBlock:
         self.fc1_w, self.fc1_b = w("mlp.fc1.weight", (d, md)), zeros("mlp.fc1.bias", md)
         self.fc2_w, self.fc2_b = w("mlp.fc2.weight", (md, d)), zeros("mlp.fc2.bias", d)
 
-    def _attention(self, z: T.Tensor, images: int = 1) -> T.Tensor:
-        """Self-attention within each image; z holds `images` equal runs of rows."""
+    def _attention(self, z: T.Tensor, images: int = 1,
+                   residual: T.Tensor | None = None) -> T.Tensor:
+        """Self-attention within each image; z holds `images` equal runs of rows.
+        `residual`, if given, is added to the output projection in place."""
         ctx = T.attention(T.matmul(z, self.wq), T.matmul(z, self.wk), T.matmul(z, self.wv),
                           images, self.heads)
-        return T.matmul(ctx, self.wo)
-
-    def _mlp(self, z: T.Tensor) -> T.Tensor:
-        hidden = T.gelu(T.matmul(z, self.fc1_w, self.fc1_b))
-        return T.matmul(hidden, self.fc2_w, self.fc2_b)
+        return T.matmul(ctx, self.wo, residual=residual)
 
     def forward(self, z: T.Tensor, images: int = 1) -> T.Tensor:
         """One block over the rows of `images` images; only attention splits them."""
-        z = T.add(z, self._attention(T.layer_norm(z, self.ln1_g, self.ln1_b, LN_EPS), images))
-        return T.add(z, self._mlp(T.layer_norm(z, self.ln2_g, self.ln2_b, LN_EPS)))
+        z = self._attention(T.layer_norm(z, self.ln1_g, self.ln1_b, LN_EPS), images, z)
+        hidden = T.matmul(T.layer_norm(z, self.ln2_g, self.ln2_b, LN_EPS), self.fc1_w, self.fc1_b)
+        return T.gelu_matmul(hidden, self.fc2_w, self.fc2_b, z)
 
 
 class SpectralCubeAutoencoder:

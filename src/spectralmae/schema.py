@@ -6,13 +6,14 @@ numpy here: the CLI reads its config before numpy loads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import reprlib
 import types
 import typing
 from dataclasses import MISSING, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 
 def _convert(value, hint):
@@ -49,8 +50,14 @@ def from_doc(cls, doc, path: str, what: str = "config", **fixed):
     default. The `fixed` fields come from the caller, never from the doc.
     A `ConfigError` names the bad key of the `what` document.
     """
+    return cls(**_values(cls, doc, path, what, fixed), **fixed)
+
+
+def _values(cls, doc, path: str, what: str, fixed) -> dict:
+    """The fields `doc` gives, each checked as `from_doc` describes."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{what} {path or 'file'} must be a JSON object, not {reprlib.repr(doc)}")
+        name = f"{what} {path}" if path else what
+        raise ConfigError(f"{name} must be a JSON object, not {reprlib.repr(doc)}")
     prefix = f"{path}." if path else ""
     hints = typing.get_type_hints(cls)
     unknown = sorted(doc.keys() - (hints.keys() - fixed.keys()))
@@ -61,17 +68,32 @@ def from_doc(cls, doc, path: str, what: str = "config", **fixed):
     for f in fields(cls):
         if f.name not in given and f.default is f.default_factory is MISSING:
             raise ConfigError(f"{what} {prefix}{f.name} is required")
-    return cls(**values, **fixed)
+    return values
+
+
+@contextlib.contextmanager
+def in_file(path):
+    """Re-raise a `ConfigError` or `FormatError` of the block with `path` named."""
+    try:
+        yield
+    except (ConfigError, FormatError) as exc:
+        raise type(exc)(f"{exc} (in {path})") from exc
 
 
 def read_doc(cls, path, what: str = "config"):
-    """`from_doc` of the JSON object in the file at `path`."""
+    """`from_doc` of the JSON object in the file at `path`.
+
+    An error in the document's types or keys names the file; the checks
+    of `cls` itself on the values it was given raise as they are.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
             raise ConfigError(f"{what} {path} is not UTF-8 JSON: {exc}") from exc
-    return from_doc(cls, doc, "", what)
+    with in_file(path):
+        values = _values(cls, doc, "", what, {})
+    return cls(**values)
 
 
 def to_doc(obj, omit=()) -> dict:

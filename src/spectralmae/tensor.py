@@ -12,9 +12,15 @@ and its own, which the graph pins anyway) and per-row vectors. Anything
 larger the backward rebuilds from those values with the forward's own
 numpy calls in the forward's order, so every bit is the same: attention's
 scaled Q, K and V and its scores E, GELU's tanh, LayerNorm's normalised
-rows and log-softmax's probabilities. One 96x96x12 image through the
-`pretrain-mid` model holds 16.0 MB after the forward, 15.1 MB of it node
-values; with those buffers kept it held 24.0 MB.
+rows and log-softmax's probabilities. A value that no backward reads,
+or that its one reader can rebuild, is not made a node at all:
+`gelu_matmul` rebuilds GELU's output from its input, and `matmul`'s
+`residual` and `gelu_matmul` add a residual in place, so a transformer
+sublayer's last product is no node.
+One 96x96x12 image through the `pretrain-mid` model holds 11.8 MB after
+the forward, 10.9 MB of it node values; with GELU's output and the
+sublayer products as nodes it held 16.0 MB, and with the rebuilt buffers
+kept as well 24.0 MB.
 
 `backward()` consumes its graph. As the sweep passes an op node it drops
 the node's closure and parent links, so what only closures hold (inputs
@@ -249,11 +255,16 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _out(a.data * np.asarray(s, dtype=a.data.dtype), (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
+           residual: Tensor | None = None) -> Tensor:
     """Matrix product; 2-D, or stacked (any rank) with identical leading extents.
 
     A linear layer passes `bias` (2-D operands only, shape (b.shape[1],)),
-    which is added to every output row; its adjoint is the column sum.
+    which is added to every output row; its adjoint is the column sum. A
+    residual sublayer passes `residual`, shaped as the output, which is
+    added in place after the bias. Float addition commutes, so the output
+    has the bits of `add(residual, matmul(a, b, bias))`, and the product
+    that `add` would read is never a node of its own.
     """
     ok = (
         a.data.ndim == b.data.ndim
@@ -265,8 +276,13 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         _require(a.data.ndim == 2 and bias.shape == (b.shape[1],),
                  f"matmul: bias {bias.shape} does not fit shapes {a.shape} and {b.shape}")
+    if residual is not None:
+        _require(residual.shape == a.shape[:-1] + b.shape[-1:],
+                 f"matmul: residual {residual.shape} does not fit shapes {a.shape} and {b.shape}")
 
     def backward(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0, dtype=np.float64).astype(g.dtype))
         if a.requires_grad:
@@ -275,10 +291,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             b._accumulate(np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
     y = a.data @ b.data
-    if bias is None:
-        return _out(y, (a, b), backward)
-    y += bias.data
-    return _out(y, (a, b, bias), backward)
+    if bias is not None:
+        y += bias.data
+    if residual is not None:
+        y += residual.data
+    extra = tuple(t for t in (bias, residual) if t is not None)
+    return _out(y, (a, b) + extra, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -569,36 +587,51 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
 
-    Both passes work in place in a few buffers, rounding in the order of
-    the written formulas (each in-place step only swaps the operands of a
+    Both passes work in a few buffers, rounding in the order of the
+    written formulas (each in-place step only swaps the operands of a
     commutative product or sum), so the bits are those of the formulas.
     The graph keeps no tanh: the backward rebuilds it from x with the
     forward's calls (`_gelu_tanh`).
     """
     x = a.data
-    u = _gelu_tanh(x)
-    u += 1.0
-    y = x * 0.5
-    y *= u  # 0.5 x (1 + t)
 
     def backward(g):
-        t = _gelu_tanh(x)
-        s = t * t
-        np.subtract(1.0, s, out=s)  # sech²
-        h = x * 0.5
-        h *= s
-        dinner = x * (3.0 * _GELU_A)
-        dinner *= x
-        dinner += 1.0
-        dinner *= _GELU_C
-        h *= dinner  # 0.5 x sech² c (1 + 3 A x²)
-        np.add(t, 1.0, out=s)
-        s *= 0.5
-        s += h
-        s *= g
-        a._accumulate(s, owned=True)
+        a._accumulate(_gelu_adjoint(x, _gelu_tanh(x), g), owned=True)
 
-    return _out(y, (a,), backward)
+    return _out(_gelu_value(x, _gelu_tanh(x)), (a,), backward)
+
+
+def gelu_matmul(h: Tensor, w: Tensor, bias: Tensor, residual: Tensor) -> Tensor:
+    """residual + gelu(h) W + bias as one node: a transformer's MLP output.
+
+    It has the bits of `add(residual, matmul(gelu(h), w, bias))`, as
+    `matmul`'s `residual` has, but the graph keeps neither gelu(h) nor the
+    product: the backward rebuilds tanh from h once, with the forward's
+    calls, and takes from it both gelu(h), for dW, and GELU'(h), for dh.
+    """
+    _require(h.data.ndim == 2 and w.data.ndim == 2 and h.shape[1] == w.shape[0],
+             f"gelu_matmul: shapes {h.shape} and {w.shape} incompatible")
+    out_shape = (h.shape[0], w.shape[1])
+    _require(bias.shape == out_shape[1:] and residual.shape == out_shape,
+             f"gelu_matmul: bias {bias.shape} and residual {residual.shape} "
+             f"do not fit shapes {h.shape} and {w.shape}")
+    x = h.data
+
+    def backward(g):
+        if residual.requires_grad:
+            residual._accumulate(g)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0, dtype=np.float64).astype(g.dtype))
+        t = _gelu_tanh(x)
+        if w.requires_grad:
+            w._accumulate(_gelu_value(x, t).T @ g, owned=True)
+        if h.requires_grad:
+            h._accumulate(_gelu_adjoint(x, t, g @ w.data.T), owned=True)
+
+    y = _gelu_value(x, _gelu_tanh(x)) @ w.data
+    y += bias.data
+    y += residual.data
+    return _out(y, (h, w, bias, residual), backward)
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -610,6 +643,31 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     u += x
     u *= _GELU_C
     return np.tanh(u, out=u)
+
+
+def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gelu(x) = 0.5 x (1 + t) for t = `_gelu_tanh(x)`, in a fresh buffer."""
+    y = x * 0.5
+    y *= t + 1.0
+    return y
+
+
+def _gelu_adjoint(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g GELU'(x) for t = `_gelu_tanh(x)`, in a fresh buffer; t is left as it is."""
+    s = t * t
+    np.subtract(1.0, s, out=s)  # sech²
+    h = x * 0.5
+    h *= s
+    dinner = x * (3.0 * _GELU_A)
+    dinner *= x
+    dinner += 1.0
+    dinner *= _GELU_C
+    h *= dinner  # 0.5 x sech² c (1 + 3 A x²)
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    s += h
+    s *= g
+    return s
 
 
 def abs_val(a: Tensor) -> Tensor:

@@ -1,7 +1,12 @@
-"""tracemalloc around a block, for the tests that bound memory."""
+"""tracemalloc around a block, and the bytes a graph's node values hold,
+for the tests that bound memory."""
 
 import contextlib
 import tracemalloc
+
+import numpy as np
+
+from spectralmae.tensor import Parameter, Tensor
 
 
 @contextlib.contextmanager
@@ -23,3 +28,21 @@ def traced_memory():
         yield read
     finally:
         tracemalloc.stop()
+
+
+def value_bytes(out: Tensor) -> int:
+    """Bytes of the values of every graph node behind `out` but the Parameters,
+    each buffer counted once: a view counts as the array it views."""
+    owners, seen, stack = {}, set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if not isinstance(node, Parameter):
+            owner = node.data
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            owners[id(owner)] = owner.nbytes
+    return sum(owners.values())

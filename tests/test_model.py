@@ -4,10 +4,13 @@ import pytest
 from spectralmae import tensor as T
 from spectralmae.errors import ConfigError, ShapeError
 from spectralmae.gradcheck import grad_check
-from spectralmae.model import PRESETS, ModelConfig, SpectralCubeAutoencoder, empty_mask_plan
+from spectralmae.model import (PRESETS, ModelConfig, SpectralCubeAutoencoder,
+                               TransformerBlock, empty_mask_plan)
 from spectralmae.rng import CounterRng
 from spectralmae.tokenizer import (MaskPlan, SpectralImage, build_group_mask, build_mask,
                                    patchify, patchify_group)
+
+from memtrace import value_bytes
 
 
 def _image(h, w, d, seed=0):
@@ -110,6 +113,18 @@ def test_single_token_attention_is_value_projection():
     out = block._attention(z).data
     expected = (z.data @ block.wv.data) @ block.wo.data
     assert np.allclose(out, expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("n,d,heads,images", [(256, 96, 12, 4), (576, 48, 6, 1)],
+                         ids=["downstream_mid_encoder", "pretrain_mid_decoder"])
+def test_block_keeps_only_the_node_values_its_backward_reads(n, d, heads, images):
+    md = 4 * d
+    block = TransformerBlock(T.ParameterSet(), "blk", d, heads, md / d, CounterRng(5), np.float32)
+    z = T.Tensor(CounterRng(6).normal_array((n, d)).astype(np.float32), requires_grad=True)
+    out = block.forward(z, images)
+    # z, ln1, q, k, v, ctx, the sum after attention, ln2, the MLP hidden and the output;
+    # GELU's output and the products of wo and fc2 are no nodes
+    assert value_bytes(out) == (9 * d + md) * n * 4
 
 
 def test_block_stack_permutation_equivariance_exact():

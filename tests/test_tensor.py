@@ -556,6 +556,79 @@ def test_log_softmax_gradcheck_and_values():
     assert np.all(np.isfinite(logp))
 
 
+# ---------------------------------------------------------------- fused sublayer ops
+
+def _sublayer_leaves(n, d, md, dtype, seed):
+    """Leaves of one block's two residual sublayers: context, block input,
+    MLP hidden, both projections and the fc2 bias, plus an output adjoint."""
+    rng = CounterRng(seed)
+    shapes = dict(ctx=(n, d), z=(n, d), wo=(d, d), h=(n, md), w2=(md, d), b2=(d,), up=(n, d))
+    arrays = {k: rng.child(k).normal_array(shape) for k, shape in shapes.items()}
+    for k in ("wo", "w2", "b2"):
+        arrays[k] *= 0.1
+    return _param_set(**{k: v.astype(dtype) for k, v in arrays.items()})
+
+
+def _sublayers(ps, fused):
+    """z + ctx wo, then + gelu(h) w2 + b2: fused, or as the add/gelu/matmul chain."""
+    if fused:
+        mid = T.matmul(ps["ctx"], ps["wo"], residual=ps["z"])
+        out = T.gelu_matmul(ps["h"], ps["w2"], ps["b2"], mid)
+    else:
+        mid = T.add(ps["z"], T.matmul(ps["ctx"], ps["wo"]))
+        out = T.add(mid, T.matmul(T.gelu(ps["h"]), ps["w2"], ps["b2"]))
+    return mid, out
+
+
+@pytest.mark.parametrize("n,d,md", [(256, 96, 384), (576, 48, 192)],
+                         ids=["downstream_mid_encoder", "pretrain_mid_decoder"])
+def test_fused_sublayer_ops_match_the_chain_bitwise(n, d, md):
+    results = []
+    for fused in (True, False):
+        ps = _sublayer_leaves(n, d, md, np.float32, 73)
+        mid, out = _sublayers(ps, fused)
+        values = (mid.data.copy(), out.data.copy())
+        T.sum_all(T.mul(out, ps["up"])).backward()
+        results.append((values, {name: p.grad for name, p in ps.items() if name != "up"}))
+    (fused_values, fused_grads), (chain_values, chain_grads) = results
+    assert all(np.array_equal(a, b) for a, b in zip(fused_values, chain_values))
+    assert fused_grads.keys() == chain_grads.keys()
+    for name in fused_grads:
+        assert fused_grads[name].dtype == np.float32
+        assert np.array_equal(fused_grads[name], chain_grads[name]), name
+
+
+def test_gelu_matmul_gradcheck():
+    ps = _sublayer_leaves(5, 3, 4, np.float64, 74)
+
+    def f():
+        out = T.gelu_matmul(ps["h"], ps["w2"], ps["b2"], ps["z"])
+        return T.sum_all(T.mul(out, ps["up"]))
+
+    assert grad_check(f, ps, eps=1e-4).max_relative_error <= 1e-6
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_matmul_residual_gradcheck(bias):
+    ps = _sublayer_leaves(5, 3, 4, np.float64, 75)
+
+    def f():
+        out = T.matmul(ps["ctx"], ps["wo"], ps["b2"] if bias else None, residual=ps["z"])
+        return T.sum_all(T.mul(out, ps["up"]))
+
+    assert grad_check(f, ps, eps=1e-4).max_relative_error <= 1e-6
+
+
+def test_fused_sublayer_ops_shape_errors_name_the_shapes():
+    ps = _sublayer_leaves(5, 3, 4, np.float32, 76)
+    with pytest.raises(ShapeError, match=r"residual \(5, 4\)"):
+        T.matmul(ps["ctx"], ps["wo"], residual=ps["h"])
+    with pytest.raises(ShapeError, match=r"residual \(5, 4\)"):
+        T.gelu_matmul(ps["h"], ps["w2"], ps["b2"], ps["h"])
+    with pytest.raises(ShapeError, match=r"\(5, 3\) and \(4, 3\)"):
+        T.gelu_matmul(ps["ctx"], ps["w2"], ps["b2"], ps["z"])
+
+
 # ---------------------------------------------------------------- engine behavior
 
 def test_reused_node_accumulates_both_paths():

@@ -19,7 +19,7 @@ from spectralmae.tokenizer import SpectralImage, build_mask
 from spectralmae.training import (EpochRecord, PretrainStage, group_loss, pretrain_stage,
                                   progressive_pretrain, restore_run)
 
-from memtrace import traced_memory
+from memtrace import traced_memory, value_bytes
 
 
 def _smooth_images(count, h, w, d, seed=0):
@@ -769,30 +769,13 @@ def test_pretrain_step_holds_one_group_graph_at_a_time(monkeypatch):
     assert peak - start < 1.3 * graph
 
 
-def _value_bytes(loss: T.Tensor) -> int:
-    """Bytes of the values of every graph node behind `loss` but the Parameters,
-    each buffer counted once: a view counts as the array it views."""
-    owners, seen, stack = {}, set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        if not isinstance(node, Parameter):
-            owner = node.data
-            while isinstance(owner.base, np.ndarray):
-                owner = owner.base
-            owners[id(owner)] = owner.nbytes
-    return sum(owners.values())
-
-
 def test_pretrain_mid_image_graph_holds_little_beyond_its_node_values():
     # one 96x96x12 image through the pretrain-mid model (576 tokens, 58
     # visible).
-    # Measured: node values 15.1 MB, live after the forward 16.0 MB, backward
-    # peak 17.4 MB. When the graph kept attention's E, GELU's tanh and
-    # LayerNorm's normalised rows it read 24.0 MB and 25.3 MB.
+    # Measured: node values 10.9 MB, live after the forward 11.8 MB, backward
+    # peak 13.1 MB. With GELU's output and the wo and fc2 products as nodes
+    # it read 15.1, 16.0 and 17.4 MB; when the graph also kept attention's
+    # E, GELU's tanh and LayerNorm's normalised rows, 24.0 MB and 25.3 MB.
     cfg = ModelConfig(embed_dim=96, encoder_depth=12, encoder_heads=12, decoder_dim=48,
                       decoder_depth=4, decoder_heads=6, max_grid=(12, 12, 4))
     model = SpectralCubeAutoencoder(cfg, CounterRng(0))
@@ -807,7 +790,7 @@ def test_pretrain_mid_image_graph_holds_little_beyond_its_node_values():
     with traced_memory() as read:
         graph = loss()
         live, _ = read()
-        values = _value_bytes(graph)
+        values = value_bytes(graph)
         graph.backward()
         _, peak = read()
     assert live - values < 0.1 * values  # the inputs, row vectors and closures
