@@ -6,7 +6,8 @@ tagged with its annotation's kind), named parameter tensors, optional
 optimizer state, RNG state and the training position. Tensors are a
 length-prefixed UTF-8 name, a dtype tag (4 = float32, 8 = float64), u8
 rank, u64 extents, then the raw payload. Save -> load -> save reproduces
-identical bytes because every field has exactly one encoding.
+identical bytes because every field has exactly one encoding. A snapshot
+holds the model's own arrays, so a save allocates only the headers.
 """
 
 from __future__ import annotations
@@ -170,8 +171,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"unsupported checkpoint version {version}")
     config = _read_config(r)
     params = _read_tensors(r, "parameter count")
+    (flag,) = r.unpack("B", "optimizer flag")
+    if flag not in (0, 1):
+        raise FormatError(f"checkpoint {path} optimizer flag {flag} is not 0 or 1")
     optimizer = None
-    if r.unpack("B", "optimizer flag")[0]:
+    if flag:
         header = r.unpack(_OPT_HEADER, "optimizer header")
         optimizer = OptimizerSnapshot(*header, _read_tensors(r, "first-moment count"),
                                       _read_tensors(r, "second-moment count"))
@@ -183,12 +187,13 @@ def load_checkpoint(path) -> Checkpoint:
 def snapshot_model(model: SpectralCubeAutoencoder, optimizer: AdamW | None,
                    rng_state: tuple[int, int], stage: int = 0, epoch: int = 0,
                    step: int = 0) -> Checkpoint:
-    params = {name: p.data.copy() for name, p in model.parameters().items()}
+    """The weights and, with `optimizer`, its moments: the live arrays in new
+    dicts, valid until the model or optimizer next changes. Save or copy it."""
+    params = {name: p.data for name, p in model.parameters().items()}
     opt = None
     if optimizer is not None:
         opt = OptimizerSnapshot(**{name: getattr(optimizer, name) for name in _OPT_HYPER},
-                                m={k: a.copy() for k, a in optimizer.m.items()},
-                                v={k: a.copy() for k, a in optimizer.v.items()})
+                                m=dict(optimizer.m), v=dict(optimizer.v))
     return Checkpoint(replace(model.config), params, opt, rng_state, stage, epoch, step)
 
 

@@ -250,7 +250,7 @@ def cmd_finetune(args) -> int:
                                 "segment": "segment", "change": "change_detect"}[args.task])
     report = runner(model, train_man, cfg, val_man, head=head)
     tuned = snapshot_model(model, None, CounterRng(cfg.seed).state())
-    tuned.params.update({name: p.data.copy() for name, p in head.params.items()})
+    tuned.params.update({name: p.data for name, p in head.params.items()})
     save_checkpoint(tuned, os.path.join(args.out, "checkpoint_finetuned.spck"))
     _write_report(args.out, report)
     return 0

@@ -24,6 +24,11 @@ TOKEN_SCOPES = ("all_tokens", "masked_only")
 
 @dataclass
 class ObjectiveConfig:
+    """The loss's settings. `lam` weighs the spectral term, but under the default
+    "all_tokens" scope that term is the token MSE itself, so the loss is
+    (1 + lam)·MSE; AdamW ignores the loss scale apart from `eps` (and
+    `clip_norm`'s threshold), so there `lam` leaves training unchanged. It
+    weighs a distinct term only under "masked_only"."""
     lam: float = 1.0
     token_loss_scope: str = "all_tokens"
     target_mode: str = "per_token_normalized"

@@ -6,9 +6,10 @@ Every source of randomness is keyed functionally off the root stream —
 batch order by (stage, epoch), masks by (stage, epoch, step, slot) — so
 a run is fully determined by (seed, config, data). This module also owns
 a run's position. The checkpoint handed to `on_epoch` after each epoch
-records (stage, epochs done in it), and `final_checkpoint` records the
-end of the run. `restore_run` says where a checkpoint continues and
-restores it there: the weights, and mid-stage the moments.
+records (stage, epochs done in it) and holds the live arrays, which
+`on_epoch` saves or copies; `final_checkpoint` records the end of the run.
+`restore_run` says where a checkpoint continues and restores it there:
+the weights, and mid-stage the moments.
 `progressive_pretrain` started from it reproduces the uninterrupted run
 bitwise, and no copy of the checkpoint stays alive while it trains. A
 checkpoint of another model, seed or optimizer setting is refused rather
@@ -112,7 +113,9 @@ def pretrain_stage(model: SpectralCubeAutoencoder, objective: ObjectiveConfig,
 
     The schedule always spans the full stage, so starting at `start_epoch`
     with the moments `optimizer` held there replays the uninterrupted run.
-    `on_epoch(record, checkpoint)` gets the run's position after each epoch.
+    `on_epoch(record, checkpoint)` gets the run's position after each epoch
+    in the model's and optimizer's own arrays, which the next step changes:
+    it saves or copies the checkpoint before it returns.
     """
     n = len(stage.images)
     steps_per_epoch = n // stage.batch_size

@@ -250,6 +250,49 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert loaded.optimizer.step_count == 1
 
 
+def test_snapshot_holds_the_live_arrays_in_new_dicts(tmp_path):
+    import copy
+
+    model, opt = _model_and_opt()
+    for p in model.parameters():
+        p.grad[:] = 0.001
+    opt.step()  # non-zero moments
+    ckpt = snapshot_model(model, opt, (1, 2), stage=1, epoch=1)
+    live = {"params": {name: p.data for name, p in model.parameters().items()},
+            "m": opt.m, "v": opt.v}
+    held = {"params": ckpt.params, "m": ckpt.optimizer.m, "v": ckpt.optimizer.v}
+    for kind, arrays in held.items():
+        assert list(arrays) == list(live[kind]), kind
+        for name, arr in arrays.items():
+            assert np.shares_memory(arr, live[kind][name]), (kind, name)
+    assert ckpt.optimizer.m is not opt.m and ckpt.optimizer.v is not opt.v
+    ckpt.optimizer.v["pos.spectral"] = np.zeros((1, 1), np.float32)
+    ckpt.params["pos.spectral"] = np.zeros((1, 1), np.float32)
+    assert opt.v["pos.spectral"].shape != (1, 1)
+    assert model.parameters()["pos.spectral"].data.shape != (1, 1)
+
+    ckpt = snapshot_model(model, opt, (1, 2), stage=1, epoch=1)
+    save_checkpoint(ckpt, tmp_path / "live.spck")
+    save_checkpoint(copy.deepcopy(ckpt), tmp_path / "copied.spck")
+    assert (tmp_path / "live.spck").read_bytes() == (tmp_path / "copied.spck").read_bytes()
+
+
+def test_snapshot_and_save_of_a_pretrain_mid_model_allocate_almost_nothing(tmp_path):
+    # the pretrain-mid model with AdamW: an 18.1 MB file. Measured: the save
+    # of a snapshot allocates 1.5% of it; snapshots that copied every
+    # weight and moment allocated 102%
+    cfg = ModelConfig(embed_dim=96, encoder_depth=12, encoder_heads=12, decoder_dim=48,
+                      decoder_depth=4, decoder_heads=6, max_grid=(12, 12, 4))
+    model = SpectralCubeAutoencoder(cfg, CounterRng(0))
+    opt = AdamW(model.parameters(), base_lr=1e-3)
+    path = tmp_path / "mid.spck"
+    save_checkpoint(snapshot_model(model, opt, (0, 0)), path)  # first calls out of the trace
+    with traced_memory() as read:
+        save_checkpoint(snapshot_model(model, opt, (0, 0), epoch=1), path)
+        _, peak = read()
+    assert peak < 0.05 * path.stat().st_size
+
+
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     import builtins
 
@@ -308,6 +351,22 @@ def test_checkpoint_save_syncs_the_sibling_before_renaming_it(tmp_path, monkeypa
     monkeypatch.undo()
     inode = os.stat(path).st_ino
     assert calls == [("fsync", inode), ("replace", inode, os.fspath(path))]
+
+
+@pytest.mark.parametrize("flag", [2, 7, 255])
+def test_checkpoint_optimizer_flag_other_than_0_or_1_is_format_error(tmp_path, flag):
+    model, opt = _model_and_opt()
+    bare, path = tmp_path / "bare.spck", tmp_path / "m.spck"
+    save_checkpoint(snapshot_model(model, None, (0, 0)), bare)
+    save_checkpoint(snapshot_model(model, opt, (0, 0)), path)
+    # both files agree up to the flag, which precedes the 40-byte trailer in the bare one
+    offset = bare.stat().st_size - 41
+    data = bytearray(path.read_bytes())
+    assert data[:offset] == bare.read_bytes()[:offset] and data[offset] == 1
+    data[offset] = flag
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=re.escape(f"checkpoint {path} optimizer flag {flag}")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
